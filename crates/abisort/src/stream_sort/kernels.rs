@@ -1,15 +1,10 @@
 //! The kernel programs of GPU-ABiSort and their launch wrappers.
 //!
-//! Each kernel comes in two forms:
-//!
-//! * a **bound form** (`bind_*` returning a `*Bound` struct) that performs
-//!   the hardware validation and binds the input/gather/output substream
-//!   views *without launching* — the launch-graph planner records these
-//!   bindings as DAG nodes and later replays them, either eagerly or fused
-//!   into multi-kernel stages ([`StreamProcessor::launch_stage`]);
-//! * an **eager wrapper** (the original free function) that binds and
-//!   launches in one call, used by tests and by the planner's eager
-//!   interpreter.
+//! Each kernel is a launch wrapper (the public free function) over a
+//! private bound form: `bind_*` performs the hardware validation and binds
+//! the input/gather/output substream views, and the `*Bound` struct's
+//! `run` is one kernel instance. The launch-graph planner replays its
+//! nodes through the wrappers.
 //!
 //! The kernels correspond to the paper's pseudo code and Section 7
 //! descriptions:
@@ -55,7 +50,7 @@ fn out_of_order(ctx: &mut KernelCtx<'_>, p: &Value, q: &Value, ascending: bool) 
 
 /// Bound form of [`extract_roots_and_spares`]: views and derived counts,
 /// ready to run.
-pub struct ExtractRootsSparesBound<'a> {
+pub(super) struct ExtractRootsSparesBound<'a> {
     gather: GatherView<'a, Node>,
     out: WriteView<'a, Node>,
     n: usize,
@@ -64,7 +59,7 @@ pub struct ExtractRootsSparesBound<'a> {
 }
 
 /// Validate and bind [`extract_roots_and_spares`] without launching.
-pub fn bind_extract_roots_and_spares<'a>(
+fn bind_extract_roots_and_spares<'a>(
     proc: &StreamProcessor,
     trees_in: &'a Stream<Node>,
     trees_out: &'a mut Stream<Node>,
@@ -90,10 +85,10 @@ pub fn bind_extract_roots_and_spares<'a>(
 
 impl ExtractRootsSparesBound<'_> {
     /// The launch name of this kernel.
-    pub const NAME: &'static str = "extract-roots-spares";
+    pub(super) const NAME: &'static str = "extract-roots-spares";
 
     /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
+    fn instances(&self) -> usize {
         2 * self.num_trees
     }
 
@@ -102,7 +97,7 @@ impl ExtractRootsSparesBound<'_> {
     /// Instances [0, numTrees) emit the spare values, instances
     /// [numTrees, 2·numTrees) the root nodes, so that a single linear write
     /// produces the layout stage 0 phase 0 expects.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&self, ctx: &mut KernelCtx<'_>) {
         let i = ctx.instance_index();
         if i < self.num_trees {
             let spare_pos = self.n + (2 * i + 2) * self.pairs_per_tree - 1;
@@ -137,7 +132,7 @@ pub fn extract_roots_and_spares(
 }
 
 /// Bound form of [`phase0`].
-pub struct Phase0Bound<'a> {
+pub(super) struct Phase0Bound<'a> {
     root_in: ReadView<'a, Node>,
     spare_in: ReadView<'a, Node>,
     node_out: WriteView<'a, Node>,
@@ -147,7 +142,7 @@ pub struct Phase0Bound<'a> {
 }
 
 /// Validate and bind [`phase0`] without launching.
-pub fn bind_phase0<'a>(
+fn bind_phase0<'a>(
     proc: &StreamProcessor,
     trees_in: &'a Stream<Node>,
     trees_out: &'a mut Stream<Node>,
@@ -179,15 +174,15 @@ pub fn bind_phase0<'a>(
 
 impl Phase0Bound<'_> {
     /// The launch name of this kernel.
-    pub const NAME: &'static str = "phase0";
+    pub(super) const NAME: &'static str = "phase0";
 
     /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
+    fn instances(&self) -> usize {
         self.len
     }
 
     /// One kernel instance (the body of Listing 3).
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&self, ctx: &mut KernelCtx<'_>) {
         let ascending = ascending_for(ctx.instance_index(), self.instances_per_tree);
         let mut root = self.root_in.get(ctx, 0);
         let mut spare_value = self.spare_in.get(ctx, 0).value;
@@ -230,7 +225,7 @@ pub fn phase0(
 }
 
 /// Bound form of [`phase_i`].
-pub struct PhaseIBound<'a> {
+pub(super) struct PhaseIBound<'a> {
     pq_read: ReadView<'a, u32>,
     gather: GatherView<'a, Node>,
     node_out: WriteView<'a, Node>,
@@ -242,7 +237,7 @@ pub struct PhaseIBound<'a> {
 
 /// Validate and bind [`phase_i`] without launching.
 #[allow(clippy::too_many_arguments)]
-pub fn bind_phase_i<'a>(
+fn bind_phase_i<'a>(
     proc: &StreamProcessor,
     trees_in: &'a Stream<Node>,
     trees_out: &'a mut Stream<Node>,
@@ -282,15 +277,15 @@ pub fn bind_phase_i<'a>(
 
 impl PhaseIBound<'_> {
     /// The launch name of this kernel.
-    pub const NAME: &'static str = "phaseI";
+    pub(super) const NAME: &'static str = "phaseI";
 
     /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
+    fn instances(&self) -> usize {
         self.len
     }
 
     /// One kernel instance (the body of Listing 4).
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&self, ctx: &mut KernelCtx<'_>) {
         let ascending = ascending_for(ctx.instance_index(), self.instances_per_tree);
         let (p_idx, q_idx) = self.pq_read.pair(ctx);
         let mut p = self.gather.gather(ctx, p_idx as usize);
@@ -372,14 +367,14 @@ pub fn copy_back(
 }
 
 /// Bound form of [`commit_level`].
-pub struct CommitLevelBound<'a> {
+pub(super) struct CommitLevelBound<'a> {
     src: ReadView<'a, Node>,
     dst: WriteView<'a, Node>,
     n: usize,
 }
 
 /// Validate and bind [`commit_level`] without launching.
-pub fn bind_commit_level<'a>(
+fn bind_commit_level<'a>(
     proc: &StreamProcessor,
     trees_in: &'a Stream<Node>,
     trees_out: &'a mut Stream<Node>,
@@ -396,15 +391,15 @@ pub fn bind_commit_level<'a>(
 
 impl CommitLevelBound<'_> {
     /// The launch name of this kernel.
-    pub const NAME: &'static str = "commit-level";
+    pub(super) const NAME: &'static str = "commit-level";
 
     /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
+    fn instances(&self) -> usize {
         self.n / 2
     }
 
     /// One kernel instance: re-tree two in-order values.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&self, ctx: &mut KernelCtx<'_>) {
         let (a, b) = self.src.pair(ctx);
         let base = ctx.instance_index() * 2;
         self.dst.write_all(
@@ -433,14 +428,14 @@ pub fn commit_level(
 }
 
 /// Bound form of [`local_sort8`].
-pub struct LocalSort8Bound<'a> {
+pub(super) struct LocalSort8Bound<'a> {
     src: ReadView<'a, Value>,
     dst: WriteView<'a, Value>,
     n: usize,
 }
 
 /// Validate and bind [`local_sort8`] without launching.
-pub fn bind_local_sort8<'a>(
+fn bind_local_sort8<'a>(
     proc: &StreamProcessor,
     source: &'a Stream<Value>,
     sorted: &'a mut Stream<Value>,
@@ -461,15 +456,15 @@ pub fn bind_local_sort8<'a>(
 
 impl LocalSort8Bound<'_> {
     /// The launch name of this kernel.
-    pub const NAME: &'static str = "local-sort-8";
+    pub(super) const NAME: &'static str = "local-sort-8";
 
     /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
+    fn instances(&self) -> usize {
         self.n / 8
     }
 
     /// One kernel instance: odd-even transition sort of 8 pairs.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&self, ctx: &mut KernelCtx<'_>) {
         let ascending = ctx.instance_index().is_multiple_of(2);
         let mut v = [Value::default(); 8];
         self.src.read_into(ctx, &mut v);
@@ -508,14 +503,14 @@ pub fn local_sort8(
 }
 
 /// Bound form of [`build_trees16`].
-pub struct BuildTrees16Bound<'a> {
+pub(super) struct BuildTrees16Bound<'a> {
     src: ReadView<'a, Value>,
     dst: WriteView<'a, Node>,
     n: usize,
 }
 
 /// Validate and bind [`build_trees16`] without launching.
-pub fn bind_build_trees16<'a>(
+fn bind_build_trees16<'a>(
     proc: &StreamProcessor,
     values: &'a Stream<Value>,
     trees_out: &'a mut Stream<Node>,
@@ -536,15 +531,15 @@ pub fn bind_build_trees16<'a>(
 
 impl BuildTrees16Bound<'_> {
     /// The launch name of this kernel.
-    pub const NAME: &'static str = "build-trees-16";
+    pub(super) const NAME: &'static str = "build-trees-16";
 
     /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
+    fn instances(&self) -> usize {
         self.n / 4
     }
 
     /// One kernel instance: emit 4 in-order tree nodes.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&self, ctx: &mut KernelCtx<'_>) {
         let base = ctx.instance_index() * 4;
         let mut values = [Value::default(); 4];
         self.src.read_into(ctx, &mut values);
@@ -632,7 +627,7 @@ fn in_order_collect(
 }
 
 /// Bound form of [`traverse16`].
-pub struct Traverse16Bound<'a> {
+pub(super) struct Traverse16Bound<'a> {
     gather: GatherView<'a, Node>,
     dst: WriteView<'a, Value>,
     groups: usize,
@@ -640,7 +635,7 @@ pub struct Traverse16Bound<'a> {
 }
 
 /// Validate and bind [`traverse16`] without launching.
-pub fn bind_traverse16<'a>(
+fn bind_traverse16<'a>(
     proc: &StreamProcessor,
     trees_in: &'a Stream<Node>,
     values_out: &'a mut Stream<Value>,
@@ -663,15 +658,15 @@ pub fn bind_traverse16<'a>(
 
 impl Traverse16Bound<'_> {
     /// The launch name of this kernel.
-    pub const NAME: &'static str = "traverse-16";
+    pub(super) const NAME: &'static str = "traverse-16";
 
     /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
+    fn instances(&self) -> usize {
         self.groups * 2
     }
 
     /// One kernel instance: extract half of a 16-value bitonic sequence.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&self, ctx: &mut KernelCtx<'_>) {
         let group = ctx.instance_index() / 2;
         let upper_half = ctx.instance_index() % 2 == 1;
         let root = self.gather.gather(ctx, self.source.root_index(group));
@@ -719,7 +714,7 @@ pub fn traverse16(
 }
 
 /// Bound form of [`fixed_merge16`].
-pub struct FixedMerge16Bound<'a> {
+pub(super) struct FixedMerge16Bound<'a> {
     gather: GatherView<'a, Value>,
     dst: WriteView<'a, Value>,
     groups: usize,
@@ -727,7 +722,7 @@ pub struct FixedMerge16Bound<'a> {
 }
 
 /// Validate and bind [`fixed_merge16`] without launching.
-pub fn bind_fixed_merge16<'a>(
+fn bind_fixed_merge16<'a>(
     proc: &StreamProcessor,
     values_in: &'a Stream<Value>,
     values_out: &'a mut Stream<Value>,
@@ -750,15 +745,15 @@ pub fn bind_fixed_merge16<'a>(
 
 impl FixedMerge16Bound<'_> {
     /// The launch name of this kernel.
-    pub const NAME: &'static str = "fixed-merge-16";
+    pub(super) const NAME: &'static str = "fixed-merge-16";
 
     /// Number of kernel instances the launch covers.
-    pub fn instances(&self) -> usize {
+    fn instances(&self) -> usize {
         self.groups * 2
     }
 
     /// One kernel instance: merge half of a 16-value bitonic sequence.
-    pub fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&self, ctx: &mut KernelCtx<'_>) {
         let group = ctx.instance_index() / 2;
         let upper_half = ctx.instance_index() % 2 == 1;
         let ascending = (group / self.groups_per_tree).is_multiple_of(2);

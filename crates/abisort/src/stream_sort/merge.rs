@@ -40,8 +40,8 @@ impl MergeStreams {
     /// that the per-phase `copy_back` wrote first. `trees_b` is read only
     /// by `copy_back` over exactly the block the preceding kernel wrote.
     /// The pq streams ping-pong: each phase reads the full `2·len` region
-    /// the previous phase wrote. The elision proptests and the E21 live
-    /// identity checks pin the resulting byte-identity down.
+    /// the previous phase wrote. The elision proptests and the committed
+    /// engine fingerprints pin the resulting byte-identity down.
     pub fn take(arena: &mut StreamArena, n: usize, layout: Layout) -> Self {
         MergeStreams {
             trees_a: arena.take_stream_uninit("trees-a", 2 * n, layout),
@@ -95,8 +95,7 @@ pub enum MergeOutcome {
 /// Since the launch-graph planner landed this is a record-then-execute
 /// wrapper: [`record_level_plan`] produces the level's launch plan (the
 /// exact sequence this function used to issue inline), and the plan runs
-/// against the level's streams — eagerly or as fused stages, depending on
-/// the processor's [`stream_arch::PlanMode`].
+/// against the level's streams.
 pub fn merge_level(
     proc: &mut StreamProcessor,
     streams: &mut MergeStreams,

@@ -1,8 +1,6 @@
 //! The launch-graph planner: record the kernel launches of a sort as an
-//! operator DAG, partition it into stages, and execute it either eagerly
-//! (one processor launch per node) or staged (each stage handed to
-//! [`StreamProcessor::launch_stage`], which fuses it into a single
-//! worker-pool epoch when profitable).
+//! operator DAG, partition it into stages, and replay it stage by stage
+//! (one processor launch per node, one stream-operation step per stage).
 //!
 //! The driver used to *interleave* planning and execution: every phase of
 //! every merge stage computed its Table-1 block and issued its launch on
@@ -15,8 +13,7 @@
 //!   boundaries — the points where the old driver called
 //!   [`StreamProcessor::record_step`] — become the plan's stage
 //!   partition: consecutive nodes between two step marks write disjoint
-//!   blocks (Section 5.4) or are ordered kernel→copy-back pairs, so a
-//!   stage can run as one fused epoch.
+//!   blocks (Section 5.4) or are ordered kernel→copy-back pairs.
 //! * [`SortPlan::execute`] replays the nodes against a set of named
 //!   buffers ([`PlanBuffers`]). Because a plan depends only on
 //!   `(n, levels, config)` — never on the data — it is recorded once and
@@ -30,10 +27,7 @@
 use super::kernels::{self, GroupSource};
 use super::layout_plan::{overlapped_schedule, table1_element_block, PhaseRef};
 use super::merge::{split_pq, MergeOutcome};
-use stream_arch::{
-    AccountingMode, ExecMode, Node, PlanMode, Result, StageCopy, Stream, StreamProcessor,
-    SubLaunch, Value,
-};
+use stream_arch::{Node, Result, Stream, StreamProcessor, Value};
 
 /// The named buffers a sort plan operates on. A plan never holds stream
 /// pointers — it names roles, and [`PlanBuffers`] binds the roles to
@@ -412,7 +406,7 @@ impl SortPlan {
         self.nodes.len()
     }
 
-    /// Number of stages (worker-pool epochs under fused execution).
+    /// Number of stages (stream-operation steps).
     pub fn num_stages(&self) -> usize {
         self.stage_ends.len()
     }
@@ -432,28 +426,14 @@ impl SortPlan {
         })
     }
 
-    /// Execute the plan against `bufs` on `proc`.
-    ///
-    /// Under [`PlanMode::Staged`] with a parallel, batched-accounting
-    /// processor, each stage is handed to
-    /// [`StreamProcessor::launch_stage`] as one unit — fused into a single
-    /// worker-pool epoch when the stage is big enough. Everything else
-    /// (eager mode, sequential execution, per-access accounting) replays
-    /// the nodes one launch at a time through the monomorphized kernel
-    /// wrappers, which keeps the per-instance dispatch static. Both paths
-    /// issue byte-identical work and counters.
+    /// Execute the plan against `bufs` on `proc`: every node replays as one
+    /// launch through the monomorphized kernel wrappers, which keeps the
+    /// per-instance dispatch static, and every stage ends with one
+    /// [`StreamProcessor::record_step`].
     pub fn execute(&self, proc: &mut StreamProcessor, bufs: &mut PlanBuffers<'_>) -> Result<()> {
-        let staged = proc.plan_mode() == PlanMode::Staged
-            && proc.mode() == ExecMode::Parallel
-            && proc.accounting_mode() == AccountingMode::Batched;
         for stage in self.stages() {
-            if staged {
-                let subs = bind_stage(proc, bufs, stage)?;
-                proc.launch_stage(&subs)?;
-            } else {
-                for op in stage {
-                    exec_op(proc, bufs, op)?;
-                }
+            for op in stage {
+                exec_op(proc, bufs, op)?;
             }
             proc.record_step();
         }
@@ -660,8 +640,8 @@ fn record_fixed_merge_tail(r: &mut Recorder, n: usize, j: u32, source: GroupSour
     r.step();
 }
 
-/// Eagerly execute one node through the monomorphized kernel wrappers —
-/// the exact calls the pre-planner driver made.
+/// Execute one node as one launch through the monomorphized kernel
+/// wrappers.
 fn exec_op(proc: &mut StreamProcessor, bufs: &mut PlanBuffers<'_>, op: &Op) -> Result<()> {
     match *op {
         Op::LocalSort8 { n } => kernels::local_sort8(
@@ -754,172 +734,6 @@ fn exec_op(proc: &mut StreamProcessor, bufs: &mut PlanBuffers<'_>, op: &Op) -> R
     }
 }
 
-/// Bind every node of a stage at once, producing the [`SubLaunch`] list
-/// for [`StreamProcessor::launch_stage`].
-///
-/// Within a stage, later nodes read blocks earlier nodes write (a phase's
-/// copy-back reads the block the phase just wrote), so the bindings of all
-/// nodes must coexist — views of the same stream held as input by one sub
-/// and as output by another. The views are raw-pointer based for exactly
-/// this reason; `launch_stage`'s in-epoch barriers reproduce the eager
-/// write-before-read order, which the fused-identity tests pin down.
-fn bind_stage<'a>(
-    proc: &StreamProcessor,
-    bufs: &'a mut PlanBuffers<'_>,
-    ops: &[Op],
-) -> Result<Vec<SubLaunch<'a>>> {
-    let trees_a: *mut Stream<Node> = &mut *bufs.trees_a;
-    let trees_b: *mut Stream<Node> = &mut *bufs.trees_b;
-    let pq0: *mut Stream<u32> = &mut bufs.pq[0];
-    let pq1: *mut Stream<u32> = &mut bufs.pq[1];
-    let scratch: Option<*mut Stream<Value>> =
-        bufs.scratch.as_deref_mut().map(|s| s as *mut Stream<Value>);
-    let merged: Option<*mut Stream<Value>> =
-        bufs.merged.as_deref_mut().map(|s| s as *mut Stream<Value>);
-    let source: Option<*const Stream<Value>> = bufs.source.map(|s| s as *const Stream<Value>);
-    let pq_ptr = |which: usize| if which == 0 { pq0 } else { pq1 };
-    let need = |name: &str| -> ! { panic!("plan needs the {name} stream") };
-
-    let mut subs = Vec::with_capacity(ops.len());
-    for op in ops {
-        // SAFETY: the reborrows below create aliasing views of streams that
-        // `bufs` holds exclusively for the duration of the returned subs
-        // (the `'a` borrow). All views access elements through raw
-        // pointers; the epoch barriers in `launch_stage` order every write
-        // before the reads that depend on it, exactly like the eager path.
-        let sub = unsafe {
-            match *op {
-                Op::LocalSort8 { n } => {
-                    let src = &*source.unwrap_or_else(|| need("source-values"));
-                    let dst = &mut *scratch.unwrap_or_else(|| need("scratch-values"));
-                    let b = kernels::bind_local_sort8(proc, src, dst, n)?;
-                    SubLaunch::Kernel {
-                        name: kernels::LocalSort8Bound::NAME,
-                        instances: b.instances(),
-                        kernel: Box::new(move |ctx| b.run(ctx)),
-                    }
-                }
-                Op::BuildTrees16 { src, n } => {
-                    let values: &Stream<Value> = match src {
-                        BufferId::ScratchValues => {
-                            &*scratch.unwrap_or_else(|| need("scratch-values"))
-                        }
-                        BufferId::MergedValues => &*merged.unwrap_or_else(|| need("merged-values")),
-                        other => unreachable!("build-trees-16 cannot read {other:?}"),
-                    };
-                    let b = kernels::bind_build_trees16(proc, values, &mut *trees_b, n)?;
-                    SubLaunch::Kernel {
-                        name: kernels::BuildTrees16Bound::NAME,
-                        instances: b.instances(),
-                        kernel: Box::new(move |ctx| b.run(ctx)),
-                    }
-                }
-                Op::ExtractRootsSpares { n, j } => {
-                    let b = kernels::bind_extract_roots_and_spares(
-                        proc,
-                        &*trees_a,
-                        &mut *trees_b,
-                        n,
-                        j,
-                    )?;
-                    SubLaunch::Kernel {
-                        name: kernels::ExtractRootsSparesBound::NAME,
-                        instances: b.instances(),
-                        kernel: Box::new(move |ctx| b.run(ctx)),
-                    }
-                }
-                Op::Phase0 {
-                    pq_out,
-                    pq_offset,
-                    len,
-                    instances_per_tree,
-                } => {
-                    let b = kernels::bind_phase0(
-                        proc,
-                        &*trees_a,
-                        &mut *trees_b,
-                        &mut *pq_ptr(pq_out),
-                        pq_offset,
-                        len,
-                        instances_per_tree,
-                    )?;
-                    SubLaunch::Kernel {
-                        name: kernels::Phase0Bound::NAME,
-                        instances: b.instances(),
-                        kernel: Box::new(move |ctx| b.run(ctx)),
-                    }
-                }
-                Op::PhaseI {
-                    pq_in,
-                    pq_offset,
-                    out_block,
-                    next_start,
-                    len,
-                    instances_per_tree,
-                } => {
-                    let b = kernels::bind_phase_i(
-                        proc,
-                        &*trees_a,
-                        &mut *trees_b,
-                        &*pq_ptr(pq_in),
-                        pq_offset,
-                        &mut *pq_ptr(1 - pq_in),
-                        pq_offset,
-                        out_block,
-                        next_start,
-                        len,
-                        instances_per_tree,
-                    )?;
-                    SubLaunch::Kernel {
-                        name: kernels::PhaseIBound::NAME,
-                        instances: b.instances(),
-                        kernel: Box::new(move |ctx| b.run(ctx)),
-                    }
-                }
-                Op::CopyBack { block } => SubLaunch::Copy(StageCopy::new(
-                    "copy-back",
-                    &*trees_b,
-                    &mut *trees_a,
-                    block,
-                    2,
-                )?),
-                Op::CommitLevel { n } => {
-                    let b = kernels::bind_commit_level(proc, &*trees_a, &mut *trees_b, n)?;
-                    SubLaunch::Kernel {
-                        name: kernels::CommitLevelBound::NAME,
-                        instances: b.instances(),
-                        kernel: Box::new(move |ctx| b.run(ctx)),
-                    }
-                }
-                Op::Traverse16 { groups, source: gs } => {
-                    let dst = &mut *scratch.unwrap_or_else(|| need("scratch-values"));
-                    let b = kernels::bind_traverse16(proc, &*trees_a, dst, groups, gs)?;
-                    SubLaunch::Kernel {
-                        name: kernels::Traverse16Bound::NAME,
-                        instances: b.instances(),
-                        kernel: Box::new(move |ctx| b.run(ctx)),
-                    }
-                }
-                Op::FixedMerge16 {
-                    groups,
-                    groups_per_tree,
-                } => {
-                    let src = &*scratch.unwrap_or_else(|| need("scratch-values"));
-                    let dst = &mut *merged.unwrap_or_else(|| need("merged-values"));
-                    let b = kernels::bind_fixed_merge16(proc, src, dst, groups, groups_per_tree)?;
-                    SubLaunch::Kernel {
-                        name: kernels::FixedMerge16Bound::NAME,
-                        instances: b.instances(),
-                        kernel: Box::new(move |ctx| b.run(ctx)),
-                    }
-                }
-            }
-        };
-        subs.push(sub);
-    }
-    Ok(subs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -973,9 +787,9 @@ mod tests {
     fn every_stage_writes_before_later_nodes_read() {
         // Within a stage, any block a node reads linearly from trees-b must
         // have been written by an earlier node of the same stage or a
-        // previous stage — the property that makes in-stage fusion with
-        // barriers equivalent to the eager launch order. (Copy-backs are
-        // the only in-stage readers of trees-b.)
+        // previous stage, so replaying a stage in node order respects every
+        // write-before-read dependency. (Copy-backs are the only in-stage
+        // readers of trees-b.)
         for overlapped in [false, true] {
             let plan = SortPlan::record(PlanKey {
                 n: 256,

@@ -1,7 +1,6 @@
 //! `profile_seq` — a minimal timing loop for the sequential sorting path,
 //! kept as the profiling entry point for accounting/engine work (small
-//! enough to run under `gprofng collect app` or `perf record` without the
-//! full E21 harness around it).
+//! enough to run under `gprofng collect app` or `perf record`).
 //!
 //! ```text
 //! cargo run --release -p bench --bin profile_seq -- [n] [jobs] [mode]
@@ -12,8 +11,8 @@
 //!                                     the full reference engine)
 //! ```
 //!
-//! One untimed warm-up pass precedes the measured pass, mirroring the E21
-//! `matrix-sequential` methodology.
+//! One untimed warm-up pass precedes the measured pass, as in the
+//! accounting acceptance test.
 
 use abisort::{GpuAbiSorter, SortConfig};
 use std::time::Instant;

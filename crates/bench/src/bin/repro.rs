@@ -9,8 +9,8 @@
 //!   --figures             the layout figures 4–7 (E4–E7) and Figure 1
 //!   --experiment NAME     data-dependence | transfer | stream-ops | work |
 //!                         scaling | ablation | pram | terasort | padding |
-//!                         service | sharded | wallclock | netsoak |
-//!                         crashsoak | typed
+//!                         service | sharded | netsoak | crashsoak |
+//!                         typed
 //!   --scenario NAME       alias of --experiment (e.g. --scenario service)
 //!   --max-log-n K         cap the table sizes at 2^K (default 20; use 16
 //!                         for a quick run)
@@ -24,17 +24,10 @@
 //!                         JSON to PATH (load in chrome://tracing or
 //!                         https://ui.perfetto.dev; see
 //!                         docs/OBSERVABILITY.md)
-//!   --check-baseline PATH perf-regression gate: after running the
-//!                         wallclock scenario, compare each row's speedup
-//!                         against the committed BENCH_WALL.json at PATH
-//!                         and exit non-zero if any row regressed beyond
-//!                         the tolerance (run with the same flags the
-//!                         baseline was produced with; enforced only when
-//!                         the host matches the baseline's recorded core
-//!                         count, advisory otherwise)
-//!   --baseline-tolerance P allowed relative speedup loss for the gate,
-//!                         in percent (default 25)
 //! ```
+//!
+//! An unknown argument or experiment name exits with status 2 before
+//! anything runs; a failed `--json` or `--trace` write exits with status 1.
 
 use bench::extended::{render_padding, render_pram, render_terasort};
 use bench::report::{
@@ -42,6 +35,24 @@ use bench::report::{
     render_timing_table, render_transfer, render_work,
 };
 use bench::{experiments, extended, Report};
+
+/// The names `--experiment` / `--scenario` accept.
+const EXPERIMENTS: [&str; 14] = [
+    "data-dependence",
+    "transfer",
+    "stream-ops",
+    "work",
+    "scaling",
+    "ablation",
+    "pram",
+    "terasort",
+    "padding",
+    "service",
+    "sharded",
+    "netsoak",
+    "crashsoak",
+    "typed",
+];
 
 #[derive(Debug)]
 struct Options {
@@ -53,8 +64,6 @@ struct Options {
     max_log_n: u32,
     json: Option<String>,
     trace: Option<String>,
-    check_baseline: Option<String>,
-    baseline_tolerance: f64,
 }
 
 fn parse_args() -> Options {
@@ -67,8 +76,6 @@ fn parse_args() -> Options {
         max_log_n: 20,
         json: None,
         trace: None,
-        check_baseline: None,
-        baseline_tolerance: 0.25,
     };
     let mut args = std::env::args().skip(1);
     let mut any = false;
@@ -95,6 +102,13 @@ fn parse_args() -> Options {
             }
             "--experiment" | "--scenario" => {
                 let name = args.next().unwrap_or_default();
+                if !EXPERIMENTS.contains(&name.as_str()) {
+                    eprintln!(
+                        "unknown experiment {name:?} (expected one of: {})",
+                        EXPERIMENTS.join(", ")
+                    );
+                    std::process::exit(2);
+                }
                 opts.experiments.push(name);
                 any = true;
             }
@@ -121,25 +135,6 @@ fn parse_args() -> Options {
             }
             "--trace" => {
                 opts.trace = Some(args.next().expect("--trace requires a path"));
-            }
-            "--check-baseline" => {
-                opts.check_baseline = Some(args.next().expect("--check-baseline requires a path"));
-                // The gate compares wallclock rows, so make sure they run.
-                if !opts.experiments.iter().any(|e| e == "wallclock") {
-                    opts.experiments.push("wallclock".into());
-                }
-                any = true;
-            }
-            "--baseline-tolerance" => {
-                let pct: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--baseline-tolerance requires a number (percent)");
-                assert!(
-                    (0.0..100.0).contains(&pct),
-                    "--baseline-tolerance must be in [0, 100)"
-                );
-                opts.baseline_tolerance = pct / 100.0;
             }
             "--help" | "-h" => {
                 println!("see the module documentation at the top of repro.rs");
@@ -313,12 +308,6 @@ fn main() {
         }
     }
 
-    if wants("wallclock") {
-        eprintln!("running wall-clock engine comparison E21 (this times real host work) …");
-        report.wallclock = bench::wallclock::wallclock_suite(opts.max_log_n);
-        println!("{}", bench::wallclock::render_wallclock(&report.wallclock));
-    }
-
     if wants("netsoak") {
         let (clients, jobs_per_client) = if opts.max_log_n >= 18 {
             (8, 40)
@@ -361,7 +350,7 @@ fn main() {
     }
 
     if let Some(path) = &opts.json {
-        std::fs::write(path, report.to_json()).expect("failed to write JSON report");
+        write_or_exit("JSON report", path, report.to_json());
         eprintln!("wrote JSON report to {path}");
     }
 
@@ -370,78 +359,21 @@ fn main() {
         sink.set_enabled(false);
         let events = sink.take_events();
         let n = events.len();
-        std::fs::write(path, stream_arch::telemetry::chrome_trace_json(&events))
-            .expect("failed to write trace JSON");
+        write_or_exit(
+            "trace JSON",
+            path,
+            stream_arch::telemetry::chrome_trace_json(&events),
+        );
         eprintln!(
             "wrote Chrome trace ({n} spans) to {path} — load in chrome://tracing or Perfetto"
         );
     }
+}
 
-    if let Some(path) = &opts.check_baseline {
-        let baseline = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("failed to read baseline {path}: {e}"));
-        // Speedup bands are only meaningful on the machine class the
-        // baseline was measured on (the parallel matrix's spawn-vs-pool
-        // ratio scales with the core count). On a different host the gate
-        // still runs and prints the comparison, but does not fail the
-        // build — the absolute acceptance floors cover that case.
-        let enforced = match bench::wallclock::baseline_host_cores(&baseline) {
-            Some(cores) if cores == report.host.cores => true,
-            Some(cores) => {
-                eprintln!(
-                    "perf-regression gate: baseline was measured on {cores} cores, this host \
-                     has {} — reporting only, not enforcing (the acceptance-floor tests still \
-                     gate; re-commit a baseline from this machine class to re-arm the gate)",
-                    report.host.cores
-                );
-                false
-            }
-            None => {
-                eprintln!(
-                    "perf-regression gate: baseline has no host header — reporting only, not \
-                     enforcing"
-                );
-                false
-            }
-        };
-        match bench::wallclock::check_against_baseline(
-            &report.wallclock,
-            &baseline,
-            opts.baseline_tolerance,
-        ) {
-            Ok(checks) => {
-                println!(
-                    "{}",
-                    bench::wallclock::render_baseline_checks(&checks, opts.baseline_tolerance)
-                );
-                let regressed: Vec<_> = checks.iter().filter(|c| !c.ok).collect();
-                if !regressed.is_empty() && enforced {
-                    eprintln!(
-                        "perf-regression gate FAILED: {} of {} rows regressed beyond {:.0}% \
-                         versus {path}",
-                        regressed.len(),
-                        checks.len(),
-                        opts.baseline_tolerance * 100.0
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "perf-regression gate {}: {} rows compared against {path} ({} regressed, \
-                     tolerance {:.0}%)",
-                    if enforced {
-                        "passed"
-                    } else {
-                        "reported (advisory)"
-                    },
-                    checks.len(),
-                    regressed.len(),
-                    opts.baseline_tolerance * 100.0
-                );
-            }
-            Err(e) => {
-                eprintln!("perf-regression gate could not run: {e}");
-                std::process::exit(1);
-            }
-        }
+/// Write `contents` to `path`, or report the error and exit with status 1.
+fn write_or_exit(what: &str, path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("failed to write {what} to {path}: {e}");
+        std::process::exit(1);
     }
 }

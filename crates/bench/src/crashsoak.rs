@@ -6,7 +6,7 @@
 //! acknowledged before a crash is ever lost or double-answered — the
 //! zero-loss contract of `docs/DURABILITY.md`.
 //!
-//! Like the other soaks (E21/E22) this measures real host wall-clock
+//! Like the E22 soak this measures real host wall-clock
 //! behaviour: recovery latency is restart-to-ready time (log scan +
 //! replay execution), and the **durability overhead** row compares the
 //! wall time of an E19-style service run with the log on versus off —

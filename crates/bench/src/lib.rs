@@ -21,7 +21,6 @@
 //! | E18 (padding overhead)    | [`extended::padding_overhead`] |
 //! | E19 (sorting service)     | [`service::service_scenario`] |
 //! | E20 (sharded scaling)     | [`sharded::sharded_scaling`] |
-//! | E21 (wall-clock engines)  | [`wallclock::wallclock_suite`] |
 //! | E22 (networked soak)      | [`netsoak::netsoak`] |
 //! | E23 (crash soak)          | [`crashsoak::crash_soak`] |
 //! | E24 (typed queries)       | [`typed::typed_scenario`] |
@@ -41,7 +40,6 @@ pub mod report;
 pub mod service;
 pub mod sharded;
 pub mod typed;
-pub mod wallclock;
 
 pub use crashsoak::CrashSoakRow;
 pub use experiments::*;
@@ -51,4 +49,3 @@ pub use report::{HostInfo, Report};
 pub use service::ServiceRow;
 pub use sharded::ShardedRow;
 pub use typed::TypedRow;
-pub use wallclock::WallClockRow;

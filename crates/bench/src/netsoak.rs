@@ -5,7 +5,7 @@
 //! connection/frame accounting of the server.
 //!
 //! Unlike the simulated-time experiments, a soak measures real host
-//! wall-clock behaviour (like E21): the numbers vary with the machine,
+//! wall-clock behaviour: the numbers vary with the machine,
 //! but the structural assertions hold everywhere — every submitted job is
 //! answered (completed or typed-rejected, never dropped), and the
 //! latency/rejection metrics are finite.

@@ -9,15 +9,14 @@ use crate::netsoak::NetSoakRow;
 use crate::service::ServiceRow;
 use crate::sharded::ShardedRow;
 use crate::typed::TypedRow;
-use crate::wallclock::WallClockRow;
 use serde::Serialize;
 
 /// Host provenance of a report run.
 ///
-/// The wall-clock rows in `BENCH_WALL.json` are only comparable across
-/// runs on the same machine class; the header records enough of the host
-/// (core count, toolchain, platform, build profile) for the perf gate's
-/// consumers to judge whether two trajectory points are comparable.
+/// Wall-clock rows (the E22/E23 soaks) are only comparable across runs on
+/// the same machine class; the header records enough of the host (core
+/// count, toolchain, platform, build profile) to judge whether two reports
+/// are comparable.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct HostInfo {
     /// Available hardware parallelism (logical cores).
@@ -86,8 +85,6 @@ pub struct Report {
     pub sharded: Vec<ShardedRow>,
     /// The E20 sharded-reservation fairness service row, if run.
     pub sharded_service: Vec<ServiceRow>,
-    /// Wall-clock engine rows (E21), if run.
-    pub wallclock: Vec<WallClockRow>,
     /// Networked-soak rows (E22), if run.
     pub netsoak: Vec<NetSoakRow>,
     /// Crash-soak rows (E23), if run.

@@ -1,34 +1,95 @@
-//! The E21 accounting acceptance claim, enforced: batched cost accounting
-//! plus zero-fill elision makes the sequential sorting path at least 1.5×
-//! faster in host wall-clock time than the same binary's per-access
-//! reference model with the default arena refill, with byte-identical
-//! outputs, counters and simulated times (the identity assertions run
-//! inside [`bench::wallclock::matrix_sequential`] itself).
+//! The accounting acceptance claim, enforced: batched cost accounting plus
+//! zero-fill elision makes the sequential sorting path at least 1.5×
+//! faster in host wall-clock time than the per-access reference model with
+//! the default arena refill, with byte-identical outputs, counters and
+//! simulated times (asserted on every repetition while it measures).
 //!
-//! The floor is deliberately below the ≥2× *trajectory* improvement the
-//! README's Performance table records against the PR-4 committed
-//! `BENCH_WALL.json` point: the same-binary per-access reference already
-//! benefits from this PR's shared access-path work (allocation-free block
-//! sets, single-add locates, lazy cache resets), so it is a strictly
-//! harder baseline than the engine the previous trajectory point measured.
+//! Both processors replay the sorter's cached plans, so the ratio isolates
+//! the accounting and the refill.
 //!
 //! `#[ignore]`d in the debug tier-1 suite — wall-clock ratios are a
 //! release-profile workload; CI runs it with
 //! `cargo test --release -p bench --test accounting_acceptance -- --ignored`.
 
-use bench::wallclock::{geometric_mean_speedup, matrix_sequential};
+use abisort::{GpuAbiSorter, SortConfig};
+use std::time::Instant;
+use stream_arch::{AccountingMode, Counters, GpuProfile, StreamProcessor, Value};
+
+/// `(n, jobs)`: a service-shaped stream of many small sorts per size class.
+const CASES: [(usize, usize); 4] = [(256, 400), (1024, 200), (4096, 60), (16384, 20)];
+
+/// Everything one pass over the jobs must reproduce exactly.
+#[derive(Debug, PartialEq)]
+struct Pass {
+    sim_ms: f64,
+    outputs: Vec<Vec<Value>>,
+    counters: Counters,
+}
+
+fn run_all(sorter: &GpuAbiSorter, proc: &mut StreamProcessor, inputs: &[Vec<Value>]) -> Pass {
+    let mut pass = Pass {
+        sim_ms: 0.0,
+        outputs: Vec::with_capacity(inputs.len()),
+        counters: Counters::new(),
+    };
+    for input in inputs {
+        let run = sorter.sort_run(proc, input).expect("sort failed");
+        pass.sim_ms += run.sim_time.total_ms;
+        pass.counters += &run.counters;
+        pass.outputs.push(run.output);
+    }
+    pass
+}
+
+fn elapsed_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    let started = Instant::now();
+    let r = f();
+    (started.elapsed().as_secs_f64() * 1e3, r)
+}
+
+/// Best-of-5 wall-clock ms of `jobs` sorts of `n` elements under the
+/// per-access reference and under the batched engine, in that order.
+fn measure(sorter: &GpuAbiSorter, n: usize, jobs: usize) -> (f64, f64) {
+    let inputs: Vec<Vec<Value>> = (0..jobs).map(|j| workloads::uniform(n, j as u64)).collect();
+    let mut batched = StreamProcessor::new(GpuProfile::geforce_7800());
+    let mut reference = StreamProcessor::new(GpuProfile::geforce_7800());
+    reference.set_accounting_mode(AccountingMode::PerAccess);
+    reference.arena().set_elision(false);
+
+    // One untimed pass each: first-touch page faults, the arena's initial
+    // allocations and the plan recording are one-time costs; the service
+    // regime being measured is the steady state. The two engines are then
+    // timed in interleaved repetitions, so slow host-load drift hits both
+    // sides of the ratio alike.
+    run_all(sorter, &mut batched, &inputs);
+    run_all(sorter, &mut reference, &inputs);
+    let (mut batched_ms, mut reference_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        let (ms, on) = elapsed_ms(|| run_all(sorter, &mut batched, &inputs));
+        batched_ms = batched_ms.min(ms);
+        let (ms, off) = elapsed_ms(|| run_all(sorter, &mut reference, &inputs));
+        reference_ms = reference_ms.min(ms);
+        assert_eq!(on, off, "batched accounting changed a run record");
+    }
+    (reference_ms, batched_ms)
+}
 
 #[test]
 #[ignore = "release-mode wall-clock workload (run explicitly, see ci.yml)"]
 fn batched_accounting_is_at_least_1_5x_faster_than_per_access() {
-    let rows = matrix_sequential();
-    let speedup = geometric_mean_speedup(&rows);
-    for r in &rows {
+    let sorter = GpuAbiSorter::new(SortConfig::default());
+    let mut log_sum = 0.0;
+    for (n, jobs) in CASES {
+        let (reference_ms, batched_ms) = measure(&sorter, n, jobs);
+        let speedup = reference_ms / batched_ms;
+        log_sum += speedup.ln();
         eprintln!(
-            "{:>24}: per-access {:.1} ms, batched {:.1} ms, {:.2}x",
-            r.case, r.baseline_ms, r.current_ms, r.speedup
+            "{jobs:>4} sorts of n={n:<6}: per-access {reference_ms:.1} ms, \
+             batched {batched_ms:.1} ms, {speedup:.2}x"
         );
     }
+    let speedup = (log_sum / CASES.len() as f64).exp();
+    eprintln!("geometric mean: {speedup:.2}x");
     assert!(
         speedup >= 1.5,
         "batched-accounting speedup {speedup:.2}x is below the 1.5x acceptance floor"

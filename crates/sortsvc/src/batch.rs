@@ -385,23 +385,6 @@ fn execute_tera(
     Ok((duration_ms, Counters::new(), outputs))
 }
 
-/// Embed a [`Value`] into a [`WideRecord`] whose wide key preserves the
-/// total order. Superseded by the codec layer: this is exactly
-/// [`crate::keys::encoded_to_record`] over [`crate::keys::value_to_encoded`]
-/// (the sign-flip trick now lives in the `f32` [`crate::keys::SortKey`]
-/// impl), kept as a shim for one release so downstream code migrates.
-#[deprecated(note = "use sortsvc::keys::{value_to_encoded, encoded_to_record}")]
-pub fn value_to_record(v: &Value) -> WideRecord {
-    encoded_to_record(value_to_encoded(v), v.id as u64)
-}
-
-/// Invert [`value_to_record`]. Superseded by
-/// [`crate::keys::record_to_encoded`] + [`crate::keys::encoded_to_value`].
-#[deprecated(note = "use sortsvc::keys::{record_to_encoded, encoded_to_value}")]
-pub fn record_to_value(r: &WideRecord) -> Value {
-    encoded_to_value(record_to_encoded(r))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,20 +563,6 @@ mod tests {
             .map(|r| encoded_to_value(record_to_encoded(r)))
             .collect();
         assert_eq!(back, by_value);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_codec_layer_bit_for_bit() {
-        let mut values = workloads::uniform(128, 11);
-        values.push(Value::new(f32::NEG_INFINITY, 200));
-        values.push(Value::new(-0.0, 201));
-        values.push(Value::new(0.0, 202));
-        for v in &values {
-            let via_keys = encoded_to_record(value_to_encoded(v), v.id as u64);
-            assert_eq!(value_to_record(v), via_keys);
-            assert_eq!(record_to_value(&via_keys), *v);
-        }
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! re-initialized with `T::default()` before reuse, so a stream allocated
 //! from the arena is indistinguishable from a freshly constructed one:
 //! outputs, counters and simulated times stay byte-identical whether
-//! pooling is on or off. Only host wall-clock time changes, which is why
-//! the wall-clock harness may flip the [`set_pooling_default`] switch to
-//! measure the arena's effect.
+//! pooling is on or off ([`StreamArena::set_enabled`]); only host
+//! wall-clock time changes.
 //!
 //! # Zero-fill elision
 //!
@@ -36,16 +35,16 @@
 //! data from an earlier run — well-defined values, never uninitialized
 //! memory — and the write-before-read property makes them unobservable:
 //! the elision proptests assert sorts through uninit buffers are
-//! byte-identical to fresh-allocation runs. [`set_elision_default`] turns
-//! the elision off process-wide (uninit takes then behave exactly like
-//! [`StreamArena::take_vec`]) so the wall-clock harness can measure it.
+//! byte-identical to fresh-allocation runs. [`StreamArena::set_elision`]
+//! turns the elision off (uninit takes then behave exactly like
+//! [`StreamArena::take_vec`]), the reference the tests compare against.
 //!
 //! # Byte cap
 //!
 //! The per-bin bound caps each class, but a long soak over *mixed* job
 //! sizes populates ever more classes, so the total pooled footprint was
-//! unbounded. [`StreamArena::set_byte_cap`] (or the process-wide
-//! [`set_byte_cap_default`]) bounds it: when a hand-back would push the
+//! unbounded. [`StreamArena::set_byte_cap`] bounds it: when a hand-back
+//! would push the
 //! pool past the cap, whole classes are evicted coldest-first (a class is
 //! "touched" by every hit and every hand-back) until the pool fits,
 //! counted in [`ArenaStats::evicted_bytes`]. Eviction only frees cached
@@ -57,67 +56,11 @@ use crate::stream::Stream;
 use crate::value::StreamElement;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Upper bound on pooled buffers per (type, capacity class) bin. A sort
 /// run keeps at most a handful of same-class streams alive at once, so a
 /// small bin bounds arena memory without ever missing in steady state.
 const MAX_BUFFERS_PER_CLASS: usize = 8;
-
-static POOLING_DEFAULT: AtomicBool = AtomicBool::new(true);
-static ELISION_DEFAULT: AtomicBool = AtomicBool::new(true);
-/// 0 encodes "unbounded" — the historical behaviour.
-static BYTE_CAP_DEFAULT: AtomicUsize = AtomicUsize::new(0);
-
-/// Set whether newly created arenas pool buffers (default `true`).
-///
-/// This is a measurement knob for the wall-clock harness and benches: with
-/// pooling off every take allocates and every recycle frees, i.e. the
-/// pre-arena allocator behaviour. Results are unaffected either way.
-pub fn set_pooling_default(enabled: bool) {
-    POOLING_DEFAULT.store(enabled, Ordering::Relaxed);
-}
-
-/// The process-wide default for newly created arenas.
-pub fn pooling_default() -> bool {
-    POOLING_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Set whether newly created arenas elide the default refill on
-/// [`StreamArena::take_vec_uninit`] (default `true`).
-///
-/// With elision off, uninit takes behave exactly like
-/// [`StreamArena::take_vec`] — the pre-elision memset-on-take behaviour —
-/// which is the baseline the wall-clock harness measures against. Results
-/// are unaffected either way (the elision proptests pin this down).
-pub fn set_elision_default(enabled: bool) {
-    ELISION_DEFAULT.store(enabled, Ordering::Relaxed);
-}
-
-/// The process-wide zero-fill-elision default for newly created arenas.
-pub fn elision_default() -> bool {
-    ELISION_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Set the default total pooled-byte cap for newly created arenas
-/// (`None` = unbounded, the default).
-///
-/// Long soaks with mixed job sizes populate many (type, capacity class)
-/// bins; without a cap each bin holds up to its per-class bound forever.
-/// The cap bounds the arena's total footprint: when a hand-back would
-/// exceed it, whole least-recently-used classes are evicted (counted in
-/// [`ArenaStats::evicted_bytes`]) until the pool fits again.
-pub fn set_byte_cap_default(cap: Option<usize>) {
-    BYTE_CAP_DEFAULT.store(cap.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The process-wide pooled-byte cap default for newly created arenas.
-pub fn byte_cap_default() -> Option<usize> {
-    match BYTE_CAP_DEFAULT.load(Ordering::Relaxed) {
-        0 => None,
-        cap => Some(cap),
-    }
-}
 
 /// Cumulative arena behaviour, for reuse assertions and reports.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -207,14 +150,13 @@ impl Default for StreamArena {
 }
 
 impl StreamArena {
-    /// An empty arena. Pooling follows the process-wide default
-    /// ([`set_pooling_default`]).
+    /// An empty arena: pooling and zero-fill elision on, no byte cap.
     pub fn new() -> Self {
         StreamArena {
             pools: HashMap::new(),
-            enabled: pooling_default(),
-            elision: elision_default(),
-            byte_cap: byte_cap_default(),
+            enabled: true,
+            elision: true,
+            byte_cap: None,
             pooled_bytes: 0,
             lru: Vec::new(),
             stats: ArenaStats::default(),
@@ -380,7 +322,7 @@ impl StreamArena {
             self.stats.hits += 1;
             debug_assert!(buf.capacity() >= class);
             if !self.elision {
-                // Measurement baseline: behave exactly like `take_vec`.
+                // Reference behaviour: exactly like `take_vec`.
                 buf.clear();
                 buf.resize(len, T::default());
                 return buf;

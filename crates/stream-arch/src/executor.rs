@@ -23,10 +23,7 @@
 //! Each unit writes its event counters and first error into its own padded
 //! result slot, so the common path has no mutex contention; the slots are
 //! merged in unit order after the launch, which keeps the accounting
-//! deterministic. The pre-pool engine — one `std::thread::scope` spawn per
-//! unit per launch — is kept as [`ExecMode::SpawnParallel`] so the
-//! wall-clock harness can measure the pooled engine against its baseline
-//! and the test suite can assert byte-identical results.
+//! deterministic.
 //!
 //! The processor enforces the hardware restrictions of Sections 3.2, 6.1
 //! and 7.1: maximum stream size, per-instance output budget, and (via
@@ -43,7 +40,6 @@ use crate::stream::Stream;
 use crate::telemetry;
 use crate::value::StreamElement;
 use std::cell::UnsafeCell;
-use std::marker::PhantomData;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// How kernel instances of a launch are executed on the host.
@@ -57,96 +53,6 @@ pub enum ExecMode {
     /// processor's persistent worker pool (contiguous chunks, one per
     /// unit). Used by the wall-clock scaling experiments.
     Parallel,
-    /// Instances are distributed exactly like [`ExecMode::Parallel`], but
-    /// every launch spawns fresh OS threads (`std::thread::scope`) instead
-    /// of waking the pool. This is the legacy engine, kept as the
-    /// wall-clock baseline: results, counters, cache statistics and
-    /// simulated times are byte-identical to `Parallel`, only the host
-    /// launch overhead differs.
-    SpawnParallel,
-}
-
-/// How a driver that records launch plans executes them.
-///
-/// This is the engine-generation knob of the launch-graph planner (the
-/// PR-4/PR-5 pattern): both modes produce byte-identical results,
-/// counters, cache statistics and simulated times — only the host-side
-/// scheduling work differs, which the E21 wall-clock harness measures.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum PlanMode {
-    /// The pre-planner engine: the driver re-derives its launch schedule
-    /// on every run and executes each launch as it is produced. Kept as
-    /// the byte-identity baseline.
-    Eager,
-    /// The planner engine (the default): recorded plans are cached per
-    /// sorter and, where the execution context allows it
-    /// ([`ExecMode::Parallel`] with [`AccountingMode::Batched`]), each
-    /// plan stage runs as **one** fused worker-pool epoch via
-    /// [`StreamProcessor::launch_stage`].
-    #[default]
-    Staged,
-}
-
-static PLAN_STAGED_DEFAULT: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(true);
-
-/// Set the [`PlanMode`] newly created processors start in (default
-/// [`PlanMode::Staged`]).
-///
-/// A measurement knob for the wall-clock harness, mirroring
-/// [`crate::kernel::set_accounting_default`]: scenarios that construct
-/// their processors internally (the sorting service, the sharded sorter)
-/// can be timed under the pre-planner reference engine without threading
-/// a parameter through every layer. Results are byte-identical either
-/// way.
-pub fn set_plan_mode_default(mode: PlanMode) {
-    PLAN_STAGED_DEFAULT.store(
-        mode == PlanMode::Staged,
-        std::sync::atomic::Ordering::Relaxed,
-    );
-}
-
-/// The process-wide default plan mode for new processors.
-pub fn plan_mode_default() -> PlanMode {
-    if PLAN_STAGED_DEFAULT.load(std::sync::atomic::Ordering::Relaxed) {
-        PlanMode::Staged
-    } else {
-        PlanMode::Eager
-    }
-}
-
-/// Whether [`StreamProcessor::launch_stage`] may fuse a plan stage into
-/// one worker-pool epoch.
-///
-/// Fusing replaces per-launch pool epochs (condvar wake + park per
-/// sub-launch) with one epoch plus a barrier per sub-launch. That trade
-/// only pays when the host can actually run the simulated units
-/// concurrently: on a single-core host every barrier crossing costs a
-/// full scheduling round through all participants, while the eager path
-/// runs small launches inline for free — fusing there is strictly worse.
-/// Results are byte-identical under every policy; only host wall-clock
-/// time differs.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum StageFusion {
-    /// Fuse when profitable: only on hosts with more than one CPU
-    /// (`std::thread::available_parallelism`). The default.
-    #[default]
-    Auto,
-    /// Fuse whenever the execution context allows it, regardless of host
-    /// parallelism. Used by tests to exercise the fused path on any host.
-    Always,
-    /// Never fuse; every stage executes as eager per-sub launches.
-    Never,
-}
-
-/// Host CPU count, resolved once (the fusion heuristic's only input).
-fn host_parallelism() -> usize {
-    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CPUS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
 }
 
 /// The simulated stream processor.
@@ -154,8 +60,6 @@ pub struct StreamProcessor {
     profile: GpuProfile,
     mode: ExecMode,
     accounting: AccountingMode,
-    plan: PlanMode,
-    fusion: StageFusion,
     caches: Vec<CacheSim>,
     counters: Counters,
     arena: StreamArena,
@@ -181,9 +85,7 @@ impl StreamProcessor {
         StreamProcessor {
             profile,
             mode,
-            accounting: crate::kernel::accounting_default(),
-            plan: plan_mode_default(),
-            fusion: StageFusion::default(),
+            accounting: AccountingMode::Batched,
             caches,
             counters: Counters::new(),
             arena: StreamArena::new(),
@@ -214,34 +116,10 @@ impl StreamProcessor {
 
     /// Change the accounting mode. Counters, cache statistics and simulated
     /// times are byte-identical under both modes; only the host wall-clock
-    /// cost of the accounting differs (E21 measures the difference).
+    /// cost of the accounting differs. [`AccountingMode::PerAccess`] is the
+    /// reference model the identity tests compare against.
     pub fn set_accounting_mode(&mut self, mode: AccountingMode) {
         self.accounting = mode;
-    }
-
-    /// How recorded launch plans execute on this processor (see
-    /// [`PlanMode`]).
-    pub fn plan_mode(&self) -> PlanMode {
-        self.plan
-    }
-
-    /// Change the plan mode. Results, counters, cache statistics and
-    /// simulated times are byte-identical under both modes; only the host
-    /// scheduling cost differs.
-    pub fn set_plan_mode(&mut self, mode: PlanMode) {
-        self.plan = mode;
-    }
-
-    /// The stage-fusion policy of [`StreamProcessor::launch_stage`] (see
-    /// [`StageFusion`]).
-    pub fn stage_fusion(&self) -> StageFusion {
-        self.fusion
-    }
-
-    /// Change the stage-fusion policy. Results are byte-identical under
-    /// every policy; only the host scheduling cost differs.
-    pub fn set_stage_fusion(&mut self, fusion: StageFusion) {
-        self.fusion = fusion;
     }
 
     /// The processor's buffer arena. Drivers allocate their intermediate
@@ -410,9 +288,7 @@ impl StreamProcessor {
         // charging itself is pure arithmetic and runs inline.
         let (chunk, active) = match self.mode {
             ExecMode::Sequential => (instances, 1),
-            ExecMode::Parallel | ExecMode::SpawnParallel => {
-                chunk_plan(self.profile.units, instances)
-            }
+            ExecMode::Parallel => chunk_plan(self.profile.units, instances),
         };
         let (src_id, layout) = (src.cache_tag(), src.layout());
         for unit in 0..active {
@@ -457,268 +333,6 @@ impl StreamProcessor {
         Ok(())
     }
 
-    /// Execute one plan **stage** — a sequence of sub-launches the
-    /// planner proved belong to the same stream-operation step — as a
-    /// single worker-pool epoch where the execution context allows it.
-    ///
-    /// Fusion fires only under [`ExecMode::Parallel`] with
-    /// [`AccountingMode::Batched`], more than one sub-launch, a combined
-    /// instance count above the inline threshold, and telemetry disabled
-    /// (per-launch spans are part of the eager engine's observable
-    /// behaviour). In every other context each sub-launch executes
-    /// exactly as the eager engine would have ([`StreamProcessor::launch`]
-    /// / [`StreamProcessor::launch_copy`] semantics), stopping at the
-    /// first error.
-    ///
-    /// The fused epoch preserves eager semantics by construction: each
-    /// unit executes its chunk of sub-launch *k* only after every unit
-    /// passed a barrier separating it from sub-launch *k−1*, so all
-    /// cross-launch read/write orderings the eager launch boundaries
-    /// enforced still hold; the per-(unit, sub) chunk assignment is the
-    /// one `launch` would have used, so counters, per-unit cache
-    /// statistics, error selection and output bytes are byte-identical —
-    /// the pool is simply woken once per stage instead of once per
-    /// launch.
-    pub fn launch_stage(&mut self, subs: &[SubLaunch<'_>]) -> Result<()> {
-        let total: usize = subs.iter().map(SubLaunch::instances).sum();
-        let fuse = self.mode == ExecMode::Parallel
-            && self.accounting == AccountingMode::Batched
-            && subs.len() > 1
-            && total > INLINE_INSTANCES
-            && !telemetry::enabled()
-            && match self.fusion {
-                StageFusion::Always => true,
-                StageFusion::Never => false,
-                // Fusing trades per-launch epochs for per-sub barrier
-                // crossings; with the pool's units multiplexed onto one
-                // host CPU a barrier crossing costs a scheduling round,
-                // so the eager fallback (inline small launches, one
-                // epoch per large launch) wins there.
-                StageFusion::Auto => host_parallelism() > 1,
-            };
-        if !fuse {
-            for sub in subs {
-                self.exec_sub(sub)?;
-            }
-            return Ok(());
-        }
-
-        let units = self.profile.units;
-        let max_output_bytes = self.profile.max_kernel_output_bytes;
-        // Per-sub chunk plans, identical to what `launch` would compute.
-        let plans: Vec<(usize, usize, usize)> = subs
-            .iter()
-            .map(|s| {
-                let n = s.instances();
-                if n == 0 {
-                    (0, 0, 0)
-                } else {
-                    let (chunk, active) = chunk_plan(units, n);
-                    (chunk, active, n)
-                }
-            })
-            .collect();
-        let active_max = plans.iter().map(|p| p.1).max().unwrap_or(0);
-        debug_assert!(active_max > 0, "total > 0 implies at least one unit");
-
-        let pool = self.pool.get_or_insert_with(|| WorkerPool::new(units));
-        let shared = Arc::clone(&pool.shared);
-        // SAFETY (UnitPtr): each active unit touches only its own cache and
-        // the pool blocks until every unit parked again — same argument as
-        // the single-launch dispatch path.
-        let caches = UnitPtr(self.caches.as_mut_ptr());
-        // The first sub-launch index that errored (`usize::MAX` = none):
-        // units still hit every barrier but skip the work of sub-launches
-        // after it, exactly like the eager engine never issuing the
-        // launches that follow a failed one.
-        let abort_after = std::sync::atomic::AtomicUsize::new(usize::MAX);
-        let barrier = SpinBarrier::new(active_max);
-        let task_shared = Arc::clone(&shared);
-        let plans = &plans;
-        let abort_ref = &abort_after;
-        let barrier_ref = &barrier;
-        let task = move |unit: usize| {
-            // SAFETY: `unit < active_max` is guaranteed by the pool and
-            // distinct units use distinct slots/caches.
-            let slot = unsafe { task_shared.slot_mut(unit) };
-            let cache = unsafe { caches.cache(unit) };
-            slot.counters = Counters::new();
-            slot.error = None;
-            slot.error_sub = 0;
-            // A kernel panic must not strand the other units at a barrier:
-            // catch it, keep hitting barriers, re-raise after the last one
-            // (the pool then propagates it to the dispatching thread).
-            let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-            for (k, sub) in subs.iter().enumerate() {
-                // Acquire pairs with the fetch_min below: after passing
-                // barrier k-1 every unit observes an abort decided during
-                // sub-launch k-1 or earlier.
-                if panic_payload.is_none()
-                    && abort_ref.load(std::sync::atomic::Ordering::Acquire) >= k
-                {
-                    let (chunk, active, n) = plans[k];
-                    if unit < active {
-                        let start = unit * chunk;
-                        let end = ((unit + 1) * chunk).min(n);
-                        let result =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match sub {
-                                SubLaunch::Kernel { kernel, .. } => run_chunk(
-                                    unit,
-                                    start,
-                                    end,
-                                    kernel,
-                                    &mut slot.counters,
-                                    cache,
-                                    max_output_bytes,
-                                    true,
-                                ),
-                                SubLaunch::Copy(c) => run_copy_chunk(
-                                    unit,
-                                    start,
-                                    end,
-                                    c,
-                                    &mut slot.counters,
-                                    cache,
-                                    max_output_bytes,
-                                ),
-                            }));
-                        match result {
-                            Ok(Ok(())) => {}
-                            Ok(Err(e)) => {
-                                abort_ref.fetch_min(k, std::sync::atomic::Ordering::AcqRel);
-                                if slot.error.is_none() {
-                                    slot.error = Some(e);
-                                    slot.error_sub = k;
-                                }
-                            }
-                            Err(payload) => {
-                                abort_ref.fetch_min(k, std::sync::atomic::Ordering::AcqRel);
-                                panic_payload = Some(payload);
-                            }
-                        }
-                    }
-                }
-                if k + 1 < subs.len() {
-                    barrier_ref.wait();
-                }
-            }
-            if let Some(payload) = panic_payload {
-                std::panic::resume_unwind(payload);
-            }
-        };
-        shared.dispatch(active_max, &task);
-
-        // Count only the sub-launches that actually executed (everything up
-        // to and including the erroring one), exactly like the eager engine
-        // never reaching the launches after a failed `?`.
-        let final_abort = abort_after.load(std::sync::atomic::Ordering::Relaxed);
-        let executed = final_abort.saturating_add(1).min(subs.len());
-        for sub in &subs[..executed] {
-            self.counters.launches += 1;
-            self.counters.kernel_instances += sub.instances() as u64;
-        }
-        // Merge the per-unit slots; on error return the eager engine's
-        // pick: the first error in unit order of the first failed launch.
-        // (Every recorded error belongs to that launch — a unit can only
-        // reach a later sub-launch after the barrier that made the earlier
-        // abort visible.)
-        let mut first: Option<(usize, usize)> = None;
-        for unit in 0..active_max {
-            // SAFETY: all workers are parked again after dispatch().
-            let slot = unsafe { shared.slot_mut(unit) };
-            self.counters += &slot.counters;
-            if slot.error.is_some() {
-                let key = (slot.error_sub, unit);
-                if first.is_none_or(|f| key < f) {
-                    first = Some(key);
-                }
-            }
-        }
-        match first {
-            Some((_, unit)) => {
-                // SAFETY: as above; workers are parked.
-                let slot = unsafe { shared.slot_mut(unit) };
-                Err(slot.error.take().expect("error slot recorded above"))
-            }
-            None => Ok(()),
-        }
-    }
-
-    /// Execute one sub-launch exactly as the eager engine would have.
-    fn exec_sub(&mut self, sub: &SubLaunch<'_>) -> Result<()> {
-        match sub {
-            SubLaunch::Kernel {
-                name,
-                instances,
-                kernel,
-            } => self.launch(name, *instances, |ctx| kernel(ctx)),
-            SubLaunch::Copy(c) => self.exec_copy(c),
-        }
-    }
-
-    /// [`StreamProcessor::launch_copy`] over a bound [`StageCopy`]: the
-    /// same per-accounting-mode behaviour (per-element reference launch
-    /// under [`AccountingMode::PerAccess`], vectorized block charge and
-    /// `memcpy` under [`AccountingMode::Batched`]), reproduced on the
-    /// type-erased fields.
-    fn exec_copy(&mut self, c: &StageCopy<'_>) -> Result<()> {
-        let instances = c.instances();
-        if self.accounting != AccountingMode::Batched {
-            let per_instance = c.per_instance;
-            return self.launch(c.name, instances, |ctx| {
-                for slot in 0..per_instance {
-                    let global = c.block.0 + ctx.instance_index() * per_instance + slot;
-                    ctx.charge_read(c.src_tag, c.layout, global, c.elem_bytes);
-                    // SAFETY: `global` lies inside the block validated
-                    // against both streams at bind time, and distinct
-                    // instances copy disjoint elements.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            c.src.add(global * c.stride),
-                            c.dst.add(global * c.stride),
-                            c.stride,
-                        );
-                    }
-                    ctx.charge_write(c.elem_bytes);
-                }
-            });
-        }
-
-        self.counters.launches += 1;
-        self.counters.kernel_instances += instances as u64;
-        if instances == 0 {
-            return Ok(());
-        }
-        let max_output_bytes = self.profile.max_kernel_output_bytes;
-        let (chunk, active) = match self.mode {
-            ExecMode::Sequential => (instances, 1),
-            ExecMode::Parallel | ExecMode::SpawnParallel => {
-                chunk_plan(self.profile.units, instances)
-            }
-        };
-        let mut first_error = None;
-        for unit in 0..active {
-            let start = unit * chunk;
-            let end = ((unit + 1) * chunk).min(instances);
-            let r = run_copy_chunk(
-                unit,
-                start,
-                end,
-                c,
-                &mut self.counters,
-                &mut self.caches[unit],
-                max_output_bytes,
-            );
-            if first_error.is_none() {
-                first_error = r.err();
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     /// Execute one stream operation: run `kernel` for `instances` kernel
     /// instances.
     ///
@@ -731,9 +345,9 @@ impl StreamProcessor {
     ///
     /// Instance `i` of a parallel launch always runs on unit
     /// `i / ⌈instances / min(p, instances)⌉` — the deterministic
-    /// unit→chunk assignment all three execution modes and both parallel
-    /// engines share, which is what keeps cache statistics and error
-    /// selection reproducible.
+    /// unit→chunk assignment the inline and the pooled parallel paths
+    /// share, which is what keeps cache statistics and error selection
+    /// reproducible.
     pub fn launch<F>(&mut self, name: &str, instances: usize, kernel: F) -> Result<()>
     where
         F: Fn(&mut KernelCtx<'_>) + Sync,
@@ -864,43 +478,6 @@ impl StreamProcessor {
                     None => Ok(()),
                 }
             }
-            ExecMode::SpawnParallel => {
-                let (chunk, active) = chunk_plan(self.profile.units, instances);
-                let mut slots: Vec<UnitSlot> = (0..active).map(|_| UnitSlot::default()).collect();
-                std::thread::scope(|scope| {
-                    for ((unit, slot), cache) in
-                        slots.iter_mut().enumerate().zip(self.caches.iter_mut())
-                    {
-                        let start = unit * chunk;
-                        let end = ((unit + 1) * chunk).min(instances);
-                        let kernel = &kernel;
-                        scope.spawn(move || {
-                            slot.error = run_chunk(
-                                unit,
-                                start,
-                                end,
-                                kernel,
-                                &mut slot.counters,
-                                cache,
-                                max_output_bytes,
-                                batched,
-                            )
-                            .err();
-                        });
-                    }
-                });
-                let mut first_error = None;
-                for slot in &mut slots {
-                    self.counters += &slot.counters;
-                    if first_error.is_none() {
-                        first_error = slot.error.take();
-                    }
-                }
-                match first_error {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            }
         }
     }
 }
@@ -914,7 +491,7 @@ impl StreamProcessor {
 /// cheap-launch regime the paper's machine model assumes is almost free.
 const INLINE_INSTANCES: usize = 256;
 
-/// The contiguous-chunk distribution shared by both parallel engines:
+/// The contiguous-chunk distribution of a parallel launch:
 /// `⌈instances / min(units, instances)⌉` instances per unit, and the number
 /// of units that actually receive work.
 #[inline]
@@ -967,225 +544,6 @@ where
     Ok(())
 }
 
-// --- Stage fusion ----------------------------------------------------------
-
-/// One sub-launch of a fused plan stage: a kernel launch with its views
-/// already bound, or a bound copy operation.
-///
-/// Built by a plan executor (one per plan node of the stage) and handed to
-/// [`StreamProcessor::launch_stage`]; `'a` ties the bound views to the
-/// streams they borrow.
-pub enum SubLaunch<'a> {
-    /// A regular kernel launch (the closure captures the bound views).
-    Kernel {
-        /// Launch name (telemetry / debugging).
-        name: &'a str,
-        /// Kernel instances to run.
-        instances: usize,
-        /// The kernel body, shared by all instances.
-        kernel: Box<dyn Fn(&mut KernelCtx<'_>) + Sync + 'a>,
-    },
-    /// A copy operation ([`StreamProcessor::launch_copy`] shape).
-    Copy(StageCopy<'a>),
-}
-
-impl SubLaunch<'_> {
-    /// Kernel instances this sub-launch runs.
-    pub fn instances(&self) -> usize {
-        match self {
-            SubLaunch::Kernel { instances, .. } => *instances,
-            SubLaunch::Copy(c) => c.instances(),
-        }
-    }
-}
-
-/// A bound, type-erased copy operation: the [`StreamProcessor::launch_copy`]
-/// parameters captured at plan-bind time so a fused stage can execute the
-/// copy per unit-chunk between barriers.
-///
-/// Raw pointers rather than stream borrows for the same reason as
-/// [`crate::kernel::ReadView`]: within one fused stage the copy's source is
-/// typically the output of the preceding sub-launch, ordered by the stage
-/// barrier exactly as the eager launch boundary ordered it.
-pub struct StageCopy<'a> {
-    name: &'a str,
-    src_tag: u64,
-    layout: crate::layout::Layout,
-    block: (usize, usize),
-    per_instance: usize,
-    /// Simulated element size (`T::BYTES`), for the cost model.
-    elem_bytes: usize,
-    /// Host element size (`size_of::<T>()`), for the data movement.
-    stride: usize,
-    src: *const u8,
-    dst: *mut u8,
-    _marker: PhantomData<&'a ()>,
-}
-
-// SAFETY: distinct units copy disjoint element chunks, ordering against
-// other sub-launches is the stage-barrier discipline, and the pointers are
-// valid for 'a (bound from live stream borrows).
-unsafe impl Send for StageCopy<'_> {}
-unsafe impl Sync for StageCopy<'_> {}
-
-impl<'a> StageCopy<'a> {
-    /// Bind a copy of `block` from `src` to the same positions of `dst`,
-    /// `per_instance` elements per kernel instance. Validates the block
-    /// against both streams up front (the checks `launch_copy` performs
-    /// before issuing work).
-    pub fn new<T: StreamElement>(
-        name: &'a str,
-        src: &'a Stream<T>,
-        dst: &'a mut Stream<T>,
-        block: (usize, usize),
-        per_instance: usize,
-    ) -> Result<Self> {
-        assert!(
-            per_instance > 0 && block.1.is_multiple_of(per_instance),
-            "copy block length must be a multiple of per_instance"
-        );
-        let blocks = crate::stream::BlockSet::contiguous(block.0, block.1);
-        src.check_blocks(&blocks)?;
-        dst.check_blocks(&blocks)?;
-        Ok(StageCopy {
-            name,
-            src_tag: src.cache_tag(),
-            layout: src.layout(),
-            block,
-            per_instance,
-            elem_bytes: T::BYTES,
-            stride: std::mem::size_of::<T>(),
-            src: src.as_slice().as_ptr().cast(),
-            dst: dst.as_mut_slice().as_mut_ptr().cast(),
-            _marker: PhantomData,
-        })
-    }
-
-    /// Kernel instances this copy runs as.
-    pub fn instances(&self) -> usize {
-        self.block.1 / self.per_instance
-    }
-}
-
-/// Charge and execute instances `[start, end)` of a bound copy on one
-/// simulated unit — the per-unit body shared by the eager batched copy
-/// ([`StreamProcessor::launch_copy`] semantics) and the fused stage path.
-///
-/// Reproduces the per-element engine's budget-error behaviour exactly:
-/// a per-instance byte count over the output budget charges and writes
-/// only the unit's first instance, then errors.
-fn run_copy_chunk(
-    unit: usize,
-    start: usize,
-    end: usize,
-    c: &StageCopy<'_>,
-    local: &mut Counters,
-    cache: &mut CacheSim,
-    max_output_bytes: usize,
-) -> Result<()> {
-    let budget_error = c.per_instance * c.elem_bytes > max_output_bytes;
-    let count = if budget_error {
-        c.per_instance
-    } else {
-        (end - start) * c.per_instance
-    };
-    let e0 = c.block.0 + start * c.per_instance;
-    let mut ctx = KernelCtx::new(unit, local, Some(cache), max_output_bytes, true);
-    ctx.charge_copy_block(c.src_tag, c.layout, e0, count, c.elem_bytes);
-    ctx.flush();
-    // SAFETY: `[e0, e0 + count)` lies inside the block validated against
-    // both streams at bind time; distinct units copy disjoint chunks, and
-    // ordering against other sub-launches is the stage-barrier discipline.
-    unsafe {
-        std::ptr::copy_nonoverlapping(
-            c.src.add(e0 * c.stride),
-            c.dst.add(e0 * c.stride),
-            count * c.stride,
-        );
-    }
-    if budget_error {
-        return Err(StreamError::KernelOutputTooLarge {
-            bytes: c.per_instance * c.elem_bytes,
-            max_bytes: max_output_bytes,
-        });
-    }
-    Ok(())
-}
-
-/// A reusable sense-reversing barrier for the fused stage epochs.
-///
-/// Within one epoch every active unit is already running (no parked
-/// threads), so a short spin beats a mutex/condvar round-trip per
-/// sub-launch when the host can actually run the units concurrently.
-/// When it cannot — more simulated units than host cores, the common
-/// case on small CI runners — spinning is pathological: finished units
-/// burn scheduler quanta that the unit still working needs. So the wait
-/// is hybrid: a bounded spin, a few yields, then a real condvar park.
-/// The last arrival flips the generation under the lock, so a waiter
-/// that re-checks the generation while holding the lock cannot miss the
-/// wake.
-struct SpinBarrier {
-    count: usize,
-    arrived: std::sync::atomic::AtomicUsize,
-    generation: std::sync::atomic::AtomicUsize,
-    lock: Mutex<()>,
-    wake: Condvar,
-}
-
-impl SpinBarrier {
-    /// Spin-loop iterations before the first yield.
-    const SPINS: u32 = 128;
-    /// Yields after the spin phase before parking on the condvar.
-    const YIELDS: u32 = 16;
-
-    fn new(count: usize) -> Self {
-        SpinBarrier {
-            count,
-            arrived: std::sync::atomic::AtomicUsize::new(0),
-            generation: std::sync::atomic::AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// Block until all `count` participants arrived. The last arrival
-    /// resets the barrier and releases the waiters (Release), which pairs
-    /// with the waiters' Acquire loads — everything written before a
-    /// participant's `wait` happens-before everything after any
-    /// participant's return.
-    fn wait(&self) {
-        use std::sync::atomic::Ordering;
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.count {
-            self.arrived.store(0, Ordering::Relaxed);
-            // Flip under the lock: a parked waiter holds the lock while
-            // re-checking the generation, so it either sees the new value
-            // or is guaranteed to receive this notification.
-            let guard = self.lock.lock().expect("barrier lock poisoned");
-            self.generation
-                .store(generation.wrapping_add(1), Ordering::Release);
-            drop(guard);
-            self.wake.notify_all();
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                spins = spins.wrapping_add(1);
-                if spins < Self::SPINS {
-                    std::hint::spin_loop();
-                } else if spins < Self::SPINS + Self::YIELDS {
-                    std::thread::yield_now();
-                } else {
-                    let mut guard = self.lock.lock().expect("barrier lock poisoned");
-                    while self.generation.load(Ordering::Acquire) == generation {
-                        guard = self.wake.wait(guard).expect("barrier lock poisoned");
-                    }
-                    return;
-                }
-            }
-        }
-    }
-}
-
 // --- The persistent worker pool --------------------------------------------
 
 /// A `*mut CacheSim` that may cross the dispatch boundary. Soundness is
@@ -1215,9 +573,6 @@ impl UnitPtr {
 struct UnitSlot {
     counters: Counters,
     error: Option<StreamError>,
-    /// Index of the sub-launch `error` belongs to within a fused stage
-    /// epoch (0 for single-launch dispatches, which ignore it).
-    error_sub: usize,
 }
 
 /// The type-erased per-launch task: `task(unit)` runs that unit's chunk.
@@ -1236,7 +591,7 @@ struct Ctrl {
     task: Option<Task>,
     /// First panic payload caught from a worker this epoch (resumed on the
     /// dispatching thread so a panicking kernel behaves like it does under
-    /// the sequential and spawn engines instead of deadlocking the pool).
+    /// the sequential engine instead of deadlocking the pool).
     panic: Option<Box<dyn std::any::Any + Send>>,
     shutdown: bool,
 }
@@ -1435,28 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_spawn_engines_are_byte_identical() {
-        // The pooled engine must preserve everything the legacy
-        // spawn-per-launch engine produced: output bytes, every counter,
-        // the per-unit cache statistics, and the simulated time.
-        let input = Stream::from_vec("in", (0u32..5_000).collect(), Layout::ZOrder);
-
-        let run = |mode: ExecMode| {
-            let mut p = StreamProcessor::with_mode(GpuProfile::geforce_6800(), mode);
-            let mut out: Stream<u32> = Stream::new("out", 5_000, Layout::ZOrder);
-            for _ in 0..3 {
-                doubling_op(&mut p, &input, &mut out);
-            }
-            (out.as_slice().to_vec(), p.counters(), p.simulated_time())
-        };
-        let (out_pool, c_pool, t_pool) = run(ExecMode::Parallel);
-        let (out_spawn, c_spawn, t_spawn) = run(ExecMode::SpawnParallel);
-        assert_eq!(out_pool, out_spawn);
-        assert_eq!(c_pool, c_spawn);
-        assert_eq!(t_pool, t_spawn);
-    }
-
-    #[test]
     fn pooled_launch_handles_tiny_and_uneven_instance_counts() {
         // Shapes around the unit count: 0 instances (early return), 1, one
         // fewer/more than the unit count, and a count that leaves the last
@@ -1521,7 +854,7 @@ mod tests {
     #[test]
     fn kernel_panic_on_a_pooled_worker_propagates_and_the_pool_survives() {
         // A panicking kernel must behave like it does under the sequential
-        // and spawn engines — propagate to the caller — not deadlock the
+        // engine — propagate to the caller — not deadlock the
         // dispatcher; and the pool must stay usable afterwards.
         let n = 4 * INLINE_INSTANCES; // force the dispatched path
         let mut p = StreamProcessor::with_mode(GpuProfile::idealized(4), ExecMode::Parallel);
@@ -1594,7 +927,7 @@ mod tests {
     #[test]
     fn error_selection_is_deterministic_across_engines() {
         // The first failing instance is `ok` (the gather stream length);
-        // all three engines must return exactly its error, not whichever
+        // both engines must return exactly its error, not whichever
         // unit's error won a race. Two shapes: one below the inline
         // threshold and one dispatched through the worker pool.
         for (instances, ok) in [(16usize, 5usize), (4 * INLINE_INSTANCES, 600)] {
@@ -1612,7 +945,6 @@ mod tests {
             };
             let seq = run(ExecMode::Sequential);
             let pooled = run(ExecMode::Parallel);
-            let spawn = run(ExecMode::SpawnParallel);
             assert_eq!(
                 seq,
                 StreamError::GatherOutOfBounds {
@@ -1622,7 +954,6 @@ mod tests {
                 "instances={instances}"
             );
             assert_eq!(seq, pooled, "instances={instances}");
-            assert_eq!(seq, spawn, "instances={instances}");
         }
     }
 
@@ -1772,176 +1103,6 @@ mod tests {
         // A batch executed after the take is accounted from zero.
         doubling_op(&mut p, &input, &mut out);
         assert_eq!(p.counters().launches, 1);
-    }
-
-    /// Build the three-sub-launch stage shared by the fusion tests:
-    /// `square` (input → mid), copy (mid → out, reading what the first
-    /// sub wrote — the cross-launch dependency the barrier must order),
-    /// then `negate-check` (a gather of `out` whose reach is capped by
-    /// `ok_len` so the error path can be exercised).
-    fn stage_subs<'a>(
-        input: &'a Stream<u32>,
-        mid: &'a mut Stream<u32>,
-        out: &'a mut Stream<u32>,
-        flags: &'a mut Stream<u32>,
-        n: usize,
-        ok_len: usize,
-    ) -> Vec<SubLaunch<'a>> {
-        // The copy reads `mid` while the first sub-launch's WriteView of
-        // `mid` is alive — exactly the aliasing a fused stage creates, made
-        // sound by the barrier ordering (and by the raw-pointer views).
-        let mid_ptr: *mut Stream<u32> = mid;
-        let read = ReadView::contiguous(input, 0, n, 1).unwrap();
-        // SAFETY: the write (sub 0) and the copy's read (sub 1) of `mid`
-        // are ordered by the stage barrier / eager launch boundary.
-        let write = WriteView::contiguous(unsafe { &mut *mid_ptr }, 0, n, 1).unwrap();
-        let square = SubLaunch::Kernel {
-            name: "square",
-            instances: n,
-            kernel: Box::new(move |ctx| {
-                let v = read.get(ctx, 0);
-                write.set(ctx, 0, v.wrapping_mul(v));
-            }),
-        };
-        let out_ptr: *const Stream<u32> = out;
-        let copy = SubLaunch::Copy(
-            StageCopy::new("copy-mid", unsafe { &*mid_ptr }, out, (0, n), 2).unwrap(),
-        );
-        // SAFETY: sub 2 reads `out` strictly after sub 1 wrote it.
-        let gather = crate::kernel::GatherView::new(unsafe { &*out_ptr });
-        let flag_write = WriteView::contiguous(flags, 0, n, 1).unwrap();
-        let check = SubLaunch::Kernel {
-            name: "negate-check",
-            instances: n,
-            kernel: Box::new(move |ctx| {
-                let i = ctx.instance_index() % ok_len.max(1);
-                let v = gather.gather(ctx, if ctx.instance_index() < ok_len { i } else { n });
-                flag_write.set(ctx, 0, !v);
-            }),
-        };
-        vec![square, copy, check]
-    }
-
-    fn run_stage(
-        mode: ExecMode,
-        stage: bool,
-        n: usize,
-        ok_len: usize,
-    ) -> (Vec<u32>, Vec<u32>, Counters, Result<()>) {
-        let mut p = StreamProcessor::with_mode(GpuProfile::idealized(4), mode);
-        if stage {
-            // Exercise the fused path regardless of the host's CPU count
-            // (the Auto heuristic would fall back on single-core runners).
-            p.set_stage_fusion(StageFusion::Always);
-        }
-        let input = Stream::from_vec("in", (0..n as u32).collect(), Layout::Linear);
-        let mut mid: Stream<u32> = Stream::new("mid", n, Layout::Linear);
-        let mut out: Stream<u32> = Stream::new("out", n, Layout::Linear);
-        let mut flags: Stream<u32> = Stream::new("flags", n, Layout::Linear);
-        let subs = stage_subs(&input, &mut mid, &mut out, &mut flags, n, ok_len);
-        let r = if stage {
-            p.launch_stage(&subs)
-        } else {
-            // The eager engine: one launch per sub, stop at the first
-            // error.
-            (|| {
-                for sub in &subs {
-                    p.exec_sub(sub)?;
-                }
-                Ok(())
-            })()
-        };
-        drop(subs);
-        (
-            out.as_slice().to_vec(),
-            flags.as_slice().to_vec(),
-            p.counters(),
-            r,
-        )
-    }
-
-    #[test]
-    fn fused_stage_is_byte_identical_to_eager_launches() {
-        // Above the inline threshold in Parallel mode the stage runs as
-        // one fused pool epoch; it must be indistinguishable from three
-        // eager launches in everything but wall-clock time — including
-        // per-unit cache statistics, which `counters()` merges in.
-        let n = 4 * INLINE_INSTANCES;
-        let fused = run_stage(ExecMode::Parallel, true, n, n);
-        let eager = run_stage(ExecMode::Parallel, false, n, n);
-        assert_eq!(fused.0, eager.0, "copy output diverged");
-        assert_eq!(fused.1, eager.1, "kernel output diverged");
-        assert_eq!(fused.2, eager.2, "counters diverged");
-        assert!(fused.3.is_ok() && eager.3.is_ok());
-        assert_eq!(fused.0[5], 25, "copy must see the first sub's writes");
-    }
-
-    #[test]
-    fn stage_fallback_contexts_match_eager_launches() {
-        // Sequential mode and sub-inline totals never fuse; the stage API
-        // must still produce eager-identical results there.
-        for (mode, n) in [
-            (ExecMode::Sequential, 4 * INLINE_INSTANCES),
-            (ExecMode::Parallel, 16),
-            (ExecMode::SpawnParallel, 4 * INLINE_INSTANCES),
-        ] {
-            let staged = run_stage(mode, true, n, n);
-            let eager = run_stage(mode, false, n, n);
-            assert_eq!(staged.0, eager.0, "{mode:?}");
-            assert_eq!(staged.1, eager.1, "{mode:?}");
-            assert_eq!(staged.2, eager.2, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn fused_stage_error_matches_eager_error_and_counters() {
-        // The last sub-launch gathers out of bounds from `ok_len` onwards:
-        // the fused epoch must return exactly the eager engine's error
-        // (first failing instance in unit order of the failing launch)
-        // with identical counters and stream contents.
-        let n = 4 * INLINE_INSTANCES;
-        let ok = 600;
-        let fused = run_stage(ExecMode::Parallel, true, n, ok);
-        let eager = run_stage(ExecMode::Parallel, false, n, ok);
-        assert_eq!(fused.0, eager.0);
-        assert_eq!(fused.1, eager.1);
-        assert_eq!(fused.2, eager.2, "error-path counters diverged");
-        assert_eq!(
-            fused.3.unwrap_err(),
-            eager.3.unwrap_err(),
-            "error selection diverged"
-        );
-    }
-
-    #[test]
-    fn fused_stage_panic_propagates_and_the_pool_survives() {
-        let n = 4 * INLINE_INSTANCES;
-        let mut p = StreamProcessor::with_mode(GpuProfile::idealized(4), ExecMode::Parallel);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let subs = vec![
-                SubLaunch::Kernel {
-                    name: "ok",
-                    instances: n,
-                    kernel: Box::new(|_ctx| {}),
-                },
-                SubLaunch::Kernel {
-                    name: "boom",
-                    instances: n,
-                    kernel: Box::new(move |ctx| {
-                        if ctx.instance_index() == n - 1 {
-                            panic!("kernel bug");
-                        }
-                    }),
-                },
-            ];
-            let _ = p.launch_stage(&subs);
-        }));
-        assert!(caught.is_err(), "the worker panic must reach the caller");
-        // The pool must stay healthy for later dispatches.
-        let input = Stream::from_vec("in", (0..n as u32).collect(), Layout::Linear);
-        let mut out: Stream<u32> = Stream::new("out", n, Layout::Linear);
-        doubling_op(&mut p, &input, &mut out);
-        assert_eq!(out.as_slice()[n - 1], 2 * (n as u32 - 1));
     }
 
     #[test]

@@ -43,33 +43,6 @@ fn words(bytes: usize) -> u64 {
     (bytes as u64).div_ceil(4).max(1)
 }
 
-static ACCOUNTING_BATCHED_DEFAULT: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(true);
-
-/// Set the [`AccountingMode`] newly created processors start in (default
-/// [`AccountingMode::Batched`]).
-///
-/// This is a measurement knob for the wall-clock harness, mirroring
-/// [`crate::arena::set_pooling_default`]: scenarios that construct their
-/// processors internally (the sorting service, the sharded sorter) can be
-/// timed under the reference per-access model without threading a
-/// parameter through every layer. Results are byte-identical either way.
-pub fn set_accounting_default(mode: AccountingMode) {
-    ACCOUNTING_BATCHED_DEFAULT.store(
-        mode == AccountingMode::Batched,
-        std::sync::atomic::Ordering::Relaxed,
-    );
-}
-
-/// The process-wide default accounting mode for new processors.
-pub fn accounting_default() -> AccountingMode {
-    if ACCOUNTING_BATCHED_DEFAULT.load(std::sync::atomic::Ordering::Relaxed) {
-        AccountingMode::Batched
-    } else {
-        AccountingMode::PerAccess
-    }
-}
-
 /// How a [`KernelCtx`] charges the per-access cost model.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum AccountingMode {
@@ -82,8 +55,9 @@ pub enum AccountingMode {
     #[default]
     Batched,
     /// The original reference model: every access updates the shared
-    /// counters and probes the cache individually. Kept for the wall-clock
-    /// harness (E21 measures batched against it) and the identity tests.
+    /// counters and probes the cache individually. The executable
+    /// specification of the cost model: the identity tests and the
+    /// accounting acceptance test compare the batched mode against it.
     PerAccess,
 }
 
@@ -582,13 +556,11 @@ impl<'a> KernelCtx<'a> {
 
 /// A linear (streaming-read) input view: the paper's `in stream<T>`.
 ///
-/// The source is held as a raw pointer rather than a `&[T]`: a staged
-/// stage-fused epoch binds the views of *every* node of the stage up
-/// front, so a view may legitimately coexist with a [`WriteView`] of the
-/// same stream belonging to a later sub-launch. The epoch's barriers order
-/// every read strictly before/after any overlapping write, exactly as the
-/// eager engine's launch boundaries did; a stored shared reference would
-/// turn that well-ordered sharing into language-level UB.
+/// The source is held as a raw pointer rather than a `&[T]`, so a view
+/// may coexist with a [`WriteView`] of the same stream as long as the
+/// launch boundaries order every read strictly before or after any
+/// overlapping write; a stored shared reference would turn that
+/// well-ordered sharing into language-level UB.
 pub struct ReadView<'a, T> {
     data: *const T,
     len: usize,
@@ -600,8 +572,8 @@ pub struct ReadView<'a, T> {
 }
 
 // SAFETY: the view only reads plain-old-data elements through a pointer
-// valid for 'a; cross-thread use is ordered by the executor (launch or
-// stage-epoch barriers) exactly like `WriteView`.
+// valid for 'a; cross-thread use is ordered by the executor's launch
+// boundaries exactly like `WriteView`.
 unsafe impl<'a, T: StreamElement> Send for ReadView<'a, T> {}
 unsafe impl<'a, T: StreamElement> Sync for ReadView<'a, T> {}
 
@@ -715,10 +687,7 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
 
 /// A random-access (gather) input view: the paper's `gather stream<T>`.
 ///
-/// Raw-pointer based for the same reason as [`ReadView`]: a stage-fused
-/// epoch may hold this view alongside a [`WriteView`] of the same stream
-/// owned by a different sub-launch, with the epoch barriers providing the
-/// ordering the eager launch boundaries used to.
+/// Raw-pointer based for the same reason as [`ReadView`].
 pub struct GatherView<'a, T> {
     data: *const T,
     len: usize,

@@ -57,7 +57,7 @@ pub mod value;
 pub use arena::{ArenaStats, StreamArena};
 pub use cache::{CacheConfig, CacheSim, CacheStats};
 pub use error::{Result, StreamError};
-pub use executor::{ExecMode, PlanMode, StageCopy, StageFusion, StreamProcessor, SubLaunch};
+pub use executor::{ExecMode, StreamProcessor};
 pub use kernel::{AccountingMode, GatherView, IterStream, KernelCtx, ReadView, WriteView};
 pub use layout::{Addr2D, Layout, Mapping1Dto2D, RowMajor2D, ZOrder2D};
 pub use metrics::{CostBreakdown, Counters, SimTime};

@@ -38,7 +38,7 @@ impl StreamElement for (u32, u32) {}
 /// The id is used as the secondary sort key, which makes all elements
 /// distinct (a precondition of adaptive bitonic sorting, Section 4), and in
 /// an application plays the role of the pointer to the record being sorted.
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
+#[derive(Copy, Clone, Debug, Default)]
 pub struct Value {
     /// Primary sort key.
     pub key: f32,
@@ -96,6 +96,16 @@ impl Value {
             key: f32::from_bits(0x7FFF_FFFF),
             id: u32::MAX - index as u32,
         }
+    }
+}
+
+/// Equality under the same total order as [`Ord`]: two values are equal
+/// exactly when their key bit patterns and ids are, so a NaN equals
+/// itself and −0.0 differs from +0.0.
+impl PartialEq for Value {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.total_cmp(other) == Ordering::Equal
     }
 }
 
@@ -218,6 +228,36 @@ mod tests {
         assert_eq!(<Value as StreamElement>::BYTES, 8);
         assert_eq!(<Node as StreamElement>::BYTES, 16);
         assert_eq!(<u32 as StreamElement>::BYTES, 4);
+    }
+
+    #[test]
+    fn equality_agrees_with_the_total_order() {
+        let keys = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_0001), // quiet NaN with a payload
+            f32::from_bits(0x7F80_0001), // signalling NaN
+            f32::from_bits(0xFFFF_FFFF), // largest negative-NaN pattern
+            -0.0,
+            0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.5,
+        ];
+        let mut values: Vec<Value> = keys
+            .iter()
+            .flat_map(|&k| [Value::new(k, 0), Value::new(k, 1)])
+            .collect();
+        values.extend((0..3).map(Value::padding_sentinel));
+        for a in &values {
+            for b in &values {
+                assert_eq!(a == b, a.cmp(b) == Ordering::Equal, "{a:?} vs {b:?}");
+                let (na, nb) = (Node::leaf(*a), Node::leaf(*b));
+                assert_eq!(na == nb, a.cmp(b) == Ordering::Equal, "{na:?} vs {nb:?}");
+            }
+            assert_eq!(a, a, "equality must be reflexive: {a:?}");
+        }
+        assert_ne!(Value::new(-0.0, 5), Value::new(0.0, 5));
     }
 
     #[test]

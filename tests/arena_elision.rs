@@ -79,8 +79,8 @@ proptest! {
     }
 
     /// The elision-off switch really restores refilling semantics *and*
-    /// stays byte-identical too (the measurement baseline of E21 must be
-    /// functionally indistinguishable).
+    /// stays byte-identical too (the reference the accounting acceptance
+    /// test measures against must be functionally indistinguishable).
     #[test]
     fn elision_off_pooled_runs_are_also_identical(
         case in (distribution_strategy(), size_strategy(), 0u64..1000)

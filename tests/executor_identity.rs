@@ -1,20 +1,19 @@
 //! Property tests for the persistent execution engine:
 //!
-//! * the pooled parallel engine ([`ExecMode::Parallel`]) is **byte
-//!   identical** to the legacy spawn-per-launch engine
-//!   ([`ExecMode::SpawnParallel`]) — output bytes, all counters including
-//!   per-unit cache statistics, simulated time, and returned errors —
-//!   across launch shapes including 0/1-instance and error-aborted
-//!   launches;
 //! * the pooled engine agrees with the sequential reference on output
 //!   bytes, all work counters, and the returned error (cache statistics
 //!   and simulated time additionally match whenever the profile has a
 //!   single unit, where the chunk schedules coincide);
 //! * repeated pooled runs are deterministic;
+//! * batched accounting is byte-identical to the per-access reference
+//!   model, per launch and — against the committed fingerprints of
+//!   `tests/golden_fingerprints.txt` — per sort run;
 //! * the stream arena reaches a steady state: repeated sorts on one
 //!   pooled processor stop allocating — the (type, capacity-class) bin
 //!   count and pooled-buffer count do not grow, and every subsequent run
 //!   is served from the pool.
+
+mod fingerprints;
 
 use abisort::{GpuAbiSorter, SortConfig};
 use proptest::prelude::*;
@@ -22,7 +21,6 @@ use stream_arch::{
     AccountingMode, Counters, ExecMode, GatherView, GpuProfile, Layout, ReadView, SimTime, Stream,
     StreamProcessor, WriteView,
 };
-use workloads::Distribution;
 
 /// A launch shape: how many instances, over how many simulated units, and
 /// whether the kernel is poisoned to fail at a given instance.
@@ -127,19 +125,6 @@ fn run_shape_accounted(shape: &Shape, mode: ExecMode, accounting: AccountingMode
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Pooled == spawn, byte for byte: the engines differ only in host
-    /// scheduling, so every observable — including per-unit cache stats,
-    /// simulated time and error values — must coincide.
-    #[test]
-    fn pooled_engine_is_byte_identical_to_spawn_engine(shape in shape_strategy()) {
-        let pooled = run_shape(&shape, ExecMode::Parallel);
-        let spawn = run_shape(&shape, ExecMode::SpawnParallel);
-        prop_assert_eq!(&pooled.output, &spawn.output);
-        prop_assert_eq!(&pooled.counters, &spawn.counters);
-        prop_assert_eq!(&pooled.sim_time, &spawn.sim_time);
-        prop_assert_eq!(&pooled.errors, &spawn.errors);
-    }
-
     /// Pooled == sequential on everything the chunk schedule cannot
     /// change: output bytes, launches/steps, instances, comparisons, and
     /// the returned error (always the error of the smallest failing
@@ -157,9 +142,7 @@ proptest! {
             // Error-free launches execute every instance in both modes, so
             // the work counters and output coincide exactly. (An aborted
             // sequential launch stops at the failing instance while other
-            // parallel units still run their chunks — the pre-existing
-            // abort semantics, pinned byte-identically by the
-            // pooled-vs-spawn property above.)
+            // parallel units still run their chunks.)
             prop_assert_eq!(&pooled.output, &seq.output);
             prop_assert_eq!(pooled.counters.comparisons, seq.counters.comparisons);
             prop_assert_eq!(pooled.counters.stream_reads, seq.counters.stream_reads);
@@ -183,12 +166,12 @@ proptest! {
     /// Batched accounting == per-access accounting, byte for byte, under
     /// every execution mode: output bytes, all counters (including the
     /// per-unit cache statistics merged into them), simulated time and
-    /// returned errors. This is the E21 identity assertion for the
-    /// block-accumulation cost model, over shapes including 0/1-instance
-    /// and error-aborted launches.
+    /// returned errors: the identity assertion for the block-accumulation
+    /// cost model, over shapes including 0/1-instance and error-aborted
+    /// launches.
     #[test]
     fn batched_accounting_is_byte_identical_to_per_access(shape in shape_strategy()) {
-        for mode in [ExecMode::Sequential, ExecMode::Parallel, ExecMode::SpawnParallel] {
+        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
             let batched = run_shape_accounted(&shape, mode, AccountingMode::Batched);
             let reference = run_shape_accounted(&shape, mode, AccountingMode::PerAccess);
             prop_assert_eq!(&batched.output, &reference.output);
@@ -201,57 +184,14 @@ proptest! {
 
 /// Sort-level accounting identity: full GPU-ABiSort runs (which exercise
 /// the bulk view accessors, the vectorized copy launch and the gather
-/// paths) produce byte-identical records under both accounting modes,
-/// across distributions and under arena reuse.
+/// paths) under the per-access reference model reproduce the committed
+/// fingerprints of the batched runs, on both engines and under arena and
+/// plan-cache reuse.
 #[test]
 fn batched_sort_runs_are_byte_identical_to_per_access_sort_runs() {
-    let sorter = GpuAbiSorter::new(SortConfig::default());
-    let mut batched = StreamProcessor::new(GpuProfile::geforce_7800());
-    batched.set_accounting_mode(AccountingMode::Batched);
-    let mut reference = StreamProcessor::new(GpuProfile::geforce_7800());
-    reference.set_accounting_mode(AccountingMode::PerAccess);
-    for dist in [
-        Distribution::Uniform,
-        Distribution::Sorted,
-        Distribution::FewDistinct { distinct: 4 },
-    ] {
-        for n in [257usize, 1000, 2048] {
-            let input = workloads::generate(dist, n, 23);
-            let a = sorter.sort_run(&mut batched, &input).unwrap();
-            let b = sorter.sort_run(&mut reference, &input).unwrap();
-            assert_eq!(a.output, b.output, "{} n={n}", dist.name());
-            assert_eq!(a.counters, b.counters, "{} n={n}", dist.name());
-            assert_eq!(
-                a.sim_time.total_ms,
-                b.sim_time.total_ms,
-                "{} n={n}",
-                dist.name()
-            );
-        }
-    }
-}
-
-/// Sort-level identity: a full GPU-ABiSort run under the pooled engine
-/// reproduces the sequential run's output, counters and simulated time
-/// byte-for-byte against the spawn baseline, across distributions.
-#[test]
-fn pooled_sort_runs_are_byte_identical_to_spawn_sort_runs() {
-    let sorter = GpuAbiSorter::new(SortConfig::default());
-    for dist in [
-        Distribution::Uniform,
-        Distribution::Sorted,
-        Distribution::FewDistinct { distinct: 4 },
-    ] {
-        let input = workloads::generate(dist, 2048, 11);
-        let mut pooled = StreamProcessor::with_mode(GpuProfile::geforce_7800(), ExecMode::Parallel);
-        let mut spawn =
-            StreamProcessor::with_mode(GpuProfile::geforce_7800(), ExecMode::SpawnParallel);
-        let a = sorter.sort_run(&mut pooled, &input).unwrap();
-        let b = sorter.sort_run(&mut spawn, &input).unwrap();
-        assert_eq!(a.output, b.output, "{}", dist.name());
-        assert_eq!(a.counters, b.counters, "{}", dist.name());
-        assert_eq!(a.sim_time.total_ms, b.sim_time.total_ms, "{}", dist.name());
-    }
+    fingerprints::assert_committed(&fingerprints::lines(AccountingMode::PerAccess, |_, n| {
+        matches!(n, 2 | 37 | 1024)
+    }));
 }
 
 /// Arena steady state: after the first sort warmed the pool, repeated

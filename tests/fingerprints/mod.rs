@@ -1,0 +1,230 @@
+//! The committed engine fingerprints shared by the identity suites.
+//!
+//! Every line of `tests/golden_fingerprints.txt` is an FNV-1a-64 hash of
+//! one [`GpuAbiSorter`] run: the output bits, every [`Counters`] field
+//! (the merged per-unit cache statistics included) and the bits of
+//! `sim_time.total_ms`. The matrix covers `sort_run`, `sort_segments_run`,
+//! `merge_blocks_run` and `top_k_run` over n ∈ {0, 1, 2, 37, 1000, 1024,
+//! 4097}, uniform, sorted and few-distinct data, on a sequential processor
+//! and on a 3-unit parallel one.
+//!
+//! The file is the identity oracle for host-side engine work: a change to
+//! the executor, the planner, the arena or the accounting that moves an
+//! output bit, a counter, a cache statistic or a simulated time changes a
+//! line. A deliberate cost-model change replaces the committed file with
+//! the actual one the failing test prints, and explains the diff.
+
+// Each test target uses its own subset of these helpers.
+#![allow(dead_code)]
+
+use abisort::{GpuAbiSorter, SortConfig};
+use stream_arch::{
+    AccountingMode, CacheStats, Counters, ExecMode, GpuProfile, StreamProcessor, Value,
+};
+use workloads::Distribution;
+
+/// The committed fingerprint file.
+pub const GOLDEN: &str = include_str!("../golden_fingerprints.txt");
+
+const SIZES: [usize; 7] = [0, 1, 2, 37, 1000, 1024, 4097];
+
+const DISTRIBUTIONS: [(&str, Distribution); 3] = [
+    ("uniform", Distribution::Uniform),
+    ("sorted", Distribution::Sorted),
+    ("few-distinct", Distribution::FewDistinct { distinct: 4 }),
+];
+
+const MODES: [(&str, ExecMode); 2] = [
+    ("sequential", ExecMode::Sequential),
+    ("parallel3", ExecMode::Parallel),
+];
+
+const RUNS: [&str; 4] = ["sort", "segments", "merge-blocks", "top-k"];
+
+/// FNV-1a, 64 bit.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// Hash one run record. The destructuring is exhaustive, so a new counter
+/// field fails to compile here instead of silently escaping the oracle.
+fn fingerprint(output: &[Value], counters: &Counters, sim_ms: f64) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(output.len() as u64);
+    for v in output {
+        h.bytes(&v.key.to_bits().to_le_bytes());
+        h.bytes(&v.id.to_le_bytes());
+    }
+    let Counters {
+        launches,
+        steps,
+        kernel_instances,
+        stream_reads,
+        stream_writes,
+        gathers,
+        iter_reads,
+        comparisons,
+        bytes_written,
+        bytes_read,
+        cache:
+            CacheStats {
+                accesses,
+                hits,
+                misses,
+                fill_bytes,
+            },
+        transfer_bytes,
+    } = *counters;
+    for field in [
+        launches,
+        steps,
+        kernel_instances,
+        stream_reads,
+        stream_writes,
+        gathers,
+        iter_reads,
+        comparisons,
+        bytes_written,
+        bytes_read,
+        accesses,
+        hits,
+        misses,
+        fill_bytes,
+        transfer_bytes,
+    ] {
+        h.u64(field);
+    }
+    h.u64(sim_ms.to_bits());
+    h.0
+}
+
+/// A processor of the matrix: the GeForce 7800 profile, with 3 units for
+/// the parallel engine.
+fn processor(mode: ExecMode, accounting: AccountingMode) -> StreamProcessor {
+    let profile = match mode {
+        ExecMode::Parallel => GpuProfile::geforce_7800().with_units(3),
+        _ => GpuProfile::geforce_7800(),
+    };
+    let mut proc = StreamProcessor::with_mode(profile, mode);
+    proc.set_accounting_mode(accounting);
+    proc
+}
+
+/// `input` padded with distinct padding sentinels to the next power of two
+/// (empty input stays empty).
+fn padded(input: &[Value]) -> Vec<Value> {
+    let total = if input.is_empty() {
+        0
+    } else {
+        input.len().next_power_of_two()
+    };
+    let mut values = input.to_vec();
+    values.extend((0..total - input.len()).map(Value::padding_sentinel));
+    values
+}
+
+/// Execute one cell of the matrix and hash its record.
+fn run_case(sorter: &GpuAbiSorter, proc: &mut StreamProcessor, run: &str, input: &[Value]) -> u64 {
+    match run {
+        "sort" => {
+            let r = sorter.sort_run(proc, input).expect("sort_run");
+            fingerprint(&r.output, &r.counters, r.sim_time.total_ms)
+        }
+        "segments" => {
+            let values = padded(input);
+            let segment_len = values.len().clamp(1, 64);
+            let r = sorter
+                .sort_segments_run(proc, &values, segment_len)
+                .expect("sort_segments_run");
+            fingerprint(&r.output, &r.counters, r.sim_time.total_ms)
+        }
+        "merge-blocks" => {
+            // Blocks sorted in alternating directions: the precondition of
+            // a block merge.
+            let mut values = padded(input);
+            let block_len = (values.len() / 4).max(1);
+            for (i, block) in values.chunks_mut(block_len).enumerate() {
+                if i % 2 == 0 {
+                    block.sort();
+                } else {
+                    block.sort_by(|a, b| b.cmp(a));
+                }
+            }
+            let r = sorter
+                .merge_blocks_run(proc, &values, block_len)
+                .expect("merge_blocks_run");
+            fingerprint(&r.output, &r.counters, r.sim_time.total_ms)
+        }
+        "top-k" => {
+            let k = (input.len() / 16).max(1);
+            let r = sorter.top_k_run(proc, input, k).expect("top_k_run");
+            fingerprint(&r.output, &r.counters, r.sim_time.total_ms)
+        }
+        other => unreachable!("unknown run kind {other}"),
+    }
+}
+
+/// The fingerprint lines of every matrix cell `keep(run, n)` selects, in
+/// file order, each run under `accounting`. One long-lived processor per
+/// execution mode serves all of its cells, as in the service: arena and
+/// plan-cache reuse across runs must not change any record.
+pub fn lines(accounting: AccountingMode, keep: impl Fn(&str, usize) -> bool) -> Vec<String> {
+    let sorter = GpuAbiSorter::new(SortConfig::default());
+    let mut lines = Vec::new();
+    for (mode_name, mode) in MODES {
+        let mut proc = processor(mode, accounting);
+        for run in RUNS {
+            for (dist_name, dist) in DISTRIBUTIONS {
+                for n in SIZES {
+                    if !keep(run, n) {
+                        continue;
+                    }
+                    let input = workloads::generate(dist, n, 0x5EED + n as u64);
+                    let hash = run_case(&sorter, &mut proc, run, &input);
+                    lines.push(format!("{run} {dist_name} n={n} {mode_name} {hash:016x}"));
+                }
+            }
+        }
+    }
+    lines
+}
+
+/// The file the given lines make, header included.
+pub fn render(lines: &[String]) -> String {
+    let mut out = String::from(
+        "# FNV-1a-64 of output bits, every Counters field (cache stats included)\n\
+         # and sim_time.total_ms bits, per GpuAbiSorter run.\n\
+         # <run> <distribution> n=<n> <exec mode> <fingerprint>\n",
+    );
+    for line in lines {
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+/// Assert that every line is one of the committed ones.
+pub fn assert_committed(lines: &[String]) {
+    assert!(!lines.is_empty(), "no cell selected");
+    for line in lines {
+        assert!(
+            GOLDEN.lines().any(|g| g == line),
+            "run diverged from the committed fingerprint: {line}"
+        );
+    }
+}

@@ -1,183 +1,61 @@
 //! Identity and snapshot properties of the launch-graph planner:
 //!
-//! * **Staged == eager, byte for byte.** Executing a recorded [`SortPlan`]
-//!   as fused stages ([`stream_arch::PlanMode::Staged`]) must be
-//!   indistinguishable from the eager one-launch-per-node interpretation
-//!   — output bytes, every counter (including per-unit cache statistics),
-//!   and simulated time — across every execution mode × accounting mode,
-//!   for full sorts, segmented batch sorts, and block merges. This is the
-//!   acceptance criterion of the planner tentpole: fusion and plan caching
-//!   are wall-clock-only optimizations.
-//! * **Plans are cached per problem shape** under staged planning and
-//!   re-recorded per run under eager planning.
+//! * **Runs match the committed fingerprints.** Full sorts, segmented
+//!   batch sorts, block merges and top-k runs, on the sequential and the
+//!   pooled parallel engine, hash to the lines of
+//!   `tests/golden_fingerprints.txt`: output bits, every counter including
+//!   the per-unit cache statistics, and simulated time. Plan caching and
+//!   every other host-side engine optimization must leave them unchanged.
+//! * **Plans are cached per problem shape**, and clones share the cache.
 //! * **The plan dump is pinned** against a committed golden snapshot
 //!   (`tests/golden_plan_n64.txt`), so accidental changes to the recorded
-//!   launch graph — fusion boundaries, buffer refs, Table-1 blocks — show
+//!   launch graph — stage boundaries, buffer refs, Table-1 blocks — show
 //!   up as a reviewable diff.
+
+mod fingerprints;
 
 use abisort::stream_sort::SortPlan;
 use abisort::{GpuAbiSorter, SortConfig};
-use stream_arch::{
-    AccountingMode, ExecMode, GpuProfile, PlanMode, StageFusion, StreamProcessor, Value,
-};
-use workloads::Distribution;
+use stream_arch::{AccountingMode, GpuProfile, StreamProcessor};
 
-fn processor(mode: ExecMode, accounting: AccountingMode, plan: PlanMode) -> StreamProcessor {
-    let mut proc = StreamProcessor::with_mode(GpuProfile::geforce_7800(), mode);
-    proc.set_accounting_mode(accounting);
-    proc.set_plan_mode(plan);
-    proc
-}
-
-const MODES: [ExecMode; 3] = [
-    ExecMode::Sequential,
-    ExecMode::Parallel,
-    ExecMode::SpawnParallel,
-];
-const ACCOUNTING: [AccountingMode; 2] = [AccountingMode::Batched, AccountingMode::PerAccess];
-
-/// Full sorts: staged and eager plan interpretation must produce
-/// byte-identical run records under every engine combination, including
-/// sizes below the Section 7 optimization cutoff and non-power-of-two
-/// lengths.
+/// Every cell of the fingerprint matrix under the default (batched)
+/// accounting. On a mismatch the actual file is printed in full.
 #[test]
-fn staged_sort_runs_are_byte_identical_to_eager_sort_runs() {
-    let sorter = GpuAbiSorter::new(SortConfig::default());
-    for mode in MODES {
-        for accounting in ACCOUNTING {
-            let mut staged = processor(mode, accounting, PlanMode::Staged);
-            let mut eager = processor(mode, accounting, PlanMode::Eager);
-            for (n, dist) in [
-                (8usize, Distribution::Uniform),
-                (257, Distribution::Sorted),
-                (2048, Distribution::FewDistinct { distinct: 4 }),
-            ] {
-                let input = workloads::generate(dist, n, 23);
-                let a = sorter.sort_run(&mut staged, &input).unwrap();
-                let b = sorter.sort_run(&mut eager, &input).unwrap();
-                let label = format!("{mode:?}/{accounting:?} {} n={n}", dist.name());
-                assert_eq!(a.output, b.output, "output diverged: {label}");
-                assert_eq!(a.counters, b.counters, "counters diverged: {label}");
-                assert_eq!(
-                    a.sim_time.total_ms, b.sim_time.total_ms,
-                    "simulated time diverged: {label}"
-                );
-            }
-        }
-    }
-}
-
-/// Segmented batch sorts and block merges — the service paths — under the
-/// parallel/batched engine (where stage fusion actually fires) against the
-/// eager interpretation.
-#[test]
-fn staged_segment_and_block_merge_runs_match_eager() {
-    let sorter = GpuAbiSorter::new(SortConfig::default());
-    let mut staged = processor(
-        ExecMode::Parallel,
-        AccountingMode::Batched,
-        PlanMode::Staged,
-    );
-    let mut eager = processor(ExecMode::Parallel, AccountingMode::Batched, PlanMode::Eager);
-
-    let segmented_input = workloads::uniform(16 * 64, 9);
-    let a = sorter
-        .sort_segments_run(&mut staged, &segmented_input, 64)
-        .unwrap();
-    let b = sorter
-        .sort_segments_run(&mut eager, &segmented_input, 64)
-        .unwrap();
-    assert_eq!(a.output, b.output);
-    assert_eq!(a.counters, b.counters);
-    assert_eq!(a.sim_time.total_ms, b.sim_time.total_ms);
-
-    // Blocks sorted in alternating directions — the merge_blocks_run
-    // precondition.
-    let mut merge_input: Vec<Value> = workloads::uniform(1024, 5);
-    for (i, block) in merge_input.chunks_mut(128).enumerate() {
-        if i % 2 == 0 {
-            block.sort();
-        } else {
-            block.sort_by(|x, y| y.cmp(x));
-        }
-    }
-    let a = sorter
-        .merge_blocks_run(&mut staged, &merge_input, 128)
-        .unwrap();
-    let b = sorter
-        .merge_blocks_run(&mut eager, &merge_input, 128)
-        .unwrap();
-    assert_eq!(a.output, b.output);
-    assert_eq!(a.counters, b.counters);
-    assert_eq!(a.sim_time.total_ms, b.sim_time.total_ms);
-}
-
-/// Forced stage fusion (bypassing the host-parallelism heuristic, so the
-/// fused worker-pool epochs run even on single-core hosts) against eager
-/// execution: the full fused sort must stay byte-identical end to end.
-#[test]
-fn forced_fusion_sorts_match_eager_sorts() {
-    let sorter = GpuAbiSorter::new(SortConfig::default());
-    let mut fused = processor(
-        ExecMode::Parallel,
-        AccountingMode::Batched,
-        PlanMode::Staged,
-    );
-    fused.set_stage_fusion(StageFusion::Always);
-    let mut eager = processor(ExecMode::Parallel, AccountingMode::Batched, PlanMode::Eager);
-    for (n, dist) in [
-        (64usize, Distribution::Uniform),
-        (2048, Distribution::Uniform),
-        (4097, Distribution::FewDistinct { distinct: 8 }),
-    ] {
-        let input = workloads::generate(dist, n, 41);
-        let a = sorter.sort_run(&mut fused, &input).unwrap();
-        let b = sorter.sort_run(&mut eager, &input).unwrap();
-        assert_eq!(a.output, b.output, "fused output diverged at n={n}");
-        assert_eq!(a.counters, b.counters, "fused counters diverged at n={n}");
-        assert_eq!(
-            a.sim_time.total_ms, b.sim_time.total_ms,
-            "fused simulated time diverged at n={n}"
+fn sort_runs_match_the_committed_fingerprints() {
+    let actual = fingerprints::render(&fingerprints::lines(AccountingMode::Batched, |_, _| true));
+    if actual != fingerprints::GOLDEN {
+        let changed = actual
+            .lines()
+            .zip(fingerprints::GOLDEN.lines())
+            .filter(|(a, g)| a != g)
+            .count();
+        panic!(
+            "{changed} line(s) differ from tests/golden_fingerprints.txt; actual file:\n{actual}"
         );
     }
 }
 
-/// Staged planning records each problem shape once and replays it; eager
-/// planning never populates the cache (it re-records per run, the
-/// pre-planner behaviour the wall-clock differential is measured against).
+/// The staged planner (the only planner) records each problem shape once
+/// and replays it; clones share the cache.
 #[test]
 fn plans_are_cached_per_shape_under_staged_planning_only() {
     let sorter = GpuAbiSorter::new(SortConfig::default());
     assert_eq!(sorter.cached_plans(), 0);
 
-    let mut eager = processor(
-        ExecMode::Sequential,
-        AccountingMode::Batched,
-        PlanMode::Eager,
-    );
-    sorter
-        .sort_run(&mut eager, &workloads::uniform(256, 1))
-        .unwrap();
-    assert_eq!(sorter.cached_plans(), 0, "eager planning must not cache");
-
-    let mut staged = processor(
-        ExecMode::Sequential,
-        AccountingMode::Batched,
-        PlanMode::Staged,
-    );
+    let mut proc = StreamProcessor::new(GpuProfile::geforce_7800());
     for _ in 0..3 {
         sorter
-            .sort_run(&mut staged, &workloads::uniform(256, 2))
+            .sort_run(&mut proc, &workloads::uniform(256, 2))
             .unwrap();
     }
     assert_eq!(sorter.cached_plans(), 1, "one shape, one cached plan");
     sorter
-        .sort_run(&mut staged, &workloads::uniform(512, 3))
+        .sort_run(&mut proc, &workloads::uniform(512, 3))
         .unwrap();
     assert_eq!(sorter.cached_plans(), 2, "a new shape records a new plan");
     // Non-power-of-two lengths pad onto an existing shape.
     sorter
-        .sort_run(&mut staged, &workloads::uniform(300, 4))
+        .sort_run(&mut proc, &workloads::uniform(300, 4))
         .unwrap();
     assert_eq!(sorter.cached_plans(), 2, "padded shapes share their plan");
 
