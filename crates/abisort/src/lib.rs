@@ -35,6 +35,7 @@
 //! assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

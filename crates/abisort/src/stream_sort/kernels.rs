@@ -97,7 +97,7 @@ impl ExtractRootsSparesBound<'_> {
     /// Instances [0, numTrees) emit the spare values, instances
     /// [numTrees, 2·numTrees) the root nodes, so that a single linear write
     /// produces the layout stage 0 phase 0 expects.
-    fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
         let i = ctx.instance_index();
         if i < self.num_trees {
             let spare_pos = self.n + (2 * i + 2) * self.pairs_per_tree - 1;
@@ -125,7 +125,7 @@ pub fn extract_roots_and_spares(
     n: usize,
     j: u32,
 ) -> Result<()> {
-    let b = bind_extract_roots_and_spares(proc, trees_in, trees_out, n, j)?;
+    let mut b = bind_extract_roots_and_spares(proc, trees_in, trees_out, n, j)?;
     proc.launch(ExtractRootsSparesBound::NAME, b.instances(), |ctx| {
         b.run(ctx)
     })
@@ -182,7 +182,7 @@ impl Phase0Bound<'_> {
     }
 
     /// One kernel instance (the body of Listing 3).
-    fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
         let ascending = ascending_for(ctx.instance_index(), self.instances_per_tree);
         let mut root = self.root_in.get(ctx, 0);
         let mut spare_value = self.spare_in.get(ctx, 0).value;
@@ -212,7 +212,7 @@ pub fn phase0(
     len: usize,
     instances_per_tree: usize,
 ) -> Result<()> {
-    let b = bind_phase0(
+    let mut b = bind_phase0(
         proc,
         trees_in,
         trees_out,
@@ -285,7 +285,7 @@ impl PhaseIBound<'_> {
     }
 
     /// One kernel instance (the body of Listing 4).
-    fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
         let ascending = ascending_for(ctx.instance_index(), self.instances_per_tree);
         let (p_idx, q_idx) = self.pq_read.pair(ctx);
         let mut p = self.gather.gather(ctx, p_idx as usize);
@@ -329,7 +329,7 @@ pub fn phase_i(
     len: usize,
     instances_per_tree: usize,
 ) -> Result<()> {
-    let b = bind_phase_i(
+    let mut b = bind_phase_i(
         proc,
         trees_in,
         trees_out,
@@ -399,7 +399,7 @@ impl CommitLevelBound<'_> {
     }
 
     /// One kernel instance: re-tree two in-order values.
-    fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
         let (a, b) = self.src.pair(ctx);
         let base = ctx.instance_index() * 2;
         self.dst.write_all(
@@ -423,7 +423,7 @@ pub fn commit_level(
     trees_out: &mut Stream<Node>,
     n: usize,
 ) -> Result<()> {
-    let b = bind_commit_level(proc, trees_in, trees_out, n)?;
+    let mut b = bind_commit_level(proc, trees_in, trees_out, n)?;
     proc.launch(CommitLevelBound::NAME, b.instances(), |ctx| b.run(ctx))
 }
 
@@ -464,7 +464,7 @@ impl LocalSort8Bound<'_> {
     }
 
     /// One kernel instance: odd-even transition sort of 8 pairs.
-    fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
         let ascending = ctx.instance_index().is_multiple_of(2);
         let mut v = [Value::default(); 8];
         self.src.read_into(ctx, &mut v);
@@ -498,7 +498,7 @@ pub fn local_sort8(
     sorted: &mut Stream<Value>,
     n: usize,
 ) -> Result<()> {
-    let b = bind_local_sort8(proc, source, sorted, n)?;
+    let mut b = bind_local_sort8(proc, source, sorted, n)?;
     proc.launch(LocalSort8Bound::NAME, b.instances(), |ctx| b.run(ctx))
 }
 
@@ -539,7 +539,7 @@ impl BuildTrees16Bound<'_> {
     }
 
     /// One kernel instance: emit 4 in-order tree nodes.
-    fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
         let base = ctx.instance_index() * 4;
         let mut values = [Value::default(); 4];
         self.src.read_into(ctx, &mut values);
@@ -561,7 +561,7 @@ pub fn build_trees16(
     trees_out: &mut Stream<Node>,
     n: usize,
 ) -> Result<()> {
-    let b = bind_build_trees16(proc, values, trees_out, n)?;
+    let mut b = bind_build_trees16(proc, values, trees_out, n)?;
     proc.launch(BuildTrees16Bound::NAME, b.instances(), |ctx| b.run(ctx))
 }
 
@@ -666,7 +666,7 @@ impl Traverse16Bound<'_> {
     }
 
     /// One kernel instance: extract half of a 16-value bitonic sequence.
-    fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
         let group = ctx.instance_index() / 2;
         let upper_half = ctx.instance_index() % 2 == 1;
         let root = self.gather.gather(ctx, self.source.root_index(group));
@@ -709,7 +709,7 @@ pub fn traverse16(
     groups: usize,
     source: GroupSource,
 ) -> Result<()> {
-    let b = bind_traverse16(proc, trees_in, values_out, groups, source)?;
+    let mut b = bind_traverse16(proc, trees_in, values_out, groups, source)?;
     proc.launch(Traverse16Bound::NAME, b.instances(), |ctx| b.run(ctx))
 }
 
@@ -753,7 +753,7 @@ impl FixedMerge16Bound<'_> {
     }
 
     /// One kernel instance: merge half of a 16-value bitonic sequence.
-    fn run(&self, ctx: &mut KernelCtx<'_>) {
+    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
         let group = ctx.instance_index() / 2;
         let upper_half = ctx.instance_index() % 2 == 1;
         let ascending = (group / self.groups_per_tree).is_multiple_of(2);
@@ -799,7 +799,7 @@ pub fn fixed_merge16(
     groups: usize,
     groups_per_tree: usize,
 ) -> Result<()> {
-    let b = bind_fixed_merge16(proc, values_in, values_out, groups, groups_per_tree)?;
+    let mut b = bind_fixed_merge16(proc, values_in, values_out, groups, groups_per_tree)?;
     proc.launch(FixedMerge16Bound::NAME, b.instances(), |ctx| b.run(ctx))
 }
 

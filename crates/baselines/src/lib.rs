@@ -21,6 +21,7 @@
 //! All stream-architecture baselines share the per-pass compare-exchange
 //! executor in [`network`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

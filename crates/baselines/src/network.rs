@@ -65,7 +65,7 @@ pub fn run_network<F>(
     role: F,
 ) -> Result<NetworkRun>
 where
-    F: Fn(usize, usize) -> Role + Sync,
+    F: Fn(usize, usize) -> Role,
 {
     let started = std::time::Instant::now();
     proc.reset();
@@ -87,7 +87,7 @@ where
             )?;
             let own = ReadView::contiguous(&current, 0, n, 1)?;
             let gather = GatherView::new(&current);
-            let out = WriteView::contiguous(&mut next, 0, n, 1)?;
+            let mut out = WriteView::contiguous(&mut next, 0, n, 1)?;
             let role = &role;
             proc.launch("network-pass", n, |ctx| {
                 let i = ctx.instance_index();
@@ -139,7 +139,7 @@ pub fn run_network_padded<F>(
     role: F,
 ) -> Result<NetworkRun>
 where
-    F: Fn(usize, usize) -> Role + Sync,
+    F: Fn(usize, usize) -> Role,
 {
     let original = values.len();
     if original <= 1 {

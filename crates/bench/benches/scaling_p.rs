@@ -2,14 +2,13 @@
 //!
 //! The simulated-time scaling (which is what the paper's claim is about) is
 //! produced by `repro --experiment scaling`; this bench measures the host
-//! cost of simulating different unit counts, including the real
-//! multi-threaded executor (`ExecMode::Parallel`) on machines with more
-//! than one hardware thread.
+//! cost of simulating different unit counts. The units are a cost-model
+//! parameter: every count runs on the calling thread.
 
 use abisort::{GpuAbiSorter, SortConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
-use stream_arch::{ExecMode, GpuProfile, StreamProcessor};
+use stream_arch::{GpuProfile, StreamProcessor};
 
 fn bench_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("scaling_p");
@@ -35,27 +34,6 @@ fn bench_scaling(c: &mut Criterion) {
         );
     }
 
-    // Host-parallel execution of the kernel instances (one thread per
-    // simulated unit). On a single-core host this mainly measures the
-    // thread-coordination overhead.
-    let host_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    group.bench_with_input(
-        BenchmarkId::new("host_parallel_executor", host_threads),
-        &input,
-        |b, input| {
-            b.iter(|| {
-                let mut proc = StreamProcessor::with_mode(
-                    GpuProfile::geforce_7800().with_units(host_threads),
-                    ExecMode::Parallel,
-                );
-                GpuAbiSorter::new(SortConfig::default())
-                    .sort_run(&mut proc, input)
-                    .unwrap()
-            })
-        },
-    );
     group.finish();
 }
 

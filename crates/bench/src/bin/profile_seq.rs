@@ -14,6 +14,8 @@
 //! One untimed warm-up pass precedes the measured pass, as in the
 //! accounting acceptance test.
 
+#![forbid(unsafe_code)]
+
 use abisort::{GpuAbiSorter, SortConfig};
 use std::time::Instant;
 use stream_arch::{AccountingMode, GpuProfile, StreamProcessor};

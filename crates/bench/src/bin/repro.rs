@@ -29,6 +29,8 @@
 //! An unknown argument or experiment name exits with status 2 before
 //! anything runs; a failed `--json` or `--trace` write exits with status 1.
 
+#![forbid(unsafe_code)]
+
 use bench::extended::{render_padding, render_pram, render_terasort};
 use bench::report::{
     render_ablation, render_data_dependence, render_scaling, render_stream_ops,

@@ -28,6 +28,7 @@
 //! The layout figures (E3–E7) are regenerated by
 //! `abisort::stream_sort::layout_plan` and printed by `repro --figures`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -26,7 +26,7 @@ fn trial(proc_: &mut StreamProcessor, input: &Stream<u32>, traced: bool) -> f64 
     let started = Instant::now();
     for _ in 0..LAUNCHES {
         let read = ReadView::contiguous(input, 0, n, 1).unwrap();
-        let write = WriteView::contiguous(&mut output, 0, n, 1).unwrap();
+        let mut write = WriteView::contiguous(&mut output, 0, n, 1).unwrap();
         let kernel = |ctx: &mut stream_arch::KernelCtx<'_>| {
             let v = read.get(ctx, 0);
             write.set(ctx, 0, v.wrapping_mul(3).wrapping_add(1));

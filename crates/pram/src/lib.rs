@@ -46,6 +46,7 @@
 //! assert_eq!(run.stats.conflicts(PramModel::Erew), 0); // truly EREW
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

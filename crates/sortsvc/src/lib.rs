@@ -61,6 +61,7 @@
 //! println!("p99 latency: {:.2} ms (simulated)", report.metrics.latency_p99_ms);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

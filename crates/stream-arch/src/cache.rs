@@ -245,10 +245,9 @@ impl CacheSim {
         &self.stats
     }
 
-    /// Reset contents and statistics. Untouched caches (every access bumps
-    /// the clock) return immediately, so resetting a many-unit processor
-    /// that only ever ran sequentially does not refill two dozen tag
-    /// arrays per run.
+    /// Reset contents and statistics. An untouched cache (every access
+    /// bumps the clock) returns immediately, so resetting a processor that
+    /// ran nothing since its last reset does not refill the tag arrays.
     pub fn reset(&mut self) {
         if self.clock == 0 {
             return;

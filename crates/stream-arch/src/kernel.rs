@@ -16,10 +16,14 @@
 //! fixed per-instance element count declared when the view is created. The
 //! kernel addresses them by *slot* (`0..r`), which is equivalent to the
 //! paper's sequence of `read_from_stream` / `push_onto_stream` calls but
-//! keeps the views free of per-instance mutable state so that instances can
-//! run on any processor unit. Because positions are derived from the
-//! instance index alone, distinct instances never write the same location —
-//! that is what makes the parallel executor sound.
+//! keeps the views free of per-instance cursor state. Because positions are
+//! derived from the instance index alone, distinct instances never write the
+//! same location.
+//!
+//! The views are plain borrows of their streams: a [`ReadView`] or
+//! [`GatherView`] holds `&[T]`, a [`WriteView`] holds `&mut [T]`. So the
+//! borrow checker, not a runtime check, guarantees that no stream is read
+//! and written by the same launch.
 //!
 //! Scatter (random-access writes) is simply not expressible: [`WriteView`]
 //! has no indexed write method. This is the architectural restriction the
@@ -31,8 +35,6 @@ use crate::layout::Layout;
 use crate::metrics::Counters;
 use crate::stream::{BlockSet, Stream};
 use crate::value::StreamElement;
-use std::cell::UnsafeCell;
-use std::marker::PhantomData;
 
 /// Number of 32-bit words an element of `bytes` bytes occupies (the unit
 /// the per-access cost counters are kept in; the paper's GPUs shade
@@ -89,7 +91,7 @@ const NO_RUN: TileRun = TileRun {
 };
 
 /// One entry of the context's probe memo: where tile `(stream_id, key)`
-/// was last found in the unit's cache. A memo hit lets [`KernelCtx`]
+/// was last found in the texture cache. A memo hit lets [`KernelCtx`]
 /// service a whole run through [`CacheSim::try_fast_hit`] — no 1D→2D
 /// conversion, no set hash, no way scan. Entries are only trusted after
 /// the cache re-verifies the tag, so eviction can never be missed.
@@ -120,7 +122,7 @@ fn memo_index(stream_id: u64, key: u64) -> usize {
 }
 
 /// Locally accumulated event counts, flushed into the shared
-/// [`Counters`] once per chunk instead of once per access.
+/// [`Counters`] once per launch instead of once per access.
 #[derive(Copy, Clone, Default)]
 struct PendingCounters {
     stream_reads: u64,
@@ -157,26 +159,24 @@ fn tile_key(layout: Layout, idx: usize, shift: u32) -> u64 {
 
 /// Per-instance execution context handed to the kernel closure.
 ///
-/// It carries the instance index, the processor unit's cache, the local
-/// event counters and the per-instance output budget (Section 7.1's
-/// 16 × 32-bit limit).
+/// It carries the instance index, the processor's texture cache, the local
+/// event counters and the bytes the instance pushed so far (which the
+/// executor checks against Section 7.1's 16 × 32-bit output budget).
 ///
 /// Under [`AccountingMode::Batched`] the context does not touch the shared
 /// [`Counters`] per access: events accumulate into plain local fields and
 /// cached fetches coalesce into per-tile runs, both flushed by the executor
-/// once per chunk (and at every early exit). The executor owns the flush
+/// once per launch (and at every early exit). The executor owns the flush
 /// discipline; tests that build a context by hand must call the
 /// crate-internal `KernelCtx::flush` before inspecting counters.
 pub struct KernelCtx<'a> {
     pub(crate) instance: usize,
-    pub(crate) unit: usize,
     pub(crate) counters: &'a mut Counters,
     pub(crate) cache: Option<&'a mut CacheSim>,
     pub(crate) bytes_pushed: usize,
-    pub(crate) max_output_bytes: usize,
     pub(crate) error: Option<StreamError>,
     batched: bool,
-    /// `log₂ block_edge` of the unit's cache (0 when there is no cache).
+    /// `log₂ block_edge` of the cache (0 when there is no cache).
     edge_shift: u32,
     pending: PendingCounters,
     run: TileRun,
@@ -184,13 +184,11 @@ pub struct KernelCtx<'a> {
 }
 
 impl<'a> KernelCtx<'a> {
-    /// Build a context for a chunk of instances (the executor resets the
-    /// per-instance state via [`KernelCtx::begin_instance`]).
+    /// Build a context for the instances of one launch (the executor
+    /// resets the per-instance state via [`KernelCtx::begin_instance`]).
     pub(crate) fn new(
-        unit: usize,
         counters: &'a mut Counters,
         cache: Option<&'a mut CacheSim>,
-        max_output_bytes: usize,
         batched: bool,
     ) -> Self {
         let edge_shift = cache
@@ -199,11 +197,9 @@ impl<'a> KernelCtx<'a> {
             .unwrap_or(0);
         KernelCtx {
             instance: 0,
-            unit,
             counters,
             cache,
             bytes_pushed: 0,
-            max_output_bytes,
             error: None,
             batched,
             edge_shift,
@@ -214,7 +210,7 @@ impl<'a> KernelCtx<'a> {
     }
 
     /// Reset the per-instance state (output budget, error) for the next
-    /// instance of the chunk. Pending batched charges survive — a tile run
+    /// instance of the launch. Pending batched charges survive — a tile run
     /// may span instances, since consecutive instances of a linear view
     /// read consecutive elements.
     #[inline]
@@ -287,12 +283,6 @@ impl<'a> KernelCtx<'a> {
     #[inline]
     pub fn instance_index(&self) -> usize {
         self.instance
-    }
-
-    /// The simulated processor unit executing this instance.
-    #[inline]
-    pub fn unit(&self) -> usize {
-        self.unit
     }
 
     /// Record `n` key comparisons (for the work-complexity experiments).
@@ -477,7 +467,7 @@ impl<'a> KernelCtx<'a> {
         self.charge_cached_fetch_range(stream_id, layout, start_idx, count, bytes);
     }
 
-    /// Charge a whole copy-operation chunk: `count` linear reads of
+    /// Charge a whole copy operation: `count` linear reads of
     /// `[start_idx, start_idx + count)` plus `count` linear writes (the
     /// executor's vectorized copy launch).
     #[inline]
@@ -555,44 +545,27 @@ impl<'a> KernelCtx<'a> {
 }
 
 /// A linear (streaming-read) input view: the paper's `in stream<T>`.
-///
-/// The source is held as a raw pointer rather than a `&[T]`, so a view
-/// may coexist with a [`WriteView`] of the same stream as long as the
-/// launch boundaries order every read strictly before or after any
-/// overlapping write; a stored shared reference would turn that
-/// well-ordered sharing into language-level UB.
 pub struct ReadView<'a, T> {
-    data: *const T,
-    len: usize,
+    data: &'a [T],
     stream_id: u64,
     layout: Layout,
     blocks: BlockSet,
     per_instance: usize,
-    _marker: PhantomData<&'a [T]>,
 }
-
-// SAFETY: the view only reads plain-old-data elements through a pointer
-// valid for 'a; cross-thread use is ordered by the executor's launch
-// boundaries exactly like `WriteView`.
-unsafe impl<'a, T: StreamElement> Send for ReadView<'a, T> {}
-unsafe impl<'a, T: StreamElement> Sync for ReadView<'a, T> {}
 
 impl<'a, T: StreamElement> ReadView<'a, T> {
     /// Bind an input substream. Each kernel instance reads exactly
     /// `per_instance` elements from it.
     pub fn new(stream: &'a Stream<T>, blocks: BlockSet, per_instance: usize) -> Result<Self> {
         stream.check_blocks(&blocks)?;
-        let slice = stream.as_slice();
         Ok(ReadView {
-            data: slice.as_ptr(),
-            len: slice.len(),
+            data: stream.as_slice(),
             // The cache model keys on the stable name-derived tag so that
             // identical runs charge identical cache behaviour.
             stream_id: stream.cache_tag(),
             layout: stream.layout(),
             blocks,
             per_instance,
-            _marker: PhantomData,
         })
     }
 
@@ -630,12 +603,7 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
         }
         let global = self.blocks.locate(pos);
         ctx.charge_read(self.stream_id, self.layout, global, T::BYTES);
-        debug_assert!(global < self.len);
-        // SAFETY: `check_blocks` validated every block against the stream
-        // length at view creation, so `global < self.len`; ordering against
-        // concurrent writers is the executor's launch/barrier discipline
-        // (see the type-level comment).
-        unsafe { *self.data.add(global) }
+        self.data[global]
     }
 
     /// Read the first two slots as a pair (`read_from_stream` twice).
@@ -661,17 +629,7 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
                 if pos0 + out.len() <= self.blocks.total() {
                     let g0 = start + pos0;
                     ctx.charge_read_range(self.stream_id, self.layout, g0, out.len(), T::BYTES);
-                    debug_assert!(g0 + out.len() <= self.len);
-                    // SAFETY: the contiguous block was validated against the
-                    // stream length at view creation and `pos0 + out.len()`
-                    // is within it; see the type-level comment for ordering.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            self.data.add(g0),
-                            out.as_mut_ptr(),
-                            out.len(),
-                        );
-                    }
+                    out.copy_from_slice(&self.data[g0..g0 + out.len()]);
                     return;
                 }
             }
@@ -686,58 +644,44 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
 }
 
 /// A random-access (gather) input view: the paper's `gather stream<T>`.
-///
-/// Raw-pointer based for the same reason as [`ReadView`].
 pub struct GatherView<'a, T> {
-    data: *const T,
-    len: usize,
+    data: &'a [T],
     stream_id: u64,
     layout: Layout,
-    _marker: PhantomData<&'a [T]>,
 }
-
-// SAFETY: see `ReadView` — read-only plain-old-data access through a
-// pointer valid for 'a, ordered by the executor.
-unsafe impl<'a, T: StreamElement> Send for GatherView<'a, T> {}
-unsafe impl<'a, T: StreamElement> Sync for GatherView<'a, T> {}
 
 impl<'a, T: StreamElement> GatherView<'a, T> {
     /// Bind a whole stream for gather access.
     pub fn new(stream: &'a Stream<T>) -> Self {
-        let slice = stream.as_slice();
         GatherView {
-            data: slice.as_ptr(),
-            len: slice.len(),
+            data: stream.as_slice(),
             stream_id: stream.cache_tag(),
             layout: stream.layout(),
-            _marker: PhantomData,
         }
     }
 
     /// Length of the gather stream.
     pub fn len(&self) -> usize {
-        self.len
+        self.data.len()
     }
 
     /// Whether the gather stream is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.data.is_empty()
     }
 
     /// Random read of element `index` (the paper's `bitonicTrees[pidx]`).
     #[inline]
     pub fn gather(&self, ctx: &mut KernelCtx<'_>, index: usize) -> T {
-        if index >= self.len {
+        let Some(&v) = self.data.get(index) else {
             ctx.record_error(StreamError::GatherOutOfBounds {
-                stream_len: self.len,
+                stream_len: self.data.len(),
                 index,
             });
             return T::default();
-        }
+        };
         ctx.charge_gather(self.stream_id, self.layout, index, T::BYTES);
-        // SAFETY: `index < self.len` was just checked; ordering against
-        // concurrent writers is the executor's launch/barrier discipline.
-        unsafe { *self.data.add(index) }
+        v
     }
 
     /// Gather the consecutive elements `[start, start + out.len())` into
@@ -746,16 +690,15 @@ impl<'a, T: StreamElement> GatherView<'a, T> {
     /// as one block in batched-accounting mode.
     #[inline]
     pub fn gather_range(&self, ctx: &mut KernelCtx<'_>, start: usize, out: &mut [T]) {
-        if ctx.batched && start + out.len() <= self.len {
-            ctx.charge_gather_range(self.stream_id, self.layout, start, out.len(), T::BYTES);
-            // SAFETY: the range was just bounds-checked; ordering as above.
-            unsafe {
-                std::ptr::copy_nonoverlapping(self.data.add(start), out.as_mut_ptr(), out.len());
+        if ctx.batched {
+            if let Some(src) = self.data.get(start..start.saturating_add(out.len())) {
+                ctx.charge_gather_range(self.stream_id, self.layout, start, out.len(), T::BYTES);
+                out.copy_from_slice(src);
+                return;
             }
-            return;
         }
         for (i, v) in out.iter_mut().enumerate() {
-            *v = self.gather(ctx, start + i);
+            *v = self.gather(ctx, start.saturating_add(i));
         }
     }
 }
@@ -763,43 +706,45 @@ impl<'a, T: StreamElement> GatherView<'a, T> {
 /// A linear output view: the paper's `out stream<T>` written with
 /// `push_onto_stream`.
 ///
-/// Internally the destination slice is shared between processor units
-/// through an [`UnsafeCell`]; soundness rests on the positional access rule
-/// (instance `i` writes only logical positions `i·r .. (i+1)·r`, which are
-/// disjoint across instances) enforced by the slot API.
+/// The view holds the exclusive borrow of its stream for as long as it
+/// lives, so no read view of the same stream can coexist with it:
+///
+/// ```compile_fail,E0502
+/// use stream_arch::{Layout, ReadView, Stream, WriteView};
+///
+/// let mut s: Stream<u32> = Stream::new("s", 8, Layout::Linear);
+/// let read = ReadView::contiguous(&s, 0, 8, 1).unwrap();
+/// let write = WriteView::contiguous(&mut s, 0, 8, 1).unwrap();
+/// drop((read, write));
+/// ```
+///
+/// and likewise for a [`GatherView`]:
+///
+/// ```compile_fail,E0502
+/// use stream_arch::{GatherView, Layout, Stream, WriteView};
+///
+/// let mut s: Stream<u32> = Stream::new("s", 8, Layout::Linear);
+/// let gather = GatherView::new(&s);
+/// let write = WriteView::contiguous(&mut s, 0, 8, 1).unwrap();
+/// drop((gather, write));
+/// ```
 pub struct WriteView<'a, T> {
-    data: &'a UnsafeCell<[T]>,
+    data: &'a mut [T],
     stream_id: u64,
-    layout: Layout,
     blocks: BlockSet,
     per_instance: usize,
-    _marker: PhantomData<&'a mut Stream<T>>,
 }
-
-// SAFETY: distinct kernel instances write disjoint positions (derived from
-// the instance index), and the executor never runs the same instance on two
-// units. Reads of the written data happen only after the launch returns.
-unsafe impl<'a, T: StreamElement> Send for WriteView<'a, T> {}
-unsafe impl<'a, T: StreamElement> Sync for WriteView<'a, T> {}
 
 impl<'a, T: StreamElement> WriteView<'a, T> {
     /// Bind an output substream. Each kernel instance writes exactly
     /// `per_instance` elements.
     pub fn new(stream: &'a mut Stream<T>, blocks: BlockSet, per_instance: usize) -> Result<Self> {
         stream.check_blocks(&blocks)?;
-        let stream_id = stream.id();
-        let layout = stream.layout();
-        let slice: &mut [T] = stream.as_mut_slice();
-        // SAFETY: `&mut [T]` and `&UnsafeCell<[T]>` have the same layout;
-        // the exclusive borrow of the stream is held by this view for 'a.
-        let data: &'a UnsafeCell<[T]> = unsafe { &*(slice as *mut [T] as *const UnsafeCell<[T]>) };
         Ok(WriteView {
-            data,
-            stream_id,
-            layout,
+            stream_id: stream.id(),
+            data: stream.as_mut_slice(),
             blocks,
             per_instance,
-            _marker: PhantomData,
         })
     }
 
@@ -837,9 +782,10 @@ impl<'a, T: StreamElement> WriteView<'a, T> {
     }
 
     /// Write `value` into slot `slot` of this instance's output positions
-    /// (the paper's `push_onto_stream`).
+    /// (the paper's `push_onto_stream`). Writes bypass the texture cache
+    /// (the ROP path), so only the write counters are charged.
     #[inline]
-    pub fn set(&self, ctx: &mut KernelCtx<'_>, slot: usize, value: T) {
+    pub fn set(&mut self, ctx: &mut KernelCtx<'_>, slot: usize, value: T) {
         debug_assert!(slot < self.per_instance, "slot out of range");
         let pos = ctx.instance * self.per_instance + slot;
         if pos >= self.blocks.total() {
@@ -851,18 +797,12 @@ impl<'a, T: StreamElement> WriteView<'a, T> {
         }
         let global = self.blocks.locate(pos);
         ctx.charge_write(T::BYTES);
-        let _ = self.layout; // writes bypass the texture cache (ROP path)
-                             // SAFETY: `global` is unique to (instance, slot); see the type-level
-                             // safety comment.
-        unsafe {
-            let base = self.data.get() as *mut T;
-            *base.add(global) = value;
-        }
+        self.data[global] = value;
     }
 
     /// Write a pair into slots 0 and 1.
     #[inline]
-    pub fn pair(&self, ctx: &mut KernelCtx<'_>, first: T, second: T) {
+    pub fn pair(&mut self, ctx: &mut KernelCtx<'_>, first: T, second: T) {
         self.write_all(ctx, &[first, second]);
     }
 
@@ -873,7 +813,7 @@ impl<'a, T: StreamElement> WriteView<'a, T> {
     /// one block in batched-accounting mode. This is the vectorized write
     /// path the GPU-ABiSort kernels use.
     #[inline]
-    pub fn write_all(&self, ctx: &mut KernelCtx<'_>, values: &[T]) {
+    pub fn write_all(&mut self, ctx: &mut KernelCtx<'_>, values: &[T]) {
         debug_assert!(values.len() <= self.per_instance, "slot out of range");
         if ctx.batched {
             if let Some(start) = self.blocks.contiguous_start() {
@@ -881,14 +821,7 @@ impl<'a, T: StreamElement> WriteView<'a, T> {
                 if pos0 + values.len() <= self.blocks.total() {
                     let g0 = start + pos0;
                     ctx.charge_write_range(values.len(), T::BYTES);
-                    // SAFETY: `g0 .. g0 + values.len()` is unique to this
-                    // instance (disjoint positional ranges) and lies within
-                    // the stream (validated by `check_blocks` at view
-                    // creation); see the type-level safety comment.
-                    unsafe {
-                        let base = (self.data.get() as *mut T).add(g0);
-                        std::ptr::copy_nonoverlapping(values.as_ptr(), base, values.len());
-                    }
+                    self.data[g0..g0 + values.len()].copy_from_slice(values);
                     return;
                 }
             }
@@ -993,7 +926,7 @@ mod tests {
         counters: &'a mut Counters,
         cache: Option<&'a mut CacheSim>,
     ) -> KernelCtx<'a> {
-        let mut ctx = KernelCtx::new(0, counters, cache, usize::MAX, true);
+        let mut ctx = KernelCtx::new(counters, cache, true);
         ctx.begin_instance(instance);
         ctx
     }
@@ -1050,7 +983,7 @@ mod tests {
     fn write_view_writes_disjoint_positions() {
         let mut s: Stream<u32> = Stream::new("out", 8, Layout::Linear);
         {
-            let view = WriteView::contiguous(&mut s, 0, 8, 2).unwrap();
+            let mut view = WriteView::contiguous(&mut s, 0, 8, 2).unwrap();
             let mut c = Counters::new();
             for instance in 0..4 {
                 let mut ctx = test_ctx(instance, &mut c, None);
@@ -1068,7 +1001,7 @@ mod tests {
         let mut s: Stream<u32> = Stream::new("out", 12, Layout::Linear);
         let blocks = BlockSet::multi(vec![(8, 2), (0, 4)]).unwrap();
         {
-            let view = WriteView::new(&mut s, blocks, 2).unwrap();
+            let mut view = WriteView::new(&mut s, blocks, 2).unwrap();
             assert_eq!(view.destination_index(0, 0), 8);
             assert_eq!(view.destination_index(0, 1), 9);
             assert_eq!(view.destination_index(1, 0), 0);
@@ -1086,7 +1019,7 @@ mod tests {
     #[test]
     fn write_view_overflow_reported() {
         let mut s: Stream<u32> = Stream::new("out", 4, Layout::Linear);
-        let view = WriteView::contiguous(&mut s, 0, 4, 2).unwrap();
+        let mut view = WriteView::contiguous(&mut s, 0, 4, 2).unwrap();
         let mut c = Counters::new();
         let mut ctx = test_ctx(2, &mut c, None);
         view.set(&mut ctx, 0, 1);
@@ -1165,7 +1098,7 @@ mod tests {
         let run = |batched: bool| {
             let mut c = Counters::new();
             let mut cache = CacheSim::new(crate::cache::CacheConfig::geforce_like(4));
-            let mut ctx = KernelCtx::new(0, &mut c, Some(&mut cache), usize::MAX, batched);
+            let mut ctx = KernelCtx::new(&mut c, Some(&mut cache), batched);
             let read = ReadView::contiguous(&nodes, 0, 512, 4).unwrap();
             let gather = GatherView::new(&idxs);
             let iter = IterStream::range(0, 512, 4);

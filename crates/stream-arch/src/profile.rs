@@ -48,7 +48,8 @@ pub struct GpuProfile {
     pub cache_miss_ns: f64,
     /// Stream-memory bandwidth in GB/s.
     pub mem_bandwidth_gbs: f64,
-    /// Texture-cache configuration (per unit).
+    /// Configuration of the processor's one texture cache, shared by all
+    /// units (see [`CacheConfig::geforce_like`]).
     pub cache: CacheConfig,
     /// Maximum number of elements along one dimension of a 2D stream.
     pub max_texture_dim: u32,

@@ -163,15 +163,20 @@ impl<T: StreamElement> Stream<T> {
         }
     }
 
-    /// Validate that a block set lies within this stream.
+    /// Validate that a block set lies within this stream. A block whose
+    /// end does not fit in `usize` is out of bounds too; its reported `end`
+    /// saturates at `usize::MAX`.
     pub fn check_blocks(&self, blocks: &BlockSet) -> Result<()> {
         for &(start, len) in blocks.blocks() {
-            if start + len > self.data.len() {
-                return Err(StreamError::SubStreamOutOfBounds {
-                    stream_len: self.data.len(),
-                    start,
-                    end: start + len,
-                });
+            match start.checked_add(len) {
+                Some(end) if end <= self.data.len() => {}
+                end => {
+                    return Err(StreamError::SubStreamOutOfBounds {
+                        stream_len: self.data.len(),
+                        start,
+                        end: end.unwrap_or(usize::MAX),
+                    })
+                }
             }
         }
         Ok(())
@@ -217,21 +222,31 @@ impl<'a, T: StreamElement> SubStream<'a, T> {
 /// substream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSet {
-    /// Inline storage for the single-range case, so the block sets the
-    /// sort drivers build on every launch never touch the allocator.
-    single: [(usize, usize); 1],
-    /// Multi-block storage; empty (unallocated) for single-range sets.
-    blocks: Vec<(usize, usize)>,
-    /// Exclusive prefix sums of block lengths, plus the total at the end;
-    /// empty (unallocated) for single-range sets.
-    prefix: Vec<usize>,
+    repr: Blocks,
     /// Cached total element count, kept inline so the per-access bounds
     /// check does not chase the prefix vector.
     total: usize,
-    /// Start of the single range when the set is one contiguous block —
-    /// the overwhelmingly common case, for which [`BlockSet::locate`]
-    /// degenerates to one addition — `usize::MAX` otherwise.
-    single_start: usize,
+}
+
+/// The two shapes of a [`BlockSet`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Blocks {
+    /// One contiguous range: the block set every sort driver builds on
+    /// every launch. Stored inline, so it never touches the allocator, and
+    /// [`BlockSet::locate`] degenerates to one addition.
+    Single([(usize, usize); 1]),
+    /// Several ranges, with the exclusive prefix sums of their lengths
+    /// (plus the total at the end).
+    Multi {
+        blocks: Vec<(usize, usize)>,
+        prefix: Vec<usize>,
+    },
+}
+
+/// Whether two non-empty ranges share an element, without computing
+/// either end (which may not fit in `usize`).
+fn ranges_overlap((s1, l1): (usize, usize), (s2, l2): (usize, usize)) -> bool {
+    l1 > 0 && l2 > 0 && if s1 <= s2 { s2 - s1 < l1 } else { s1 - s2 < l2 }
 }
 
 impl BlockSet {
@@ -239,11 +254,8 @@ impl BlockSet {
     /// nothing.
     pub fn contiguous(start: usize, len: usize) -> Self {
         BlockSet {
-            single: [(start, len)],
-            blocks: Vec::new(),
-            prefix: Vec::new(),
+            repr: Blocks::Single([(start, len)]),
             total: len,
-            single_start: start,
         }
     }
 
@@ -255,10 +267,10 @@ impl BlockSet {
             for j in i + 1..blocks.len() {
                 let (s1, l1) = blocks[i];
                 let (s2, l2) = blocks[j];
-                if l1 > 0 && l2 > 0 && s1 < s2 + l2 && s2 < s1 + l1 {
+                if ranges_overlap((s1, l1), (s2, l2)) {
                     return Err(StreamError::OverlappingBlocks {
-                        first: (s1, s1 + l1),
-                        second: (s2, s2 + l2),
+                        first: (s1, s1.saturating_add(l1)),
+                        second: (s2, s2.saturating_add(l2)),
                     });
                 }
             }
@@ -268,19 +280,19 @@ impl BlockSet {
         if let [(start, len)] = blocks.as_slice() {
             return Ok(Self::contiguous(*start, *len));
         }
+        // Disjoint blocks that all end within `usize` sum to at most
+        // `usize::MAX`; a sum that saturates belongs to a set with an
+        // overflowing block, which `Stream::check_blocks` rejects.
         let mut prefix = Vec::with_capacity(blocks.len() + 1);
         let mut acc = 0usize;
         prefix.push(0);
         for &(_, len) in &blocks {
-            acc += len;
+            acc = acc.saturating_add(len);
             prefix.push(acc);
         }
         Ok(BlockSet {
-            single: [(0, 0)],
-            blocks,
-            prefix,
+            repr: Blocks::Multi { blocks, prefix },
             total: acc,
-            single_start: usize::MAX,
         })
     }
 
@@ -300,16 +312,18 @@ impl BlockSet {
     /// locate a whole per-instance range with one addition).
     #[inline]
     pub fn contiguous_start(&self) -> Option<usize> {
-        (self.single_start != usize::MAX).then_some(self.single_start)
+        match self.repr {
+            Blocks::Single([(start, _)]) => Some(start),
+            Blocks::Multi { .. } => None,
+        }
     }
 
     /// The raw blocks.
     #[inline]
     pub fn blocks(&self) -> &[(usize, usize)] {
-        if self.single_start != usize::MAX {
-            &self.single
-        } else {
-            &self.blocks
+        match &self.repr {
+            Blocks::Single(single) => single,
+            Blocks::Multi { blocks, .. } => blocks,
         }
     }
 
@@ -321,37 +335,35 @@ impl BlockSet {
     #[inline]
     pub fn locate(&self, pos: usize) -> usize {
         debug_assert!(pos < self.total(), "position {pos} out of substream bounds");
-        // Single contiguous block (every block set the sort drivers build):
-        // one addition, no memory traffic.
-        if self.single_start != usize::MAX {
-            return self.single_start + pos;
+        match &self.repr {
+            // Single contiguous block (every block set the sort drivers
+            // build): one addition, no memory traffic.
+            Blocks::Single([(start, _)]) => start + pos,
+            // The multi-block lists used by tests are tiny (a handful of
+            // blocks), so a linear scan beats binary search in practice
+            // and is branch-predictable.
+            Blocks::Multi { blocks, prefix } => {
+                let mut b = 0;
+                while pos >= prefix[b + 1] {
+                    b += 1;
+                }
+                blocks[b].0 + (pos - prefix[b])
+            }
         }
-        // The multi-block lists used by tests are tiny (a handful of
-        // blocks), so a linear scan beats binary search in practice and is
-        // branch-predictable.
-        let mut b = 0;
-        while pos >= self.prefix[b + 1] {
-            b += 1;
-        }
-        let (start, _) = self.blocks[b];
-        start + (pos - self.prefix[b])
     }
 
     /// True if the given global element index is covered by this block set.
     pub fn contains_index(&self, index: usize) -> bool {
         self.blocks()
             .iter()
-            .any(|&(start, len)| index >= start && index < start + len)
+            .any(|&(start, len)| index >= start && index - start < len)
     }
 
     /// True if any block of `self` overlaps any block of `other`.
     pub fn overlaps(&self, other: &BlockSet) -> bool {
-        self.blocks().iter().any(|&(s1, l1)| {
-            other
-                .blocks()
-                .iter()
-                .any(|&(s2, l2)| l1 > 0 && l2 > 0 && s1 < s2 + l2 && s2 < s1 + l1)
-        })
+        self.blocks()
+            .iter()
+            .any(|&a| other.blocks().iter().any(|&b| ranges_overlap(a, b)))
     }
 }
 
@@ -441,5 +453,60 @@ mod tests {
         let err = s.check_blocks(&BlockSet::contiguous(4, 8)).unwrap_err();
         assert!(matches!(err, StreamError::SubStreamOutOfBounds { .. }));
         assert!(s.check_blocks(&BlockSet::contiguous(0, 8)).is_ok());
+    }
+
+    #[test]
+    fn check_blocks_rejects_a_block_whose_end_overflows() {
+        let s: Stream<u32> = Stream::new("s", 8, Layout::Linear);
+        assert_eq!(
+            s.check_blocks(&BlockSet::contiguous(usize::MAX - 2, 8)),
+            Err(StreamError::SubStreamOutOfBounds {
+                stream_len: 8,
+                start: usize::MAX - 2,
+                end: usize::MAX,
+            })
+        );
+        let multi = BlockSet::multi(vec![(0, 2), (usize::MAX - 1, 4)]).unwrap();
+        assert!(matches!(
+            s.check_blocks(&multi),
+            Err(StreamError::SubStreamOutOfBounds { start, .. }) if start == usize::MAX - 1
+        ));
+    }
+
+    #[test]
+    fn overlap_tests_do_not_overflow_at_the_top_of_the_index_space() {
+        // Disjoint: [MAX-4, MAX-2) and [MAX-2, MAX+3) only touch.
+        assert!(BlockSet::multi(vec![(usize::MAX - 4, 2), (usize::MAX - 2, 5)]).is_ok());
+        let err = BlockSet::multi(vec![(usize::MAX - 4, 3), (usize::MAX - 2, 5)]).unwrap_err();
+        assert_eq!(
+            err,
+            StreamError::OverlappingBlocks {
+                first: (usize::MAX - 4, usize::MAX - 1),
+                second: (usize::MAX - 2, usize::MAX),
+            }
+        );
+        let top = BlockSet::contiguous(usize::MAX - 1, 9);
+        assert!(top.overlaps(&BlockSet::contiguous(usize::MAX, 1)));
+        assert!(!top.overlaps(&BlockSet::contiguous(0, usize::MAX - 1)));
+        assert!(top.contains_index(usize::MAX));
+        assert!(!top.contains_index(0));
+    }
+
+    #[test]
+    fn a_contiguous_set_at_usize_max_stays_a_single_block() {
+        // `usize::MAX` is an ordinary start, not a "multi-block" marker:
+        // the set keeps its one block, so bounds checks see it and
+        // `locate` stays the one-addition path.
+        let b = BlockSet::contiguous(usize::MAX, 1);
+        assert_eq!(b.blocks(), &[(usize::MAX, 1)]);
+        assert_eq!(b.num_blocks(), 1);
+        assert_eq!(b.contiguous_start(), Some(usize::MAX));
+        assert_eq!(b.locate(0), usize::MAX);
+        let s: Stream<u32> = Stream::new("s", 8, Layout::Linear);
+        assert!(matches!(
+            s.check_blocks(&b),
+            Err(StreamError::SubStreamOutOfBounds { .. })
+        ));
+        assert_eq!(BlockSet::multi(vec![(usize::MAX, 1)]).unwrap(), b);
     }
 }

@@ -46,6 +46,7 @@
 //! assert!(sorted.windows(2).all(|w| w[0].key <= w[1].key));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

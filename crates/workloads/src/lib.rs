@@ -13,6 +13,7 @@
 //! bitonic sort relies on for distinctness (Section 4) — and lets tests
 //! verify permutation preservation cheaply.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

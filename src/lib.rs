@@ -40,6 +40,8 @@
 //! println!("simulated time: {:.2} ms", run.sim_time.total_ms);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use abisort;
 pub use baselines;
 pub use pram;
@@ -63,9 +65,7 @@ pub mod prelude {
         SortService, StrKey, StringDictionary, TypedReport, TypedResult, TypedSortClient,
         WalConfig, WideKey,
     };
-    pub use stream_arch::{
-        ExecMode, GpuProfile, Layout, Node, StreamProcessor, TransferModel, Value,
-    };
+    pub use stream_arch::{GpuProfile, Layout, Node, StreamProcessor, TransferModel, Value};
     pub use terasort::{CoreSorter, DiskProfile, SimulatedDisk, TeraSortConfig, TeraSorter};
     pub use workloads;
     pub use workloads::{Distribution, RequestMix};

@@ -77,32 +77,6 @@ fn all_sorters_agree_on_every_distribution() {
 }
 
 #[test]
-fn parallel_host_execution_matches_sequential_host_execution() {
-    let n = 1 << 12;
-    let input = workloads::uniform(n, 123);
-    let sorter = GpuAbiSorter::new(SortConfig::default());
-
-    let mut seq = StreamProcessor::with_mode(GpuProfile::geforce_7800(), ExecMode::Sequential);
-    let seq_run = sorter.sort_run(&mut seq, &input).unwrap();
-
-    let mut par = StreamProcessor::with_mode(GpuProfile::geforce_7800(), ExecMode::Parallel);
-    let par_run = sorter.sort_run(&mut par, &input).unwrap();
-
-    assert_eq!(seq_run.output, par_run.output);
-    // Work-related counters are identical regardless of host execution mode.
-    assert_eq!(
-        seq_run.counters.kernel_instances,
-        par_run.counters.kernel_instances
-    );
-    assert_eq!(seq_run.counters.comparisons, par_run.counters.comparisons);
-    assert_eq!(
-        seq_run.counters.stream_writes,
-        par_run.counters.stream_writes
-    );
-    assert_eq!(seq_run.counters.launches, par_run.counters.launches);
-}
-
-#[test]
 fn gpu_abisort_beats_the_network_sorter_in_stream_operations_and_work() {
     // The asymptotic argument of the paper: O(n log n) adaptive work vs
     // O(n log² n) network work, O(log² n) vs O(log² n)·… stream operations.

@@ -1,10 +1,6 @@
-//! Property tests for the persistent execution engine:
+//! Property tests for the execution engine:
 //!
-//! * the pooled engine agrees with the sequential reference on output
-//!   bytes, all work counters, and the returned error (cache statistics
-//!   and simulated time additionally match whenever the profile has a
-//!   single unit, where the chunk schedules coincide);
-//! * repeated pooled runs are deterministic;
+//! * repeated runs are deterministic;
 //! * batched accounting is byte-identical to the per-access reference
 //!   model, per launch and — against the committed fingerprints of
 //!   `tests/golden_fingerprints.txt` — per sort run;
@@ -18,7 +14,7 @@ mod fingerprints;
 use abisort::{GpuAbiSorter, SortConfig};
 use proptest::prelude::*;
 use stream_arch::{
-    AccountingMode, Counters, ExecMode, GatherView, GpuProfile, Layout, ReadView, SimTime, Stream,
+    AccountingMode, Counters, GatherView, GpuProfile, Layout, ReadView, SimTime, Stream,
     StreamProcessor, WriteView,
 };
 
@@ -34,10 +30,8 @@ struct Shape {
 
 fn shape_strategy() -> impl Strategy<Value = Shape> {
     (
-        // Instance counts on both sides of the executor's small-launch
-        // inline threshold (256): the low arms cover the inline path and
-        // 0/1-instance degenerate shapes, the high arms force dispatch
-        // through the worker pool.
+        // Small and large launches, including 0/1-instance degenerate
+        // shapes.
         prop_oneof![
             3 => 0usize..200,
             1 => Just(0usize),
@@ -69,8 +63,7 @@ fn shape_strategy() -> impl Strategy<Value = Shape> {
         })
 }
 
-/// Outcome of running one shape under one execution mode: everything that
-/// must be reproducible.
+/// Outcome of running one shape: everything that must be reproducible.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     output: Vec<u32>,
@@ -81,14 +74,13 @@ struct Outcome {
 
 /// Run `shape.launches` launches of a kernel that reads, gathers and
 /// writes — and, when poisoned, gathers out of bounds at `fail_at`.
-fn run_shape(shape: &Shape, mode: ExecMode) -> Outcome {
-    run_shape_accounted(shape, mode, AccountingMode::Batched)
+fn run_shape(shape: &Shape) -> Outcome {
+    run_shape_accounted(shape, AccountingMode::Batched)
 }
 
 /// [`run_shape`] under an explicit accounting mode.
-fn run_shape_accounted(shape: &Shape, mode: ExecMode, accounting: AccountingMode) -> Outcome {
-    let mut proc =
-        StreamProcessor::with_mode(GpuProfile::geforce_6800().with_units(shape.units), mode);
+fn run_shape_accounted(shape: &Shape, accounting: AccountingMode) -> Outcome {
+    let mut proc = StreamProcessor::new(GpuProfile::geforce_6800().with_units(shape.units));
     proc.set_accounting_mode(accounting);
     let n = shape.instances;
     let input = Stream::from_vec("in", (0..n as u32).collect(), Layout::ZOrder);
@@ -98,7 +90,7 @@ fn run_shape_accounted(shape: &Shape, mode: ExecMode, accounting: AccountingMode
     for _ in 0..shape.launches {
         let read = ReadView::contiguous(&input, 0, n, 1).unwrap();
         let gather = GatherView::new(&lookup);
-        let write = WriteView::contiguous(&mut out, 0, n, 1).unwrap();
+        let mut write = WriteView::contiguous(&mut out, 0, n, 1).unwrap();
         let fail_at = shape.fail_at;
         let lut_len = lookup.len();
         let result = proc.launch("shape", n, |ctx| {
@@ -125,68 +117,34 @@ fn run_shape_accounted(shape: &Shape, mode: ExecMode, accounting: AccountingMode
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Pooled == sequential on everything the chunk schedule cannot
-    /// change: output bytes, launches/steps, instances, comparisons, and
-    /// the returned error (always the error of the smallest failing
-    /// instance). On single-unit profiles the schedules coincide, so
-    /// cache statistics and simulated time must match too.
+    /// The engine is deterministic run to run.
     #[test]
-    fn pooled_engine_matches_the_sequential_reference(shape in shape_strategy()) {
-        let pooled = run_shape(&shape, ExecMode::Parallel);
-        let seq = run_shape(&shape, ExecMode::Sequential);
-        prop_assert_eq!(&pooled.errors, &seq.errors);
-        prop_assert_eq!(pooled.counters.launches, seq.counters.launches);
-        prop_assert_eq!(pooled.counters.steps, seq.counters.steps);
-        prop_assert_eq!(pooled.counters.kernel_instances, seq.counters.kernel_instances);
-        if shape.fail_at.is_none() {
-            // Error-free launches execute every instance in both modes, so
-            // the work counters and output coincide exactly. (An aborted
-            // sequential launch stops at the failing instance while other
-            // parallel units still run their chunks.)
-            prop_assert_eq!(&pooled.output, &seq.output);
-            prop_assert_eq!(pooled.counters.comparisons, seq.counters.comparisons);
-            prop_assert_eq!(pooled.counters.stream_reads, seq.counters.stream_reads);
-            prop_assert_eq!(pooled.counters.stream_writes, seq.counters.stream_writes);
-            prop_assert_eq!(pooled.counters.gathers, seq.counters.gathers);
-        }
-        if shape.units == 1 {
-            prop_assert_eq!(&pooled.counters, &seq.counters);
-            prop_assert_eq!(&pooled.sim_time, &seq.sim_time);
-        }
-    }
-
-    /// The pooled engine is deterministic run to run.
-    #[test]
-    fn pooled_engine_is_deterministic(shape in shape_strategy()) {
-        let first = run_shape(&shape, ExecMode::Parallel);
-        let second = run_shape(&shape, ExecMode::Parallel);
+    fn engine_is_deterministic(shape in shape_strategy()) {
+        let first = run_shape(&shape);
+        let second = run_shape(&shape);
         prop_assert_eq!(first, second);
     }
 
-    /// Batched accounting == per-access accounting, byte for byte, under
-    /// every execution mode: output bytes, all counters (including the
-    /// per-unit cache statistics merged into them), simulated time and
-    /// returned errors: the identity assertion for the block-accumulation
-    /// cost model, over shapes including 0/1-instance and error-aborted
-    /// launches.
+    /// Batched accounting == per-access accounting, byte for byte: output
+    /// bytes, all counters (the cache statistics included), simulated time
+    /// and returned errors: the identity assertion for the
+    /// block-accumulation cost model, over shapes including 0/1-instance
+    /// and error-aborted launches.
     #[test]
     fn batched_accounting_is_byte_identical_to_per_access(shape in shape_strategy()) {
-        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let batched = run_shape_accounted(&shape, mode, AccountingMode::Batched);
-            let reference = run_shape_accounted(&shape, mode, AccountingMode::PerAccess);
-            prop_assert_eq!(&batched.output, &reference.output);
-            prop_assert_eq!(&batched.counters, &reference.counters);
-            prop_assert_eq!(&batched.sim_time, &reference.sim_time);
-            prop_assert_eq!(&batched.errors, &reference.errors);
-        }
+        let batched = run_shape_accounted(&shape, AccountingMode::Batched);
+        let reference = run_shape_accounted(&shape, AccountingMode::PerAccess);
+        prop_assert_eq!(&batched.output, &reference.output);
+        prop_assert_eq!(&batched.counters, &reference.counters);
+        prop_assert_eq!(&batched.sim_time, &reference.sim_time);
+        prop_assert_eq!(&batched.errors, &reference.errors);
     }
 }
 
 /// Sort-level accounting identity: full GPU-ABiSort runs (which exercise
 /// the bulk view accessors, the vectorized copy launch and the gather
 /// paths) under the per-access reference model reproduce the committed
-/// fingerprints of the batched runs, on both engines and under arena and
-/// plan-cache reuse.
+/// fingerprints of the batched runs, under arena and plan-cache reuse.
 #[test]
 fn batched_sort_runs_are_byte_identical_to_per_access_sort_runs() {
     fingerprints::assert_committed(&fingerprints::lines(AccountingMode::PerAccess, |_, n| {

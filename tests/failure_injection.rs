@@ -31,7 +31,7 @@ fn per_instance_output_budget_is_enforced() {
     // Section 7.1 (which is why the paper's local sort stops at 8 pairs).
     let mut proc = StreamProcessor::new(GpuProfile::geforce_6800());
     let mut out: Stream<Value> = Stream::new("out", 32, Layout::Linear);
-    let write = WriteView::contiguous(&mut out, 0, 32, 9).unwrap();
+    let mut write = WriteView::contiguous(&mut out, 0, 32, 9).unwrap();
     let err = proc
         .launch("too-much-output", 1, |ctx| {
             for slot in 0..9 {
@@ -48,7 +48,7 @@ fn gather_out_of_bounds_aborts_the_launch() {
     let trees: Stream<Node> = Stream::new("trees", 8, Layout::ZOrder);
     let mut out: Stream<Node> = Stream::new("out", 8, Layout::ZOrder);
     let gather = GatherView::new(&trees);
-    let write = WriteView::contiguous(&mut out, 0, 8, 1).unwrap();
+    let mut write = WriteView::contiguous(&mut out, 0, 8, 1).unwrap();
     let err = proc
         .launch("bad-gather", 8, |ctx| {
             // A corrupted child pointer: gather far past the stream end.
@@ -112,7 +112,7 @@ fn input_underflow_and_output_overflow_abort_launches() {
     let mut output: Stream<Value> = Stream::new("out", 4, Layout::Linear);
     {
         let read = ReadView::contiguous(&input, 0, 4, 2).unwrap();
-        let write = WriteView::contiguous(&mut output, 0, 4, 2).unwrap();
+        let mut write = WriteView::contiguous(&mut output, 0, 4, 2).unwrap();
         // 4 instances × 2 reads = 8 reads from a 4-element substream.
         let err = proc
             .launch("underflow", 4, |ctx| {

@@ -2,11 +2,12 @@
 //!
 //! Every line of `tests/golden_fingerprints.txt` is an FNV-1a-64 hash of
 //! one [`GpuAbiSorter`] run: the output bits, every [`Counters`] field
-//! (the merged per-unit cache statistics included) and the bits of
-//! `sim_time.total_ms`. The matrix covers `sort_run`, `sort_segments_run`,
-//! `merge_blocks_run` and `top_k_run` over n ∈ {0, 1, 2, 37, 1000, 1024,
-//! 4097}, uniform, sorted and few-distinct data, on a sequential processor
-//! and on a 3-unit parallel one.
+//! (the cache statistics included) and the bits of `sim_time.total_ms`.
+//! The matrix covers `sort_run`, `sort_segments_run`, `merge_blocks_run`
+//! and `top_k_run` over n ∈ {0, 1, 2, 37, 1000, 1024, 4097}, uniform,
+//! sorted and few-distinct data, on one GeForce 7800 processor. The
+//! `sequential` column of each line names that processor; it is kept so
+//! the committed lines stay byte-identical.
 //!
 //! The file is the identity oracle for host-side engine work: a change to
 //! the executor, the planner, the arena or the accounting that moves an
@@ -18,9 +19,7 @@
 #![allow(dead_code)]
 
 use abisort::{GpuAbiSorter, SortConfig};
-use stream_arch::{
-    AccountingMode, CacheStats, Counters, ExecMode, GpuProfile, StreamProcessor, Value,
-};
+use stream_arch::{AccountingMode, CacheStats, Counters, GpuProfile, StreamProcessor, Value};
 use workloads::Distribution;
 
 /// The committed fingerprint file.
@@ -32,11 +31,6 @@ const DISTRIBUTIONS: [(&str, Distribution); 3] = [
     ("uniform", Distribution::Uniform),
     ("sorted", Distribution::Sorted),
     ("few-distinct", Distribution::FewDistinct { distinct: 4 }),
-];
-
-const MODES: [(&str, ExecMode); 2] = [
-    ("sequential", ExecMode::Sequential),
-    ("parallel3", ExecMode::Parallel),
 ];
 
 const RUNS: [&str; 4] = ["sort", "segments", "merge-blocks", "top-k"];
@@ -113,18 +107,6 @@ fn fingerprint(output: &[Value], counters: &Counters, sim_ms: f64) -> u64 {
     h.0
 }
 
-/// A processor of the matrix: the GeForce 7800 profile, with 3 units for
-/// the parallel engine.
-fn processor(mode: ExecMode, accounting: AccountingMode) -> StreamProcessor {
-    let profile = match mode {
-        ExecMode::Parallel => GpuProfile::geforce_7800().with_units(3),
-        _ => GpuProfile::geforce_7800(),
-    };
-    let mut proc = StreamProcessor::with_mode(profile, mode);
-    proc.set_accounting_mode(accounting);
-    proc
-}
-
 /// `input` padded with distinct padding sentinels to the next power of two
 /// (empty input stays empty).
 fn padded(input: &[Value]) -> Vec<Value> {
@@ -180,24 +162,23 @@ fn run_case(sorter: &GpuAbiSorter, proc: &mut StreamProcessor, run: &str, input:
 }
 
 /// The fingerprint lines of every matrix cell `keep(run, n)` selects, in
-/// file order, each run under `accounting`. One long-lived processor per
-/// execution mode serves all of its cells, as in the service: arena and
-/// plan-cache reuse across runs must not change any record.
+/// file order, each run under `accounting`. One long-lived processor
+/// serves all cells, as in the service: arena and plan-cache reuse across
+/// runs must not change any record.
 pub fn lines(accounting: AccountingMode, keep: impl Fn(&str, usize) -> bool) -> Vec<String> {
     let sorter = GpuAbiSorter::new(SortConfig::default());
+    let mut proc = StreamProcessor::new(GpuProfile::geforce_7800());
+    proc.set_accounting_mode(accounting);
     let mut lines = Vec::new();
-    for (mode_name, mode) in MODES {
-        let mut proc = processor(mode, accounting);
-        for run in RUNS {
-            for (dist_name, dist) in DISTRIBUTIONS {
-                for n in SIZES {
-                    if !keep(run, n) {
-                        continue;
-                    }
-                    let input = workloads::generate(dist, n, 0x5EED + n as u64);
-                    let hash = run_case(&sorter, &mut proc, run, &input);
-                    lines.push(format!("{run} {dist_name} n={n} {mode_name} {hash:016x}"));
+    for run in RUNS {
+        for (dist_name, dist) in DISTRIBUTIONS {
+            for n in SIZES {
+                if !keep(run, n) {
+                    continue;
                 }
+                let input = workloads::generate(dist, n, 0x5EED + n as u64);
+                let hash = run_case(&sorter, &mut proc, run, &input);
+                lines.push(format!("{run} {dist_name} n={n} sequential {hash:016x}"));
             }
         }
     }

@@ -1,10 +1,9 @@
 //! Identity and snapshot properties of the launch-graph planner:
 //!
 //! * **Runs match the committed fingerprints.** Full sorts, segmented
-//!   batch sorts, block merges and top-k runs, on the sequential and the
-//!   pooled parallel engine, hash to the lines of
+//!   batch sorts, block merges and top-k runs hash to the lines of
 //!   `tests/golden_fingerprints.txt`: output bits, every counter including
-//!   the per-unit cache statistics, and simulated time. Plan caching and
+//!   the cache statistics, and simulated time. Plan caching and
 //!   every other host-side engine optimization must leave them unchanged.
 //! * **Plans are cached per problem shape**, and clones share the cache.
 //! * **The plan dump is pinned** against a committed golden snapshot
