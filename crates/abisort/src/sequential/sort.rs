@@ -12,7 +12,8 @@
 
 use super::{classic, simplified};
 use crate::tree::{block_root_index, block_spare_index, BitonicTree};
-use stream_arch::Value;
+use std::convert::Infallible;
+use stream_arch::{padding, Value};
 
 /// Which variant of the adaptive min/max determination to use.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -61,47 +62,37 @@ pub fn adaptive_bitonic_sort(values: &[Value]) -> Vec<Value> {
 ///
 /// The paper assumes power-of-two input lengths ("this can be achieved by
 /// padding the input sequence", Section 4); this function performs that
-/// padding transparently: the input is padded with sentinel elements that
-/// sort after every possible input, sorted, and cut off again. The returned
-/// statistics include the work spent on the padding.
+/// padding transparently through [`stream_arch::padding::sort_padded`]:
+/// the input is padded with sentinel elements that sort after every value
+/// the merges see, sorted, and cut off again. The returned statistics
+/// include the work spent on the padding.
 pub fn adaptive_bitonic_sort_with(
     values: &[Value],
     variant: MergeVariant,
 ) -> (Vec<Value>, SortStats) {
     let mut stats = SortStats::default();
-    let n = values.len();
-    if n <= 1 {
-        return (values.to_vec(), stats);
-    }
-    let padded_len = n.next_power_of_two();
-    let mut padded = values.to_vec();
-    for i in 0..(padded_len - n) {
-        padded.push(Value::padding_sentinel(i));
-    }
-
-    let mut tree = BitonicTree::from_values(&padded);
-    let log_n = padded_len.trailing_zeros();
-
-    for j in 1..=log_n {
-        let block = 1usize << j;
-        for t in 0..padded_len / block {
-            let ascending = t % 2 == 0;
-            let root = block_root_index(t, block);
-            let spare = block_spare_index(t, block);
-            stats.merges += 1;
-            match variant {
-                MergeVariant::Classic => {
-                    classic::merge(tree.nodes_mut(), root, spare, j, ascending, &mut stats)
-                }
-                MergeVariant::Simplified => {
-                    simplified::merge(tree.nodes_mut(), root, spare, j, ascending, &mut stats)
+    let Ok(out) = padding::sort_padded(values, |padded| {
+        let n = padded.len();
+        let mut tree = BitonicTree::from_values(&padded);
+        for j in 1..=n.trailing_zeros() {
+            let block = 1usize << j;
+            for t in 0..n / block {
+                let ascending = t % 2 == 0;
+                let root = block_root_index(t, block);
+                let spare = block_spare_index(t, block);
+                stats.merges += 1;
+                match variant {
+                    MergeVariant::Classic => {
+                        classic::merge(tree.nodes_mut(), root, spare, j, ascending, &mut stats)
+                    }
+                    MergeVariant::Simplified => {
+                        simplified::merge(tree.nodes_mut(), root, spare, j, ascending, &mut stats)
+                    }
                 }
             }
         }
-    }
-
-    let mut out = tree.to_sequence();
-    out.truncate(n);
+        Ok::<_, Infallible>(tree.to_sequence())
+    });
     (out, stats)
 }
 

@@ -15,6 +15,7 @@ use super::plan::{PlanBuffers, PlanKey, SortPlan};
 use crate::config::SortConfig;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use stream_arch::padding::{self, Split};
 use stream_arch::{Counters, Node, Result, SimTime, Stream, StreamProcessor, Value};
 
 /// The GPU-ABiSort sorter: a [`SortConfig`], a cache of recorded launch
@@ -162,7 +163,8 @@ impl GpuAbiSorter {
     ///
     /// Arbitrary input lengths are supported: non-power-of-two inputs are
     /// padded with maximum-key sentinels (the paper’s padding remark in
-    /// Section 4) which are cut off again before returning.
+    /// Section 4; see [`stream_arch::padding`]) which are cut off again
+    /// before returning.
     pub fn sort(&self, proc: &mut StreamProcessor, values: &[Value]) -> Result<Vec<Value>> {
         Ok(self.sort_run(proc, values)?.output)
     }
@@ -172,31 +174,22 @@ impl GpuAbiSorter {
         let started = std::time::Instant::now();
         proc.reset();
 
-        let original_len = values.len();
-        if original_len <= 1 {
-            return Ok(SortRun {
-                output: values.to_vec(),
-                counters: proc.counters(),
-                sim_time: proc.simulated_time(),
-                wall_time: started.elapsed(),
-                padded_len: original_len,
-            });
-        }
-
-        // Pad to a power of two (Section 4) with maximum-key sentinels that keep all
-        // elements distinct. The padded copy lives in a recycled arena
-        // buffer: a service sorting thousands of jobs on one pooled
-        // processor reuses the same allocation run after run.
-        let n = original_len.next_power_of_two();
-        let mut padded = proc.arena().take_capacity::<Value>(n);
-        padded.extend_from_slice(values);
-        for i in 0..(n - original_len) {
-            padded.push(Value::padding_sentinel(i));
-        }
-
-        let mut output = self.run_stream_program(proc, &padded, n.trailing_zeros())?;
-        output.truncate(original_len);
-        proc.arena().put_vec(padded);
+        let split = Split::new(values);
+        let body = split.body();
+        let (mut output, padded_len) = if body.len() <= 1 {
+            (body.to_vec(), body.len())
+        } else {
+            // Pad to a power of two (Section 4). The padded copy lives in a
+            // recycled arena buffer: a service sorting thousands of jobs on
+            // one pooled processor reuses the same allocation run after run.
+            let n = body.len().next_power_of_two();
+            let mut padded = proc.arena().take_capacity::<Value>(n);
+            padding::fill(&mut padded, body, n, &mut 0);
+            let output = self.run_stream_program(proc, &padded, n.trailing_zeros())?;
+            proc.arena().put_vec(padded);
+            (output, n)
+        };
+        split.restore(&mut output);
 
         let counters = proc.counters();
         Ok(SortRun {
@@ -204,7 +197,7 @@ impl GpuAbiSorter {
             sim_time: proc.simulated_time(),
             counters,
             wall_time: started.elapsed(),
-            padded_len: n,
+            padded_len,
         })
     }
 
@@ -225,8 +218,8 @@ impl GpuAbiSorter {
     /// powers of two, `values.len()` is a multiple of `segment_len`, and
     /// the elements of each segment are distinct under the total order
     /// (the adaptive-bitonic precondition; unique `id`s per segment
-    /// suffice). Callers pad short segments with
-    /// [`Value::padding_sentinel`]s and truncate after the run.
+    /// suffice). Callers pad short segments through
+    /// [`stream_arch::padding`] and restore each segment after the run.
     pub fn sort_segments_run(
         &self,
         proc: &mut StreamProcessor,
@@ -275,6 +268,15 @@ impl GpuAbiSorter {
         })
     }
 
+    /// The block size [`Self::top_k_run`] stops the bitonic recursion at
+    /// for the `k` smallest of a `padded_len`-element padded input: `2·k`
+    /// rounded up to a power of two, at least 16 so the Section 7
+    /// optimizations stay applicable, at most `padded_len` when `k` is no
+    /// longer small.
+    pub fn top_k_block(padded_len: usize, k: usize) -> usize {
+        (2 * k.next_power_of_two()).max(16).min(padded_len)
+    }
+
     /// Return the `k` smallest values ascending, returning just the data.
     pub fn top_k(
         &self,
@@ -313,40 +315,38 @@ impl GpuAbiSorter {
         let started = std::time::Instant::now();
         proc.reset();
 
-        let original_len = values.len();
-        let k = k.min(original_len);
-        if original_len <= 1 || k == 0 {
-            let mut output = values[..k].to_vec();
-            output.sort();
+        let split = Split::new(values);
+        let body = split.body();
+        let k = k.min(values.len());
+        let body_k = k.min(body.len());
+        if body.len() <= 1 || body_k == 0 {
+            let mut output = body[..body_k].to_vec();
+            split.restore_top_k(&mut output, k);
             return Ok(TopKRun {
                 output,
                 counters: proc.counters(),
                 sim_time: proc.simulated_time(),
                 wall_time: started.elapsed(),
-                block_len: original_len,
-                padded_len: original_len,
+                block_len: body.len(),
+                padded_len: body.len(),
             });
         }
 
-        let n = original_len.next_power_of_two();
-        // Stop the recursion at blocks of 2·k (min 16 so the Section 7
-        // optimizations stay applicable, max n when k is no longer small).
-        let block = (2 * k.next_power_of_two()).max(16).min(n);
+        let n = body.len().next_power_of_two();
+        let block = Self::top_k_block(n, body_k);
 
         let mut padded = proc.arena().take_capacity::<Value>(n);
-        padded.extend_from_slice(values);
-        for i in 0..(n - original_len) {
-            padded.push(Value::padding_sentinel(i));
-        }
+        padding::fill(&mut padded, body, n, &mut 0);
         let blocks = self.run_stream_program(proc, &padded, block.trailing_zeros())?;
         proc.arena().put_vec(padded);
 
-        // Candidate runs: the k smallest of each block, ascending. Even
-        // blocks are sorted ascending (take the prefix), odd blocks
+        // Candidate runs: the body_k smallest of each block, ascending.
+        // Even blocks are sorted ascending (take the prefix), odd blocks
         // descending (take the suffix, reversed) — the Listing 3/4
-        // alternating-direction convention. Padding sentinels are the
-        // maximum keys, so with k ≤ original_len they never make the cut.
-        let take = k.min(block);
+        // alternating-direction convention. Padding sentinels are greater
+        // than the whole body, so with body_k ≤ body.len() they never make
+        // the cut.
+        let take = body_k.min(block);
         let runs: Vec<Vec<Value>> = blocks
             .chunks(block)
             .enumerate()
@@ -367,13 +367,14 @@ impl GpuAbiSorter {
             }
         }
         let mut output = Vec::with_capacity(k);
-        while output.len() < k {
+        while output.len() < body_k {
             let std::cmp::Reverse((value, r, i)) = heap.pop().expect("k candidates exist");
             output.push(value);
             if let Some(&next) = runs[r].get(i + 1) {
                 heap.push(std::cmp::Reverse((next, r, i + 1)));
             }
         }
+        split.restore_top_k(&mut output, k);
 
         let counters = proc.counters();
         Ok(TopKRun {
@@ -857,29 +858,26 @@ mod tests {
     #[test]
     fn segmented_sort_with_sentinel_padding_truncates_cleanly() {
         // Two jobs of uneven length padded into 16-element segments: after
-        // the run the sentinels sit at the end of each segment, so cutting
-        // each segment back to its job length yields the per-job sorted
-        // data.
+        // the run the sentinels sit at the end of each segment, so
+        // restoring each segment yields the per-job sorted data.
         let jobs: Vec<Vec<Value>> = vec![workloads::uniform(11, 1), workloads::uniform(5, 2)];
+        let splits: Vec<Split<'_>> = jobs.iter().map(|job| Split::new(job)).collect();
         let segment_len = 16;
         let mut packed = Vec::new();
         let mut pad = 0usize;
-        for job in &jobs {
-            packed.extend_from_slice(job);
-            for _ in job.len()..segment_len {
-                packed.push(Value::padding_sentinel(pad));
-                pad += 1;
-            }
+        for (t, split) in splits.iter().enumerate() {
+            padding::fill(&mut packed, split.body(), (t + 1) * segment_len, &mut pad);
         }
         let mut proc = StreamProcessor::new(GpuProfile::geforce_6800());
         let run = GpuAbiSorter::new(SortConfig::default())
             .sort_segments_run(&mut proc, &packed, segment_len)
             .unwrap();
-        for (t, job) in jobs.iter().enumerate() {
-            let got = &run.output[t * segment_len..t * segment_len + job.len()];
+        for (t, (job, split)) in jobs.iter().zip(&splits).enumerate() {
+            let mut got = run.output[t * segment_len..(t + 1) * segment_len].to_vec();
+            split.restore(&mut got);
             let mut expected = job.clone();
             expected.sort();
-            assert_eq!(got, &expected[..], "job {t}");
+            assert_eq!(got, expected, "job {t}");
         }
     }
 

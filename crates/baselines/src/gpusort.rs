@@ -56,10 +56,7 @@ impl GpuSortBaseline {
 
     /// Sort ascending on the given stream processor.
     pub fn sort(&self, proc: &mut StreamProcessor, values: &[Value]) -> Result<NetworkRun> {
-        run_network_padded(proc, values, self.layout, Self::passes_for, |pass, i| {
-            let n = values.len().next_power_of_two();
-            bitonic_role(n, pass, i)
-        })
+        run_network_padded(proc, values, self.layout, Self::passes_for, bitonic_role)
     }
 }
 

@@ -14,6 +14,7 @@
 //! pure function of the element index — [`run_network`] takes that function
 //! and handles the ping-pong, cost accounting and result read-back.
 
+use stream_arch::padding;
 use stream_arch::{
     Counters, GatherView, GpuProfile, Layout, ReadView, Result, SimTime, Stream, StreamProcessor,
     Value, WriteView,
@@ -129,8 +130,9 @@ where
     })
 }
 
-/// Pad to a power of two with maximum-key sentinels, run the network, and cut the
-/// sentinels off again. Used by the public sorter types.
+/// Pad to a power of two through [`padding::sort_padded`], run the
+/// network, and cut the sentinels off again; `role(n, pass, element)` gets
+/// the padded length `n`. Used by the public sorter types.
 pub fn run_network_padded<F>(
     proc: &mut StreamProcessor,
     values: &[Value],
@@ -139,26 +141,25 @@ pub fn run_network_padded<F>(
     role: F,
 ) -> Result<NetworkRun>
 where
-    F: Fn(usize, usize) -> Role,
+    F: Fn(usize, usize, usize) -> Role,
 {
-    let original = values.len();
-    if original <= 1 {
+    let mut network = None;
+    let output = padding::sort_padded(values, |padded| {
+        let n = padded.len();
+        let run = run_network(proc, &padded, layout, passes_for(n), |p, i| role(n, p, i))?;
+        Ok(std::mem::take(&mut network.insert(run).output))
+    })?;
+    let mut run = network.unwrap_or_else(|| {
         proc.reset();
-        return Ok(NetworkRun {
-            output: values.to_vec(),
+        NetworkRun {
+            output: Vec::new(),
             counters: proc.counters(),
             sim_time: proc.simulated_time(),
             wall_time: std::time::Duration::ZERO,
             passes: 0,
-        });
-    }
-    let n = original.next_power_of_two();
-    let mut padded = values.to_vec();
-    for i in 0..(n - original) {
-        padded.push(Value::padding_sentinel(i));
-    }
-    let mut run = run_network(proc, &padded, layout, passes_for(n), role)?;
-    run.output.truncate(original);
+        }
+    });
+    run.output = output;
     Ok(run)
 }
 
@@ -221,13 +222,12 @@ mod tests {
     fn padded_runner_handles_arbitrary_lengths_and_tiny_inputs() {
         let input = workloads::uniform(5, 2);
         let mut proc = default_processor();
-        let run =
-            run_network_padded(&mut proc, &input, Layout::Linear, |_| 1, adjacent_role).unwrap();
+        let role = |_, pass, i| adjacent_role(pass, i);
+        let run = run_network_padded(&mut proc, &input, Layout::Linear, |_| 1, role).unwrap();
         assert_eq!(run.output.len(), 5);
 
         let single = vec![Value::new(1.0, 0)];
-        let run =
-            run_network_padded(&mut proc, &single, Layout::Linear, |_| 1, adjacent_role).unwrap();
+        let run = run_network_padded(&mut proc, &single, Layout::Linear, |_| 1, role).unwrap();
         assert_eq!(run.output, single);
         assert_eq!(run.passes, 0);
     }

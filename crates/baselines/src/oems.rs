@@ -37,14 +37,7 @@ impl OddEvenMergeSort {
 
     /// Sort ascending on the given stream processor.
     pub fn sort(&self, proc: &mut StreamProcessor, values: &[Value]) -> Result<NetworkRun> {
-        let n = values.len().next_power_of_two().max(2);
-        run_network_padded(
-            proc,
-            values,
-            self.layout,
-            Self::passes_for,
-            move |pass, i| odd_even_role(n, pass, i),
-        )
+        run_network_padded(proc, values, self.layout, Self::passes_for, odd_even_role)
     }
 }
 

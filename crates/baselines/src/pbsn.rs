@@ -39,18 +39,10 @@ impl PeriodicBalancedSort {
 
     /// Sort ascending on the given stream processor.
     pub fn sort(&self, proc: &mut StreamProcessor, values: &[Value]) -> Result<NetworkRun> {
-        let n = values.len().next_power_of_two().max(2);
-        let log_n = n.trailing_zeros() as usize;
-        run_network_padded(
-            proc,
-            values,
-            self.layout,
-            Self::passes_for,
-            move |pass, i| {
-                let step = pass % log_n; // step within the current period
-                balanced_role(n, step, i)
-            },
-        )
+        run_network_padded(proc, values, self.layout, Self::passes_for, |n, pass, i| {
+            let step = pass % n.trailing_zeros() as usize; // step within the current period
+            balanced_role(n, step, i)
+        })
     }
 }
 

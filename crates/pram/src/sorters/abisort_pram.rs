@@ -25,7 +25,7 @@
 //! ever touches a node from two processors — the exclusivity argument the
 //! paper's Figure 6 layout makes for the stream version.
 
-use super::{block_ascending, out_of_order, pad_to_power_of_two, SortRun};
+use super::{block_ascending, out_of_order, SortRun};
 use crate::error::Result;
 use crate::machine::{Pram, PramModel, ProcCtx};
 use stream_arch::{Node, Value, NULL_INDEX};
@@ -62,36 +62,20 @@ pub fn sort(values: &[Value]) -> Result<SortRun> {
 
 /// Sort `values` ascending on an EREW-PRAM with the chosen schedule.
 pub fn sort_with_schedule(values: &[Value], schedule: Schedule) -> Result<SortRun> {
-    let original_len = values.len();
-    if original_len <= 1 {
-        return Ok(SortRun {
-            output: values.to_vec(),
-            stats: Default::default(),
-            model: PramModel::Erew,
-            padded_len: original_len,
-        });
-    }
+    SortRun::padded(values, PramModel::Erew, |padded| {
+        let n = padded.len();
+        let log_n = n.trailing_zeros();
 
-    let padded = pad_to_power_of_two(values);
-    let n = padded.len();
-    let log_n = n.trailing_zeros();
+        let mut pram: Pram<Node> = Pram::from_vec(initial_nodes(&padded), PramModel::Erew);
 
-    let mut pram: Pram<Node> = Pram::from_vec(initial_nodes(&padded), PramModel::Erew);
+        for j in 1..=log_n {
+            merge_level(&mut pram, n, j, schedule)?;
+        }
 
-    for j in 1..=log_n {
-        merge_level(&mut pram, n, j, schedule)?;
-    }
-
-    let mut output = Vec::with_capacity(n);
-    in_order(pram.memory(), n / 2 - 1, log_n, &mut output);
-    output.push(pram.memory()[n - 1].value);
-    output.truncate(original_len);
-
-    Ok(SortRun {
-        output,
-        stats: pram.take_stats(),
-        model: PramModel::Erew,
-        padded_len: n,
+        let mut output = Vec::with_capacity(n);
+        in_order(pram.memory(), n / 2 - 1, log_n, &mut output);
+        output.push(pram.memory()[n - 1].value);
+        Ok((output, pram.take_stats()))
     })
 }
 
@@ -339,16 +323,7 @@ fn phase_i(ctx: &mut ProcCtx<'_, Node>, inst: Instance) -> PhaseOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn assert_sorted_permutation(input: &[Value], output: &[Value]) {
-        assert_eq!(input.len(), output.len());
-        assert!(output.windows(2).all(|w| w[0] <= w[1]), "output not sorted");
-        let mut a: Vec<_> = input.to_vec();
-        let mut b: Vec<_> = output.to_vec();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
+    use crate::sorters::tests::assert_sorted_permutation;
 
     #[test]
     fn sorts_random_inputs_with_both_schedules() {
@@ -359,16 +334,6 @@ mod tests {
                 let run = sort_with_schedule(&input, schedule).unwrap();
                 assert_sorted_permutation(&input, &run.output);
             }
-        }
-    }
-
-    #[test]
-    fn sorts_non_power_of_two_inputs() {
-        for &n in &[3usize, 5, 100, 777, 1000] {
-            let input = workloads::uniform(n, n as u64);
-            let run = sort(&input).unwrap();
-            assert_eq!(run.output.len(), n);
-            assert_sorted_permutation(&input, &run.output);
         }
     }
 
@@ -508,17 +473,6 @@ mod tests {
         assert_eq!(steps_per_level(4, Schedule::Overlapped), 7);
         assert_eq!(steps_per_level(4, Schedule::SequentialStages), 10);
         assert_eq!(total_steps(16, Schedule::Overlapped), 1 + 3 + 5 + 7);
-    }
-
-    #[test]
-    fn tiny_inputs_pass_through() {
-        assert!(sort(&[]).unwrap().output.is_empty());
-        let one = vec![Value::new(1.0, 0)];
-        assert_eq!(sort(&one).unwrap().output, one);
-        let two = vec![Value::new(5.0, 0), Value::new(2.0, 1)];
-        let run = sort(&two).unwrap();
-        assert_eq!(run.output[0].key, 2.0);
-        assert_eq!(run.output[1].key, 5.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! but performs `Θ(n log² n)` comparisons, which is the non-optimal work the
 //! paper's contribution removes.
 
-use super::{pad_to_power_of_two, SortRun};
+use super::SortRun;
 use crate::error::Result;
 use crate::machine::{Pram, PramModel};
 use stream_arch::Value;
@@ -22,56 +22,41 @@ pub fn steps_for(n: usize) -> u64 {
 /// Sort `values` ascending with Batcher's bitonic network, one PRAM step per
 /// network stage with `n/2` compare-exchange processors.
 pub fn sort(values: &[Value]) -> Result<SortRun> {
-    let original_len = values.len();
-    if original_len <= 1 {
-        return Ok(SortRun {
-            output: values.to_vec(),
-            stats: Default::default(),
-            model: PramModel::Erew,
-            padded_len: original_len,
-        });
-    }
+    SortRun::padded(values, PramModel::Erew, |padded| {
+        let n = padded.len();
+        let mut pram: Pram<Value> = Pram::from_vec(padded, PramModel::Erew);
 
-    let padded = pad_to_power_of_two(values);
-    let n = padded.len();
-    let mut pram: Pram<Value> = Pram::from_vec(padded, PramModel::Erew);
-
-    // Standard bitonic network: block size k doubles every (outer) stage,
-    // the comparator distance j halves within a stage.
-    let mut k = 2usize;
-    while k <= n {
-        let mut j = k / 2;
-        while j >= 1 {
-            pram.step(n / 2, |pair, ctx| {
-                // The `pair`-th comparator of this stage: skip indices whose
-                // j-bit is set so that every (i, i^j) pair appears once.
-                let i = expand_index(pair, j);
-                let partner = i ^ j;
-                let ascending = i & k == 0;
-                let a = ctx.read(i);
-                let b = ctx.read(partner);
-                ctx.charge_comparison();
-                let (lo, hi) = if a.gt(&b) { (b, a) } else { (a, b) };
-                if ascending {
-                    ctx.write(i, lo);
-                    ctx.write(partner, hi);
-                } else {
-                    ctx.write(i, hi);
-                    ctx.write(partner, lo);
-                }
-            })?;
-            j /= 2;
+        // Standard bitonic network: block size k doubles every (outer) stage,
+        // the comparator distance j halves within a stage.
+        let mut k = 2usize;
+        while k <= n {
+            let mut j = k / 2;
+            while j >= 1 {
+                pram.step(n / 2, |pair, ctx| {
+                    // The `pair`-th comparator of this stage: skip indices whose
+                    // j-bit is set so that every (i, i^j) pair appears once.
+                    let i = expand_index(pair, j);
+                    let partner = i ^ j;
+                    let ascending = i & k == 0;
+                    let a = ctx.read(i);
+                    let b = ctx.read(partner);
+                    ctx.charge_comparison();
+                    let (lo, hi) = if a.gt(&b) { (b, a) } else { (a, b) };
+                    if ascending {
+                        ctx.write(i, lo);
+                        ctx.write(partner, hi);
+                    } else {
+                        ctx.write(i, hi);
+                        ctx.write(partner, lo);
+                    }
+                })?;
+                j /= 2;
+            }
+            k *= 2;
         }
-        k *= 2;
-    }
 
-    let mut output = pram.memory().to_vec();
-    output.truncate(original_len);
-    Ok(SortRun {
-        output,
-        stats: pram.take_stats(),
-        model: PramModel::Erew,
-        padded_len: n,
+        let stats = pram.take_stats();
+        Ok((pram.memory().to_vec(), stats))
     })
 }
 
@@ -89,16 +74,7 @@ fn expand_index(pair: usize, j: usize) -> usize {
 mod tests {
     use super::*;
     use crate::machine::PramModel;
-
-    fn assert_sorted_permutation(input: &[Value], output: &[Value]) {
-        assert_eq!(input.len(), output.len());
-        assert!(output.windows(2).all(|w| w[0] <= w[1]), "output not sorted");
-        let mut a: Vec<_> = input.to_vec();
-        let mut b: Vec<_> = output.to_vec();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "output is not a permutation of the input");
-    }
+    use crate::sorters::tests::assert_sorted_permutation;
 
     #[test]
     fn expand_index_enumerates_every_comparator_exactly_once() {
@@ -125,17 +101,6 @@ mod tests {
             let input = workloads::uniform(n, log_n as u64);
             let run = sort(&input).unwrap();
             assert_sorted_permutation(&input, &run.output);
-        }
-    }
-
-    #[test]
-    fn sorts_non_power_of_two_inputs() {
-        for &n in &[3usize, 5, 100, 1000, 1023] {
-            let input = workloads::uniform(n, n as u64);
-            let run = sort(&input).unwrap();
-            assert_eq!(run.output.len(), n);
-            assert_sorted_permutation(&input, &run.output);
-            assert_eq!(run.padded_len, n.next_power_of_two());
         }
     }
 
@@ -182,13 +147,6 @@ mod tests {
             counts.insert(sort(&input).unwrap().stats.comparisons());
         }
         assert_eq!(counts.len(), 1);
-    }
-
-    #[test]
-    fn tiny_inputs_pass_through() {
-        assert!(sort(&[]).unwrap().output.is_empty());
-        let one = vec![Value::new(4.0, 0)];
-        assert_eq!(sort(&one).unwrap().output, one);
     }
 
     #[test]

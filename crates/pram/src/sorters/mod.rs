@@ -11,17 +11,19 @@
 //!   Section 2.1.
 //!
 //! All sorters take a slice of [`Value`]s of arbitrary length, pad to a
-//! power of two internally (Section 4 of the paper), and return a
-//! [`SortRun`] with the sorted output and the machine statistics.
+//! power of two through [`stream_arch::padding`] (Section 4 of the
+//! paper), and return a [`SortRun`] with the sorted output and the
+//! machine statistics.
 
 pub mod abisort_pram;
 pub mod bitonic_network;
 pub mod oem_network;
 pub mod rank_merge;
 
+use crate::error::Result;
 use crate::machine::PramModel;
 use crate::metrics::PramStats;
-use stream_arch::Value;
+use stream_arch::{padding, Value};
 
 /// The result of running one PRAM sorter.
 #[derive(Clone, Debug)]
@@ -36,16 +38,30 @@ pub struct SortRun {
     pub padded_len: usize,
 }
 
-/// Pad `values` to the next power of two with maximum-key sentinels
-/// (Section 4: "this can be achieved by padding the input sequence").
-pub(crate) fn pad_to_power_of_two(values: &[Value]) -> Vec<Value> {
-    let n = values.len();
-    let padded_len = n.next_power_of_two().max(1);
-    let mut padded = values.to_vec();
-    for i in 0..(padded_len - n) {
-        padded.push(Value::padding_sentinel(i));
+impl SortRun {
+    /// Run `machine` on `values` padded through [`padding::sort_padded`]:
+    /// it gets the padded input and returns the sorted memory and its
+    /// statistics. No machine runs (and `padded_len` is at most 1) when
+    /// fewer than two values need sorting.
+    pub(crate) fn padded(
+        values: &[Value],
+        model: PramModel,
+        machine: impl FnOnce(Vec<Value>) -> Result<(Vec<Value>, PramStats)>,
+    ) -> Result<SortRun> {
+        let (mut stats, mut padded_len) = (PramStats::default(), values.len().min(1));
+        let output = padding::sort_padded(values, |padded| {
+            padded_len = padded.len();
+            let output;
+            (output, stats) = machine(padded)?;
+            Ok(output)
+        })?;
+        Ok(SortRun {
+            output,
+            stats,
+            model,
+            padded_len,
+        })
     }
-    padded
 }
 
 /// Direction of the `t`-th block of a recursion level: even blocks ascend,
@@ -62,26 +78,40 @@ pub(crate) fn out_of_order(a: &Value, b: &Value, ascending: bool) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn padding_reaches_the_next_power_of_two_and_sorts_last() {
-        let input: Vec<Value> = (0..5).map(|i| Value::new(i as f32, i)).collect();
-        let padded = pad_to_power_of_two(&input);
-        assert_eq!(padded.len(), 8);
-        assert_eq!(&padded[..5], &input[..]);
-        for pad in &padded[5..] {
-            for original in &input {
-                assert!(pad.gt(original));
-            }
-        }
+    pub(crate) fn assert_sorted_permutation(input: &[Value], output: &[Value]) {
+        let mut expected = input.to_vec();
+        expected.sort();
+        assert_eq!(output, expected, "output is not the sorted input");
     }
 
     #[test]
-    fn padding_keeps_power_of_two_lengths_unchanged() {
-        let input: Vec<Value> = (0..8).map(|i| Value::new(i as f32, i)).collect();
-        assert_eq!(pad_to_power_of_two(&input), input);
+    fn every_sorter_sorts_tiny_odd_and_sentinel_key_inputs() {
+        type Sorter = fn(&[Value]) -> Result<SortRun>;
+        let sorters: [Sorter; 4] = [
+            abisort_pram::sort,
+            bitonic_network::sort,
+            oem_network::sort,
+            rank_merge::sort,
+        ];
+        let sizes = [0usize, 1, 2, 3, 5, 7, 100, 777, 1000, 1023, 1025];
+        // The padding sentinel's key with the first sentinel's id.
+        let mut probe: Vec<Value> = (0..4).map(|i| Value::new(i as f32, i)).collect();
+        probe.push(Value::new(f32::from_bits(i32::MAX as u32), u32::MAX));
+        for sort in sorters {
+            for &n in &sizes {
+                let input = workloads::uniform(n, n as u64);
+                let run = sort(&input).unwrap();
+                assert_sorted_permutation(&input, &run.output);
+                let padded_len = if n == 0 { 0 } else { n.next_power_of_two() };
+                assert_eq!(run.padded_len, padded_len);
+            }
+            let run = sort(&probe).unwrap();
+            assert_sorted_permutation(&probe, &run.output);
+            assert_eq!(run.padded_len, 4);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! with fewer comparators per step on average — still `Θ(n log² n)` work,
 //! i.e. the same asymptotic surcharge over adaptive bitonic sorting.
 
-use super::{pad_to_power_of_two, SortRun};
+use super::SortRun;
 use crate::error::Result;
 use crate::machine::{Pram, PramModel};
 use stream_arch::Value;
@@ -39,46 +39,31 @@ fn comparators(n: usize, p: usize, k: usize) -> Vec<(usize, usize)> {
 /// Sort `values` ascending with the odd-even merge sort network, one PRAM
 /// step per network stage.
 pub fn sort(values: &[Value]) -> Result<SortRun> {
-    let original_len = values.len();
-    if original_len <= 1 {
-        return Ok(SortRun {
-            output: values.to_vec(),
-            stats: Default::default(),
-            model: PramModel::Erew,
-            padded_len: original_len,
-        });
-    }
+    SortRun::padded(values, PramModel::Erew, |padded| {
+        let n = padded.len();
+        let mut pram: Pram<Value> = Pram::from_vec(padded, PramModel::Erew);
 
-    let padded = pad_to_power_of_two(values);
-    let n = padded.len();
-    let mut pram: Pram<Value> = Pram::from_vec(padded, PramModel::Erew);
-
-    let mut p = 1usize;
-    while p < n {
-        let mut k = p;
-        while k >= 1 {
-            let pairs = comparators(n, p, k);
-            pram.step(pairs.len(), |t, ctx| {
-                let (lo_idx, hi_idx) = pairs[t];
-                let a = ctx.read(lo_idx);
-                let b = ctx.read(hi_idx);
-                ctx.charge_comparison();
-                let (lo, hi) = if a.gt(&b) { (b, a) } else { (a, b) };
-                ctx.write(lo_idx, lo);
-                ctx.write(hi_idx, hi);
-            })?;
-            k /= 2;
+        let mut p = 1usize;
+        while p < n {
+            let mut k = p;
+            while k >= 1 {
+                let pairs = comparators(n, p, k);
+                pram.step(pairs.len(), |t, ctx| {
+                    let (lo_idx, hi_idx) = pairs[t];
+                    let a = ctx.read(lo_idx);
+                    let b = ctx.read(hi_idx);
+                    ctx.charge_comparison();
+                    let (lo, hi) = if a.gt(&b) { (b, a) } else { (a, b) };
+                    ctx.write(lo_idx, lo);
+                    ctx.write(hi_idx, hi);
+                })?;
+                k /= 2;
+            }
+            p *= 2;
         }
-        p *= 2;
-    }
 
-    let mut output = pram.memory().to_vec();
-    output.truncate(original_len);
-    Ok(SortRun {
-        output,
-        stats: pram.take_stats(),
-        model: PramModel::Erew,
-        padded_len: n,
+        let stats = pram.take_stats();
+        Ok((pram.memory().to_vec(), stats))
     })
 }
 
@@ -86,16 +71,7 @@ pub fn sort(values: &[Value]) -> Result<SortRun> {
 mod tests {
     use super::*;
     use crate::sorters::bitonic_network;
-
-    fn assert_sorted_permutation(input: &[Value], output: &[Value]) {
-        assert_eq!(input.len(), output.len());
-        assert!(output.windows(2).all(|w| w[0] <= w[1]), "output not sorted");
-        let mut a: Vec<_> = input.to_vec();
-        let mut b: Vec<_> = output.to_vec();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
+    use crate::sorters::tests::assert_sorted_permutation;
 
     #[test]
     fn comparator_pairs_are_disjoint_within_a_step() {
@@ -125,16 +101,6 @@ mod tests {
             let n = 1usize << log_n;
             let input = workloads::uniform(n, 90 + log_n as u64);
             let run = sort(&input).unwrap();
-            assert_sorted_permutation(&input, &run.output);
-        }
-    }
-
-    #[test]
-    fn sorts_non_power_of_two_inputs() {
-        for &n in &[3usize, 5, 100, 1000, 1023] {
-            let input = workloads::uniform(n, n as u64);
-            let run = sort(&input).unwrap();
-            assert_eq!(run.output.len(), n);
             assert_sorted_permutation(&input, &run.output);
         }
     }
@@ -188,12 +154,5 @@ mod tests {
             let b = bitonic_network::sort(&input).unwrap().output;
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn tiny_inputs_pass_through() {
-        assert!(sort(&[]).unwrap().output.is_empty());
-        let one = vec![Value::new(2.0, 0)];
-        assert_eq!(sort(&one).unwrap().output, one);
     }
 }

@@ -22,7 +22,7 @@
 //! gap adaptive bitonic sorting closes. (Cole's pipelined merge sort itself
 //! is not implemented; DESIGN.md records the substitution.)
 
-use super::{pad_to_power_of_two, SortRun};
+use super::SortRun;
 use crate::error::Result;
 use crate::machine::{Pram, PramModel, ProcCtx};
 use stream_arch::Value;
@@ -33,43 +33,28 @@ use stream_arch::Value;
 /// processor performs its whole binary search within the step; the step
 /// duration is the maximum number of accesses, i.e. `Θ(log m)`).
 pub fn sort(values: &[Value]) -> Result<SortRun> {
-    let original_len = values.len();
-    if original_len <= 1 {
-        return Ok(SortRun {
-            output: values.to_vec(),
-            stats: Default::default(),
-            model: PramModel::Crew,
-            padded_len: original_len,
-        });
-    }
+    SortRun::padded(values, PramModel::Crew, |padded| {
+        let n = padded.len();
 
-    let padded = pad_to_power_of_two(values);
-    let n = padded.len();
+        // Double-buffered shared memory: [0, n) is the source, [n, 2n) the
+        // destination of the current level; the roles swap every level.
+        let mut mem = padded;
+        mem.resize(2 * n, Value::default());
+        let mut pram: Pram<Value> = Pram::from_vec(mem, PramModel::Crew);
 
-    // Double-buffered shared memory: [0, n) is the source, [n, 2n) the
-    // destination of the current level; the roles swap every level.
-    let mut mem = padded;
-    mem.resize(2 * n, Value::default());
-    let mut pram: Pram<Value> = Pram::from_vec(mem, PramModel::Crew);
+        let mut src = 0usize;
+        let mut dst = n;
+        let mut run = 1usize;
+        while run < n {
+            pram.step(n, |i, ctx| {
+                merge_task(ctx, i, src, dst, run);
+            })?;
+            std::mem::swap(&mut src, &mut dst);
+            run *= 2;
+        }
 
-    let mut src = 0usize;
-    let mut dst = n;
-    let mut run = 1usize;
-    while run < n {
-        pram.step(n, |i, ctx| {
-            merge_task(ctx, i, src, dst, run);
-        })?;
-        std::mem::swap(&mut src, &mut dst);
-        run *= 2;
-    }
-
-    let mut output = pram.memory()[src..src + n].to_vec();
-    output.truncate(original_len);
-    Ok(SortRun {
-        output,
-        stats: pram.take_stats(),
-        model: PramModel::Crew,
-        padded_len: n,
+        let stats = pram.take_stats();
+        Ok((pram.memory()[src..src + n].to_vec(), stats))
     })
 }
 
@@ -127,16 +112,7 @@ fn binary_rank(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn assert_sorted_permutation(input: &[Value], output: &[Value]) {
-        assert_eq!(input.len(), output.len());
-        assert!(output.windows(2).all(|w| w[0] <= w[1]), "output not sorted");
-        let mut a: Vec<_> = input.to_vec();
-        let mut b: Vec<_> = output.to_vec();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-    }
+    use crate::sorters::tests::assert_sorted_permutation;
 
     #[test]
     fn sorts_random_inputs() {
@@ -144,16 +120,6 @@ mod tests {
             let n = 1usize << log_n;
             let input = workloads::uniform(n, 40 + log_n as u64);
             let run = sort(&input).unwrap();
-            assert_sorted_permutation(&input, &run.output);
-        }
-    }
-
-    #[test]
-    fn sorts_non_power_of_two_inputs() {
-        for &n in &[3usize, 7, 100, 1000, 1025] {
-            let input = workloads::uniform(n, n as u64);
-            let run = sort(&input).unwrap();
-            assert_eq!(run.output.len(), n);
             assert_sorted_permutation(&input, &run.output);
         }
     }
@@ -226,13 +192,6 @@ mod tests {
                 .unwrap()[0];
             assert_eq!(got, (expected_strict, expected_loose), "key {probe_key}");
         }
-    }
-
-    #[test]
-    fn tiny_inputs_pass_through() {
-        assert!(sort(&[]).unwrap().output.is_empty());
-        let one = vec![Value::new(1.0, 0)];
-        assert_eq!(sort(&one).unwrap().output, one);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Batch formation and execution.
 //!
 //! The coalescer concatenates many small jobs into one *segmented* device
-//! submission: each job gets a power-of-two segment padded with
-//! [`Value::padding_sentinel`]s, the segment count is padded to a power of
-//! two with all-sentinel dummy segments, the whole buffer is sorted with
+//! submission: each job gets a power-of-two segment padded through
+//! [`stream_arch::padding`] (values with the sentinel key are set aside
+//! per job), the segment count is padded to a power of two with
+//! all-sentinel dummy segments, the whole buffer is sorted with
 //! [`GpuAbiSorter::sort_segments_run`] (one set of stream operations for
 //! the entire batch), and the per-job results are split back out and
-//! truncated. The results are byte-identical to sorting every job alone —
+//! restored. The results are byte-identical to sorting every job alone —
 //! sorted output is unique under the total order — which the workspace's
 //! property tests assert.
 
@@ -16,6 +17,7 @@ use crate::policy::{Engine, SortPolicy};
 use crate::shard::ShardedSorter;
 use abisort::GpuAbiSorter;
 use baselines::{CpuSortModel, CpuSorter};
+use stream_arch::padding::{self, Split};
 use stream_arch::{Counters, LogHistogram, Result, StreamProcessor, Value};
 use terasort::{SimulatedDisk, TeraSortConfig, TeraSorter, WideRecord};
 
@@ -311,29 +313,26 @@ fn execute_gpu(
     // a long service run reuses one allocation per capacity class instead
     // of mallocing per batch.
     let mut packed = proc.arena().take_capacity::<Value>(plan.capacity());
-    let mut pad = 0usize;
-    for job in &plan.jobs {
-        packed.extend_from_slice(&job.values);
-        for _ in job.len()..m {
-            packed.push(Value::padding_sentinel(pad));
-            pad += 1;
-        }
+    let (mut splits, mut pad) = (Vec::with_capacity(plan.jobs.len()), 0);
+    for (t, job) in plan.jobs.iter().enumerate() {
+        splits.push(Split::new(&job.values));
+        padding::fill(&mut packed, splits[t].body(), (t + 1) * m, &mut pad);
     }
     // Dummy segments padding the count to a power of two.
-    while packed.len() < plan.capacity() {
-        packed.push(Value::padding_sentinel(pad));
-        pad += 1;
-    }
+    padding::fill(&mut packed, &[], plan.capacity(), &mut pad);
 
     let run = sorter.sort_segments_run(proc, &packed, m)?;
     // Leave the pooled processor clean for the next batch on this slot.
     let counters = proc.take_counters();
 
-    let outputs = plan
-        .jobs
+    let outputs = splits
         .iter()
         .enumerate()
-        .map(|(t, job)| run.output[t * m..t * m + job.len()].to_vec())
+        .map(|(t, split)| {
+            let mut output = run.output[t * m..t * m + split.body().len()].to_vec();
+            split.restore(&mut output);
+            output
+        })
         .collect();
     proc.arena().put_vec(packed);
     Ok((run.sim_time.total_ms, counters, outputs))

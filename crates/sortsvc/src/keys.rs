@@ -514,13 +514,9 @@ pub fn record_to_wide_key<K: WideKey>(record: &WideRecord) -> K {
 /// flip, the low 32 bits become the id. Because `Value`'s total order is
 /// (`total_cmp` key, id) and the float flip is an order isomorphism on
 /// all 2^32 bit patterns, `u64` order and `Value` order coincide — any
-/// 64-bit-encoded key rides the existing engines unchanged.
-///
-/// The one caveat is inherited from [`Value::padding_sentinel`]: an
-/// encoding whose high 32 bits are `0xFFFF_FFFF` (e.g. the flip of a
-/// large positive `f64` NaN payload) shares its float key with the
-/// padding sentinels and could tie with one if its low bits also land in
-/// the top padding range; no realistic key stream produces that pattern.
+/// 64-bit-encoded key rides the existing engines unchanged, including the
+/// top of the domain, whose float key is the padding sentinel's
+/// (`stream_arch::padding` sets such values aside before padding).
 #[inline]
 pub fn encoded_to_value(encoded: u64) -> Value {
     Value::new(f32::decode(encoded >> 32), encoded as u32)
@@ -773,7 +769,7 @@ mod tests {
         let mut encs = vec![
             0u64,
             1,
-            0x7FFF_FFFF_FFFF_FFFF,
+            i64::MAX as u64,
             0x8000_0000_0000_0000,
             u64::MAX - 1,
             (-1.5f64).encode(),

@@ -373,15 +373,14 @@ impl SortPolicy {
     /// early-exit recursion (`GpuAbiSorter::top_k_run`) sorts
     /// `padded / block` independent blocks of `block` elements — exactly
     /// the segmented-batch shape, priced by the same fitted model as
-    /// [`Self::est_gpu_batch_ms`]. The block size mirrors the sorter:
-    /// `min(max(2·2^⌈log₂k⌉, 16), padded)`.
+    /// [`Self::est_gpu_batch_ms`]. The block size is the sorter's
+    /// [`GpuAbiSorter::top_k_block`].
     pub fn est_top_k_ms(&self, len: usize, k: usize) -> f64 {
         if len < 2 {
             return 0.0;
         }
         let padded = len.next_power_of_two();
-        let k = k.clamp(1, len);
-        let block = (2 * k.next_power_of_two()).max(16).min(padded);
+        let block = GpuAbiSorter::top_k_block(padded, k.clamp(1, len));
         self.est_gpu_batch_ms(block, padded / block)
     }
 

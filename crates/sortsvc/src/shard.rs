@@ -39,6 +39,7 @@
 
 use abisort::{GpuAbiSorter, SortConfig};
 use baselines::{cpu::CpuSortStats, CpuSortModel};
+use stream_arch::padding::{self, Split};
 use stream_arch::{Counters, DeviceLink, Node, Result, StreamElement, StreamProcessor, Value};
 
 /// Configuration of a [`ShardedSorter`].
@@ -141,6 +142,10 @@ impl ShardedSorter {
     pub fn sort_run(&self, procs: &mut [StreamProcessor], values: &[Value]) -> Result<ShardedRun> {
         assert!(!procs.is_empty(), "need at least one stream processor");
         let started = std::time::Instant::now();
+        // Values with the padding sentinel's key never reach a device; they
+        // are appended after the recombination.
+        let split = Split::new(values);
+        let values = split.body();
         let n = values.len();
         let p = procs.len().min(n.max(1));
 
@@ -242,7 +247,7 @@ impl ShardedSorter {
         };
 
         // --- Recombination -----------------------------------------------
-        let (output, merge_ms, merge_counters) = self.recombine(
+        let (mut output, merge_ms, merge_counters) = self.recombine(
             &mut procs[0],
             sorter,
             sorted_shards,
@@ -251,6 +256,7 @@ impl ShardedSorter {
             merge_on_device,
         )?;
         counters += &merge_counters;
+        split.restore(&mut output);
 
         Ok(ShardedRun {
             output,
@@ -303,29 +309,20 @@ impl ShardedSorter {
         }
 
         // Assemble the device buffer: each shard padded to `seg` with
-        // sentinels kept in segment order (higher pad index = smaller
-        // sentinel, so they are appended in reverse), odd segments
-        // reversed to the descending direction the merge levels expect —
-        // the same readback convention as `sort_segments_run`. The buffer
-        // is recycled through the gathering processor's arena.
+        // sentinels kept in segment order (the fill appends them falling,
+        // so that run is reversed), odd segments reversed to the descending
+        // direction the merge levels expect — the same readback convention
+        // as `sort_segments_run`. The buffer is recycled through the
+        // gathering processor's arena.
         let mut buffer = proc.arena().take_capacity::<Value>(total);
         let mut pad = 0usize;
         for t in 0..segments {
             let start = buffer.len();
-            let len = match sorted_shards.get(t) {
-                Some(shard) => {
-                    buffer.extend_from_slice(shard);
-                    shard.len()
-                }
-                None => 0,
-            };
-            let pads = seg - len;
-            for j in (0..pads).rev() {
-                buffer.push(Value::padding_sentinel(pad + j));
-            }
-            pad += pads;
+            let shard = sorted_shards.get(t).map_or(&[][..], Vec::as_slice);
+            padding::fill(&mut buffer, shard, start + seg, &mut pad);
+            buffer[start + shard.len()..].reverse();
             if t % 2 == 1 {
-                buffer[start..start + seg].reverse();
+                buffer[start..].reverse();
             }
         }
 

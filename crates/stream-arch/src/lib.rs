@@ -49,6 +49,7 @@ pub mod executor;
 pub mod kernel;
 pub mod layout;
 pub mod metrics;
+pub mod padding;
 pub mod profile;
 pub mod stream;
 pub mod telemetry;

@@ -82,18 +82,16 @@ impl Value {
     /// a power-of-two length (Section 4: "this can be achieved by padding
     /// the input sequence").
     ///
-    /// Padding elements must sort after *every* possible input element —
-    /// including NaN keys — under the total order, so that truncating the
-    /// sorted output removes exactly the padding. The key is therefore the
-    /// largest positive NaN bit pattern (the maximum of `f32::total_cmp`),
-    /// and the ids count down from `u32::MAX` to keep the sentinels
-    /// distinct from each other. (An input element that uses this exact
-    /// key bit pattern *and* an id in the top padding range would tie with
-    /// a sentinel; no realistic key stream produces that NaN payload.)
+    /// The key is the largest positive NaN bit pattern, the maximum of
+    /// `f32::total_cmp`, and the ids count down from `u32::MAX` to keep the
+    /// sentinels distinct from each other. Inputs that carry this key
+    /// themselves are set aside before padding, so the sentinels sort
+    /// after everything an engine sorts; [`crate::padding`] is the one
+    /// place that does this.
     #[inline]
     pub fn padding_sentinel(index: usize) -> Self {
         Value {
-            key: f32::from_bits(0x7FFF_FFFF),
+            key: f32::from_bits(crate::padding::SENTINEL_KEY_BITS),
             id: u32::MAX - index as u32,
         }
     }

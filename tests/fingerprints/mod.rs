@@ -19,7 +19,9 @@
 #![allow(dead_code)]
 
 use abisort::{GpuAbiSorter, SortConfig};
-use stream_arch::{AccountingMode, CacheStats, Counters, GpuProfile, StreamProcessor, Value};
+use stream_arch::{
+    padding, AccountingMode, CacheStats, Counters, GpuProfile, StreamProcessor, Value,
+};
 use workloads::Distribution;
 
 /// The committed fingerprint file.
@@ -115,8 +117,8 @@ fn padded(input: &[Value]) -> Vec<Value> {
     } else {
         input.len().next_power_of_two()
     };
-    let mut values = input.to_vec();
-    values.extend((0..total - input.len()).map(Value::padding_sentinel));
+    let mut values = Vec::with_capacity(total);
+    padding::fill(&mut values, input, total, &mut 0);
     values
 }
 

@@ -18,9 +18,26 @@ fn bits(values: &[Value]) -> Vec<(u32, u32)> {
     values.iter().map(|v| (v.key.to_bits(), v.id)).collect()
 }
 
+/// A job at the top of the key domain: every fourth value carries the
+/// padding sentinel's key with an id counting down from `u32::MAX`.
+fn top_of_domain_job(len: usize) -> Vec<Value> {
+    workloads::uniform(len, 7)
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| {
+            if i % 4 == 0 {
+                Value::new(f32::from_bits(0x7FFF_FFFF), u32::MAX - (i / 4) as u32)
+            } else {
+                v
+            }
+        })
+        .collect()
+}
+
 /// Wire results must be byte-identical to running the very same jobs
-/// through an in-process [`SortService`] — several concurrent clients,
-/// both payload encodings.
+/// through an in-process [`SortService`], and to `std` sort — several
+/// concurrent clients, both payload encodings, and on RAW_LE one job at
+/// the top of the key domain sized for the GPU route.
 #[test]
 fn wire_results_match_the_in_process_service_bit_for_bit() {
     let server = SortServer::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
@@ -28,6 +45,9 @@ fn wire_results_match_the_in_process_service_bit_for_bit() {
 
     // The in-process reference: same request mixes, same seeds.
     let reference_service = SortService::new(ServiceConfig::default());
+    // Above the crossover and a third short of a power of two, so the job
+    // takes the GPU route and the engine pads with thousands of sentinels.
+    let gpu_len = 3 * reference_service.policy().crossover() / 2;
 
     let clients = 3usize;
     let jobs_per_client = 10usize;
@@ -37,25 +57,33 @@ fn wire_results_match_the_in_process_service_bit_for_bit() {
             .map(|c| {
                 scope.spawn(move || {
                     let tenant = c as u32;
-                    let requests = RequestMix::connection_driven(jobs_per_client)
-                        .generate(990 + tenant as u64);
+                    let mut jobs: Vec<Vec<Value>> = RequestMix::connection_driven(jobs_per_client)
+                        .generate(990 + tenant as u64)
+                        .into_iter()
+                        .map(|r| r.values)
+                        .collect();
                     // Odd tenants speak JSON, even tenants RAW_LE.
                     let encoding = if c % 2 == 0 {
+                        jobs.push(top_of_domain_job(gpu_len));
                         PayloadEncoding::RawLe
                     } else {
                         PayloadEncoding::Json
                     };
 
                     // In-process reference run of the identical jobs.
-                    let ref_jobs: Vec<SortJob> = requests
+                    let ref_jobs: Vec<SortJob> = jobs
                         .iter()
                         .enumerate()
-                        .map(|(i, r)| SortJob::new(i as u64, tenant, r.values.clone()))
+                        .map(|(i, values)| SortJob::new(i as u64, tenant, values.clone()))
                         .collect();
                     let ref_report = reference_service
                         .process(ref_jobs)
                         .expect("reference service run");
                     assert!(ref_report.rejected.is_empty());
+                    if encoding == PayloadEncoding::RawLe {
+                        let top = ref_report.results.last().expect("top-of-domain job");
+                        assert_eq!(top.engine, Engine::GpuAbiSort);
+                    }
 
                     let mut client = SortClient::connect_with(
                         addr,
@@ -66,13 +94,15 @@ fn wire_results_match_the_in_process_service_bit_for_bit() {
                         },
                     )
                     .expect("connect");
-                    let tickets: Vec<_> = requests
-                        .into_iter()
-                        .map(|r| client.submit(r.values).expect("submit"))
+                    let tickets: Vec<_> = jobs
+                        .iter()
+                        .map(|values| client.submit(values.clone()).expect("submit"))
                         .collect();
                     client.flush().expect("flush");
 
-                    for (ticket, reference) in tickets.iter().zip(&ref_report.results) {
+                    for ((ticket, reference), values) in
+                        tickets.iter().zip(&ref_report.results).zip(&jobs)
+                    {
                         let reply = ticket.wait_timeout(REPLY_TIMEOUT).expect("reply");
                         let sorted = match reply {
                             JobReply::Sorted(values) => values,
@@ -87,6 +117,15 @@ fn wire_results_match_the_in_process_service_bit_for_bit() {
                             ticket.job_id(),
                             encoding.name(),
                         );
+                        let mut expected = values.clone();
+                        expected.sort();
+                        assert_eq!(
+                            bits(&sorted),
+                            bits(&expected),
+                            "tenant {tenant} job {} ({}) differs from std sort",
+                            ticket.job_id(),
+                            encoding.name(),
+                        );
                     }
                 })
             })
@@ -96,9 +135,13 @@ fn wire_results_match_the_in_process_service_bit_for_bit() {
         }
     });
 
+    let raw_le_clients = clients.div_ceil(2);
     let stats = server.shutdown();
     assert_eq!(stats.connections_accepted, clients as u64);
-    assert_eq!(stats.service.jobs_completed, clients * jobs_per_client);
+    assert_eq!(
+        stats.service.jobs_completed,
+        clients * jobs_per_client + raw_le_clients
+    );
     assert_eq!(stats.service.jobs_rejected, 0);
 }
 
