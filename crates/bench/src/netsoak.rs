@@ -128,6 +128,14 @@ pub fn netsoak_with(config: ServerConfig, clients: usize, jobs_per_client: usize
         jobs,
         "every submitted job must be answered (completed or typed-rejected)"
     );
+    // The server's one metrics rollup must agree with what the clients saw.
+    let service = &stats.service;
+    assert_eq!(service.jobs_submitted, jobs, "server rollup: submitted");
+    assert_eq!(
+        service.jobs_completed, completed,
+        "server rollup: completed"
+    );
+    assert_eq!(service.jobs_rejected, rejected, "server rollup: rejected");
 
     NetSoakRow {
         clients,

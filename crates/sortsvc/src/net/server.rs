@@ -39,9 +39,9 @@ use super::frame::{
 };
 use super::lock;
 use crate::job::SortJob;
-use crate::metrics::{ratio, ServiceMetrics};
-use crate::service::{ServiceConfig, ServiceReport, SortService};
-use crate::wal::{self, AdmittedJob, Wal, WalConfig};
+use crate::metrics::{MetricsTally, ServiceMetrics};
+use crate::service::{ServiceConfig, SortService};
+use crate::wal::{AdmittedJob, Wal, WalConfig};
 use serde::Serialize;
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -51,7 +51,7 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-use stream_arch::telemetry::{self, LogHistogram, TraceSink};
+use stream_arch::telemetry::{self, TraceSink};
 use stream_arch::Value;
 
 /// Configuration of a [`SortServer`].
@@ -206,11 +206,13 @@ pub struct ServerStats {
     pub fatal_errors: u64,
     /// Micro-batches the dispatcher ran through the service.
     pub micro_batches: u64,
-    /// Aggregate service metrics over every micro-batch: job/batch/engine
-    /// counters and simulated makespan are summed, latency/queue/execution
-    /// distributions are merged streaming histograms (so percentiles stay
-    /// exact-to-bucket no matter how many jobs the server has seen),
-    /// occupancy stays capacity-weighted. `jobs_submitted` /
+    /// Aggregate service metrics: every micro-batch's (and startup
+    /// recovery's) [`MetricsTally`] merged, then finished once. Job, batch
+    /// and engine counters and the simulated makespan are summed,
+    /// latency/queue/execution distributions are merged streaming
+    /// histograms (so percentiles stay exact-to-bucket no matter how many
+    /// jobs the server has seen), occupancy stays capacity-weighted, and
+    /// every derived rate uses the per-run formula. `jobs_submitted` /
     /// `jobs_rejected` include the wire-level rejects, so
     /// `submitted = completed + rejected` holds for the server exactly as
     /// it does for one in-process run.
@@ -256,7 +258,7 @@ impl ConnWriter {
 
 /// Per-frame wire counters. These are bumped on every frame of every
 /// connection, so they are relaxed atomics rather than fields behind the
-/// [`StatsInner`] mutex: a reader thread never blocks on another
+/// [`Shared::stats`] mutex: a reader thread never blocks on another
 /// connection's counter bump (or on a concurrent [`Shared::snapshot`])
 /// just to note that a frame went by. Each counter is independently
 /// monotone; a snapshot is a set of individually-exact values, not a
@@ -289,7 +291,11 @@ struct Shared {
     draining: AtomicBool,
     pending: AtomicUsize,
     wire: WireStats,
-    stats: Mutex<StatsInner>,
+    /// Micro-batches run through the service, and the merged metrics
+    /// tally of those runs plus startup recovery. Only the dispatcher
+    /// writes it (once per micro-batch), so the mutex is off the
+    /// per-frame path entirely — see [`WireStats`].
+    stats: Mutex<(u64, MetricsTally)>,
     device_slots: usize,
     policy_crossover: u64,
     /// Wall-clock origin of the server's arrival timeline.
@@ -301,59 +307,16 @@ struct Shared {
     /// Next log-wide WAL job id (wire echo ids are only per-connection
     /// unique, so the log mints its own).
     wal_seq: AtomicU64,
-    /// What startup recovery found, surfaced through every snapshot.
-    recovery: wal::RecoveryStats,
     /// Write halves of live connections, so a drain can say GOODBYE to
     /// everyone. Dead entries are pruned on each accept.
     writers: Mutex<Vec<Weak<ConnWriter>>>,
 }
 
 impl Shared {
-    /// Fold into the service-aggregate side of the stats. Only the
-    /// dispatcher calls this (once per micro-batch), so the mutex is off
-    /// the per-frame path entirely — see [`WireStats`].
-    fn stat<R>(&self, f: impl FnOnce(&mut StatsInner) -> R) -> R {
-        f(&mut lock(&self.stats))
-    }
-
     fn snapshot(&self) -> ServerStats {
-        let s = lock(&self.stats);
+        let (micro_batches, mut tally) = lock(&self.stats).clone();
         let wire_rejects = self.wire.wire_rejects.load(Ordering::Relaxed);
-        let service = ServiceMetrics {
-            jobs_submitted: s.jobs_submitted + wire_rejects as usize,
-            jobs_completed: s.jobs_completed,
-            jobs_rejected: s.jobs_rejected + wire_rejects as usize,
-            batches: s.service_batches,
-            elements_sorted: s.elements_sorted,
-            makespan_ms: s.makespan_ms,
-            throughput_jobs_per_s: ratio(s.jobs_completed as f64, s.makespan_ms / 1e3),
-            throughput_kelems_per_s: ratio(s.elements_sorted as f64 / 1e3, s.makespan_ms / 1e3),
-            latency_mean_ms: s.latency_hist.mean(),
-            latency_p50_ms: s.latency_hist.quantile(0.5),
-            latency_p99_ms: s.latency_hist.quantile(0.99),
-            queue_mean_ms: s.queue_hist.mean(),
-            mean_batch_occupancy: ratio(s.occupancy_weight, s.capacity_total),
-            mean_jobs_per_batch: ratio(s.batch_jobs as f64, s.service_batches as f64),
-            cpu_jobs: s.cpu_jobs,
-            gpu_jobs: s.gpu_jobs,
-            sharded_jobs: s.sharded_jobs,
-            tera_jobs: s.tera_jobs,
-            topk_jobs: s.topk_jobs,
-            orderby_jobs: s.orderby_jobs,
-            percentile_jobs: s.percentile_jobs,
-            sharded_batches: s.sharded_batches,
-            shard_skew_max: s.shard_skew_max,
-            device_busy_ms: s.device_busy_ms,
-            device_utilization: ratio(s.device_busy_ms, self.device_slots as f64 * s.makespan_ms),
-            wall_ms: s.wall_ms,
-            policy_crossover: self.policy_crossover,
-            recovered_jobs: self.recovery.recovered_jobs,
-            replayed_bytes: self.recovery.replayed_bytes,
-            torn_tail_truncated: self.recovery.torn_tail_truncated,
-            latency: s.latency_hist.summary(),
-            queue_wait: s.queue_hist.summary(),
-            execution: s.exec_hist.summary(),
-        };
+        tally.record_rejected(wire_rejects as usize);
         ServerStats {
             connections_accepted: self.wire.connections_accepted.load(Ordering::Relaxed),
             connections_open: self.wire.connections_open.load(Ordering::Relaxed),
@@ -362,83 +325,8 @@ impl Shared {
             frames_sent: self.wire.frames_sent.load(Ordering::Relaxed),
             wire_rejects,
             fatal_errors: self.wire.fatal_errors.load(Ordering::Relaxed),
-            micro_batches: s.micro_batches,
-            service,
-        }
-    }
-}
-
-/// Service-level aggregates across micro-batch runs, folded in by the
-/// dispatcher once per batch. Per-frame wire counters live in
-/// [`WireStats`] instead.
-#[derive(Default)]
-struct StatsInner {
-    micro_batches: u64,
-    jobs_submitted: usize,
-    jobs_completed: usize,
-    jobs_rejected: usize,
-    service_batches: usize,
-    batch_jobs: u64,
-    elements_sorted: u64,
-    makespan_ms: f64,
-    device_busy_ms: f64,
-    wall_ms: f64,
-    occupancy_weight: f64,
-    capacity_total: f64,
-    cpu_jobs: usize,
-    gpu_jobs: usize,
-    sharded_jobs: usize,
-    tera_jobs: usize,
-    topk_jobs: usize,
-    orderby_jobs: usize,
-    percentile_jobs: usize,
-    sharded_batches: usize,
-    shard_skew_max: f64,
-    // Streaming distributions over every completed job. Unlike the
-    // materialized sample vector they replaced, these are O(buckets) no
-    // matter how long the server runs, and merging micro-batches is
-    // lossless (bucket counts add).
-    latency_hist: LogHistogram,
-    queue_hist: LogHistogram,
-    exec_hist: LogHistogram,
-}
-
-impl StatsInner {
-    /// Fold one service run into the aggregates.
-    fn merge_run(&mut self, report: &ServiceReport) {
-        let m = &report.metrics;
-        self.micro_batches += 1;
-        self.jobs_submitted += m.jobs_submitted;
-        self.jobs_completed += m.jobs_completed;
-        self.jobs_rejected += m.jobs_rejected;
-        self.service_batches += m.batches;
-        self.elements_sorted += m.elements_sorted;
-        self.makespan_ms += m.makespan_ms;
-        self.device_busy_ms += m.device_busy_ms;
-        self.wall_ms += m.wall_ms;
-        self.cpu_jobs += m.cpu_jobs;
-        self.gpu_jobs += m.gpu_jobs;
-        self.sharded_jobs += m.sharded_jobs;
-        self.tera_jobs += m.tera_jobs;
-        self.topk_jobs += m.topk_jobs;
-        self.orderby_jobs += m.orderby_jobs;
-        self.percentile_jobs += m.percentile_jobs;
-        self.sharded_batches += m.sharded_batches;
-        self.shard_skew_max = self.shard_skew_max.max(m.shard_skew_max);
-        for b in &report.batches {
-            self.occupancy_weight += b.occupancy * b.capacity as f64;
-            self.capacity_total += b.capacity as f64;
-            self.batch_jobs += b.jobs as u64;
-        }
-        // Re-record the per-job samples rather than merging the report's
-        // summaries: bucketing is deterministic, so the server's
-        // histograms are byte-for-byte what one big run over the same
-        // samples would produce — which is what makes a `STATS` snapshot
-        // agree exactly with the per-run [`ServiceMetrics`] rollup.
-        for r in &report.results {
-            self.latency_hist.record(r.latency_ms);
-            self.queue_hist.record(r.queue_ms);
-            self.exec_hist.record(r.latency_ms - r.queue_ms);
+            micro_batches,
+            service: tally.finish(self.device_slots, self.policy_crossover),
         }
     }
 }
@@ -486,17 +374,15 @@ impl SortServer {
         // Durability: replay the log *before* the listener accepts
         // traffic, so every job a previous process life admitted but
         // never answered is re-run (and acknowledged) ahead of new work.
-        let mut stats_inner = StatsInner::default();
+        // The replay is not a dispatcher micro-batch: it merges into the
+        // tally only.
+        let mut tally = MetricsTally::default();
         let mut wal_state = None;
-        let mut recovery = wal::RecoveryStats::default();
         if let Some(dir) = &config.durability_dir {
             let recovered = service
                 .recover(dir, config.wal.clone())
                 .map_err(|e| io::Error::other(format!("wal recovery failed: {e}")))?;
-            if recovered.report.metrics.jobs_submitted > 0 {
-                stats_inner.merge_run(&recovered.report);
-            }
-            recovery = recovered.stats;
+            tally.merge(&recovered.report.tally);
             wal_state = Some(Mutex::new(recovered.wal));
         }
 
@@ -505,13 +391,12 @@ impl SortServer {
             draining: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
             wire: WireStats::default(),
-            stats: Mutex::new(stats_inner),
+            stats: Mutex::new((0, tally)),
             device_slots: service.config().device_slots,
             policy_crossover: service.policy().crossover() as u64,
             started: Instant::now(),
             wal: wal_state,
             wal_seq: AtomicU64::new(1),
-            recovery,
             writers: Mutex::new(Vec::new()),
         });
         let (tx, rx) = mpsc::channel::<Submission>();
@@ -957,7 +842,11 @@ fn run_batch(
 
     match service.process(jobs) {
         Ok(report) => {
-            shared.stat(|s| s.merge_run(&report));
+            {
+                let (micro_batches, tally) = &mut *lock(&shared.stats);
+                *micro_batches += 1;
+                tally.merge(&report.tally);
+            }
             for (id, reason) in &report.rejected {
                 let sub = &batch[*id as usize];
                 let code = ErrorCode::from(*reason);
@@ -1024,10 +913,7 @@ fn run_batch(
             // so no client hangs, and count them as submitted + rejected.
             // Their WAL admissions stay unacknowledged on purpose — a
             // durability-enabled restart replays them (at-least-once).
-            shared.stat(|s| {
-                s.jobs_submitted += n;
-                s.jobs_rejected += n;
-            });
+            lock(&shared.stats).1.record_rejected(n);
             for sub in &batch {
                 sub.writer.send(
                     FrameType::Reject,

@@ -25,14 +25,13 @@
 
 use crate::batch::{self, BatchBuilder, BatchOutcome, BatchPlan};
 use crate::job::{JobId, JobKind, JobResult, RejectReason, SortJob};
-use crate::metrics::{ratio, ServiceMetrics};
+use crate::metrics::{MetricsTally, ServiceMetrics};
 use crate::policy::{Engine, PolicyConfig, SortPolicy};
 use crate::queue::{AdmissionController, TenantQueues};
 use crate::shard::{ShardedConfig, ShardedSorter};
 use crate::wal::{self, Wal, WalConfig, WalError};
 use abisort::{GpuAbiSorter, SortConfig};
 use serde::Serialize;
-use stream_arch::telemetry::LogHistogram;
 use stream_arch::{GpuProfile, Result, StreamProcessor};
 use terasort::TeraSortConfig;
 use workloads::Distribution;
@@ -192,8 +191,11 @@ pub struct ServiceReport {
     pub rejected: Vec<(JobId, RejectReason)>,
     /// Executed batches in formation order.
     pub batches: Vec<BatchSummary>,
-    /// Aggregate service metrics.
+    /// Aggregate service metrics (`tally` finished).
     pub metrics: ServiceMetrics,
+    /// The run's mergeable metrics state; the net server merges it into
+    /// its `STATS` aggregate.
+    pub tally: MetricsTally,
 }
 
 /// The multi-tenant batched sorting service.
@@ -261,11 +263,9 @@ impl SortService {
     /// completed, and report per-job results plus service metrics.
     pub fn process(&self, mut jobs: Vec<SortJob>) -> Result<ServiceReport> {
         jobs.sort_by(|a, b| a.arrival_ms.total_cmp(&b.arrival_ms).then(a.id.cmp(&b.id)));
-        let submitted = jobs.len();
-
         let (plans, rejected) = self.plan(jobs);
         let outcomes = self.execute(&plans)?;
-        let report = self.assemble(submitted, plans, outcomes, rejected);
+        let report = self.assemble(plans, outcomes, rejected);
         crate::telemetry::emit_service_trace(&report);
         Ok(report)
     }
@@ -383,27 +383,16 @@ impl SortService {
 
     fn assemble(
         &self,
-        submitted: usize,
         plans: Vec<BatchPlan>,
         outcomes: Vec<BatchOutcome>,
         rejected: Vec<(JobId, RejectReason)>,
     ) -> ServiceReport {
-        let slots = self.config.device_slots;
-        let mut slot_free = vec![0.0f64; slots];
-        let mut busy = 0.0f64;
-        let mut wall_ms = 0.0f64;
+        let mut slot_free = vec![0.0f64; self.config.device_slots];
+        let mut tally = MetricsTally::default();
         let mut results = Vec::new();
         let mut batches = Vec::new();
         let mut first_arrival = f64::INFINITY;
         let mut last_completion = 0.0f64;
-        let mut elements: u64 = 0;
-        let mut occupancy_weighted = 0.0f64;
-        let mut capacity_total = 0.0f64;
-        let (mut cpu_jobs, mut gpu_jobs, mut sharded_jobs, mut tera_jobs) =
-            (0usize, 0usize, 0usize, 0usize);
-        let (mut topk_jobs, mut orderby_jobs, mut percentile_jobs) = (0usize, 0usize, 0usize);
-        let mut sharded_batches = 0usize;
-        let mut shard_skew_max = 0.0f64;
 
         for (plan, outcome) in plans.iter().zip(outcomes) {
             // A multi-slot batch starts when *all* its reserved slots are
@@ -416,17 +405,9 @@ impl SortService {
             for s in plan.slots() {
                 slot_free[s] = end;
             }
-            busy += outcome.duration_ms * plan.slot_count() as f64;
-            wall_ms += outcome.wall_ms;
             last_completion = last_completion.max(end);
-            occupancy_weighted += plan.occupancy() * plan.capacity() as f64;
-            capacity_total += plan.capacity() as f64;
-            if plan.engine == Engine::ShardedGpu {
-                sharded_batches += 1;
-                shard_skew_max = shard_skew_max.max(outcome.shard_skew);
-            }
 
-            batches.push(BatchSummary {
+            let summary = BatchSummary {
                 id: plan.id,
                 slot: plan.slot,
                 slots: plan.slot_count(),
@@ -438,23 +419,13 @@ impl SortService {
                 occupancy: plan.occupancy(),
                 start_ms: start,
                 duration_ms: outcome.duration_ms,
-            });
+            };
+            let shard_skew = (plan.engine == Engine::ShardedGpu).then_some(outcome.shard_skew);
+            tally.record_batch(&summary, outcome.wall_ms, shard_skew);
+            batches.push(summary);
 
             for (job, output) in plan.jobs.iter().zip(outcome.outputs) {
                 first_arrival = first_arrival.min(job.arrival_ms);
-                elements += job.len() as u64;
-                match plan.engine {
-                    Engine::CpuQuicksort => cpu_jobs += 1,
-                    Engine::GpuAbiSort => gpu_jobs += 1,
-                    Engine::ShardedGpu => sharded_jobs += 1,
-                    Engine::TeraSort => tera_jobs += 1,
-                }
-                match job.kind {
-                    JobKind::Sort => {}
-                    JobKind::TopK(_) => topk_jobs += 1,
-                    JobKind::OrderBy => orderby_jobs += 1,
-                    JobKind::Percentile(_) => percentile_jobs += 1,
-                }
                 results.push(JobResult {
                     id: job.id,
                     tenant: job.tenant,
@@ -469,73 +440,31 @@ impl SortService {
             }
         }
         results.sort_by_key(|r| r.id);
-
-        let completed = results.len();
-        // A run that completes nothing — or completes only zero-duration
-        // work — has no meaningful span; `ratio` keeps every derived rate
-        // at a finite 0.0 instead of the NaN/∞ a division would produce.
-        let makespan_ms = if completed == 0 {
-            0.0
-        } else {
-            (last_completion - first_arrival).max(0.0)
-        };
-        // Streaming histograms instead of sort-the-whole-vector
-        // percentiles: mergeable across micro-batches (the net server
-        // folds these into its live snapshot) and constant-memory however
-        // many jobs the run carried. Queue wait and execution tile each
-        // job's latency exactly (`latency = queue + execute` by timeline
-        // construction), which is also what the trace span tree shows.
-        let mut latency_hist = LogHistogram::new();
-        let mut queue_hist = LogHistogram::new();
-        let mut exec_hist = LogHistogram::new();
         for r in &results {
-            latency_hist.record(r.latency_ms);
-            queue_hist.record(r.queue_ms);
-            exec_hist.record(r.latency_ms - r.queue_ms);
+            tally.record_job(r);
         }
+        tally.record_rejected(rejected.len());
 
-        let metrics = ServiceMetrics {
-            jobs_submitted: submitted,
-            jobs_completed: completed,
-            jobs_rejected: rejected.len(),
-            batches: batches.len(),
-            elements_sorted: elements,
-            makespan_ms,
-            throughput_jobs_per_s: ratio(completed as f64 * 1_000.0, makespan_ms),
-            throughput_kelems_per_s: ratio(elements as f64, makespan_ms),
-            latency_mean_ms: latency_hist.mean(),
-            latency_p50_ms: latency_hist.quantile(0.5),
-            latency_p99_ms: latency_hist.quantile(0.99),
-            queue_mean_ms: queue_hist.mean(),
-            mean_batch_occupancy: ratio(occupancy_weighted, capacity_total),
-            mean_jobs_per_batch: ratio(completed as f64, batches.len() as f64),
-            cpu_jobs,
-            gpu_jobs,
-            sharded_jobs,
-            tera_jobs,
-            topk_jobs,
-            orderby_jobs,
-            percentile_jobs,
-            sharded_batches,
-            shard_skew_max,
-            device_busy_ms: busy,
-            device_utilization: ratio(busy, slots as f64 * makespan_ms),
-            wall_ms,
-            policy_crossover: self.policy.crossover().try_into().unwrap_or(u64::MAX),
-            recovered_jobs: 0,
-            replayed_bytes: 0,
-            torn_tail_truncated: 0,
-            latency: latency_hist.summary(),
-            queue_wait: queue_hist.summary(),
-            execution: exec_hist.summary(),
-        };
+        // A run that completes nothing has no meaningful span; the tally's
+        // `ratio`s keep every derived rate at a finite 0.0 for it (and for
+        // a run of only zero-duration work).
+        if !results.is_empty() {
+            tally.record_makespan((last_completion - first_arrival).max(0.0));
+        }
 
         ServiceReport {
             results,
             rejected,
             batches,
-            metrics,
+            metrics: self.finish(&tally),
+            tally,
         }
+    }
+
+    /// The metrics of `tally` under this service's slots and policy.
+    fn finish(&self, tally: &MetricsTally) -> ServiceMetrics {
+        let crossover = self.policy.crossover().try_into().unwrap_or(u64::MAX);
+        tally.finish(self.config.device_slots, crossover)
     }
 
     /// Open (or create) the write-ahead log in `dir`, replay it, and
@@ -553,9 +482,9 @@ impl SortService {
     /// the same jobs forever.
     ///
     /// The returned [`RecoveredService`] carries the replay's
-    /// [`ServiceReport`] (with the recovery counters stamped into its
-    /// metrics) and the live [`Wal`], positioned to append records for new
-    /// traffic. `docs/DURABILITY.md` documents the full recovery state
+    /// [`ServiceReport`] (the recovery counters are recorded once into its
+    /// tally, and its metrics are finished from that tally) and the live
+    /// [`Wal`], positioned to append records for new traffic. `docs/DURABILITY.md` documents the full recovery state
     /// machine.
     pub fn recover(
         &self,
@@ -584,12 +513,7 @@ impl SortService {
             .collect();
 
         let mut report = if jobs.is_empty() {
-            ServiceReport {
-                results: Vec::new(),
-                rejected: Vec::new(),
-                batches: Vec::new(),
-                metrics: ServiceMetrics::default(),
-            }
+            self.assemble(Vec::new(), Vec::new(), Vec::new())
         } else {
             self.process(jobs).map_err(|e| {
                 WalError::Io(std::io::Error::other(format!(
@@ -606,9 +530,8 @@ impl SortService {
         }
         wal.sync()?;
 
-        report.metrics.recovered_jobs = stats.recovered_jobs;
-        report.metrics.replayed_bytes = stats.replayed_bytes;
-        report.metrics.torn_tail_truncated = stats.torn_tail_truncated;
+        report.tally.record_recovery(&stats);
+        report.metrics = self.finish(&report.tally);
 
         Ok(RecoveredService { report, wal, stats })
     }
@@ -618,8 +541,8 @@ impl SortService {
 /// live write-ahead log, positioned to append records for new traffic.
 pub struct RecoveredService {
     /// Report of re-running the replayed jobs (empty when the log was
-    /// clean). Its metrics carry `recovered_jobs` / `replayed_bytes` /
-    /// `torn_tail_truncated`.
+    /// clean). Its tally, and so its metrics, carry `recovered_jobs` /
+    /// `replayed_bytes` / `torn_tail_truncated`.
     pub report: ServiceReport,
     /// The open log; the caller keeps appending to it for new jobs.
     pub wal: Wal,

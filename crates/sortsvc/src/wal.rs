@@ -12,7 +12,9 @@
 //! [`crate::net::frame`]: magic bytes, an explicit version, a strict-zero
 //! reserved word, a length prefix — plus one thing frames do not need, a
 //! CRC-32 over the payload, because a log tail (unlike a TCP stream) can
-//! be torn mid-record by a crash. Each record is
+//! be torn mid-record by a crash. The checksum is the workspace's one
+//! slice-by-8 implementation, [`terasort::manifest::crc32`], which the
+//! terasort checkpoint manifests use too. Each record is
 //!
 //! ```text
 //! offset  size  field
@@ -71,6 +73,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::path::{Path, PathBuf};
 use stream_arch::Value;
+use terasort::manifest::crc32;
 use workloads::Distribution;
 
 pub mod fault;
@@ -103,71 +106,6 @@ const VALUE_LEN: usize = 8;
 /// Fixed prefix of an `ADMITTED` payload before the hint name and values:
 /// job id (8) + tenant (4) + arrival-time bits (8) + hint length (1).
 const ADMIT_PREFIX_LEN: usize = 21;
-
-// ---------------------------------------------------------------------------
-// CRC-32
-// ---------------------------------------------------------------------------
-
-/// IEEE CRC-32 lookup tables (reflected polynomial `0xEDB8_8320`), built
-/// at compile time — the build has no crates.io access, so the checksum is
-/// hand-rolled here. Eight tables, not one: the append path checksums
-/// every job's payload, so the WAL uses the slice-by-8 formulation
-/// (process 8 input bytes per iteration through 8 precomputed tables)
-/// instead of the byte-at-a-time loop, which is what keeps the durability
-/// overhead inside its E23 budget. Table 0 alone is the classic
-/// byte-at-a-time table; table `t` maps a byte to its CRC contribution
-/// from `t` positions further back.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-};
-
-/// IEEE CRC-32 of `bytes` — the checksum carried in every record header.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ---------------------------------------------------------------------------
 // Events
@@ -503,8 +441,12 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<WalEvent, String> {
 // Recovery
 // ---------------------------------------------------------------------------
 
-/// Counters describing what a [`Wal::open`] replay found; the server
-/// copies them into [`crate::ServiceMetrics`].
+/// Counters describing what a [`Wal::open`] replay found.
+/// [`SortService::recover`](crate::SortService::recover) records them
+/// once into its report's [`MetricsTally`](crate::metrics::MetricsTally),
+/// which the server merges into its `STATS` aggregate; they surface as
+/// the `recovered_jobs` / `replayed_bytes` / `torn_tail_truncated` fields
+/// of [`crate::ServiceMetrics`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Jobs that were admitted but never acknowledged — the jobs the
@@ -876,13 +818,6 @@ mod tests {
             },
             values: workloads::uniform(n, id),
         }
-    }
-
-    #[test]
-    fn crc32_matches_the_ieee_check_value() {
-        // The canonical CRC-32 check: crc32("123456789") = 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -360,6 +360,10 @@ fn a_crashed_server_is_replayed_by_its_successor_with_zero_acknowledged_loss() {
         stats.service.jobs_completed >= 1,
         "the replayed job must finish"
     );
+    assert_eq!(
+        stats.micro_batches, 0,
+        "the startup replay is not a dispatcher micro-batch"
+    );
 
     // …and serves new work as usual.
     let mut client = RetryingClient::connect(second.local_addr()).unwrap();

@@ -2,19 +2,24 @@
 //!
 //! * an empty `STATS` request is answered with a JSON snapshot whose
 //!   histogram quantiles match the server's own final metrics rollup
-//!   exactly (both derive from the same merged histograms);
+//!   exactly (both derive from the same merged histograms), and whose
+//!   counters add up across accepted jobs and wire rejects;
 //! * the snapshot's JSON shape is pinned byte-exactly, so a field rename
 //!   or serializer change that would break deployed scrapers fails here
 //!   first;
 //! * a non-empty `STATS` request is a connection-fatal protocol error.
 
 use sortsvc::metrics::ServiceMetrics;
-use sortsvc::net::{ServerConfig, ServerStats, SortClient, SortServer};
+use sortsvc::net::{ErrorCode, JobReply, ServerConfig, ServerStats, SortClient, SortServer};
 use std::time::Duration;
+
+/// Jobs above this many records are wire-rejected with `JOB_TOO_LARGE`.
+const MAX_JOB_ELEMENTS: usize = 1024;
 
 fn small_server() -> SortServer {
     let mut config = ServerConfig::default();
     config.service.device_slots = 1;
+    config.max_job_elements = MAX_JOB_ELEMENTS;
     SortServer::start("127.0.0.1:0", config).expect("bind loopback")
 }
 
@@ -24,7 +29,8 @@ fn stats_round_trip_matches_final_rollup() {
     let mut client = SortClient::connect(server.local_addr()).expect("connect");
 
     // A few jobs of different sizes so the histograms are non-trivial.
-    let tickets: Vec<_> = [256usize, 512, 300, 64]
+    let lens = [256usize, 512, 300, 64];
+    let tickets: Vec<_> = lens
         .iter()
         .enumerate()
         .map(|(i, &n)| {
@@ -33,9 +39,20 @@ fn stats_round_trip_matches_final_rollup() {
                 .expect("submit")
         })
         .collect();
+    // …and one the wire layer turns away before it reaches the service.
+    let oversized = client
+        .submit(workloads::uniform(MAX_JOB_ELEMENTS + 1, 99))
+        .expect("submit");
     client.flush().expect("flush");
     for t in &tickets {
         t.wait_timeout(Duration::from_secs(60)).expect("reply");
+    }
+    match oversized
+        .wait_timeout(Duration::from_secs(60))
+        .expect("reply")
+    {
+        JobReply::Rejected { code, .. } => assert_eq!(code, ErrorCode::JobTooLarge),
+        JobReply::Sorted(_) => panic!("an oversized job must be wire-rejected"),
     }
 
     let snap = client.stats().expect("STATS round trip");
@@ -46,8 +63,27 @@ fn stats_round_trip_matches_final_rollup() {
             .unwrap_or_else(|| panic!("missing numeric field {key}"))
     };
     assert_eq!(num(service, "jobs_completed"), 4.0);
-    assert_eq!(num(&snap, "wire_rejects"), 0.0);
-    assert!(num(&snap, "frames_received") >= 5.0); // 4 SUBMIT + STATS
+    assert_eq!(num(&snap, "wire_rejects"), 1.0);
+    assert!(num(&snap, "frames_received") >= 6.0); // 5 SUBMIT + STATS
+
+    // One rollup: the counters add up across the service's jobs and the
+    // wire reject.
+    assert_eq!(
+        num(service, "jobs_submitted"),
+        num(service, "jobs_completed") + num(service, "jobs_rejected")
+    );
+    assert_eq!(num(service, "jobs_rejected"), 1.0);
+    let engines: f64 = ["cpu_jobs", "gpu_jobs", "sharded_jobs", "tera_jobs"]
+        .iter()
+        .map(|k| num(service, k))
+        .sum();
+    assert_eq!(engines, num(service, "jobs_completed"));
+    let latency = service.get("latency").expect("latency summary");
+    assert_eq!(num(latency, "count"), num(service, "jobs_completed"));
+    assert_eq!(
+        num(service, "elements_sorted"),
+        lens.iter().sum::<usize>() as f64
+    );
 
     // The quantile-consistency acceptance: the wire snapshot and the
     // server's in-process rollup come from the same histograms, and the
@@ -60,7 +96,6 @@ fn stats_round_trip_matches_final_rollup() {
     assert_eq!(num(service, "latency_p99_ms"), m.latency_p99_ms);
     assert_eq!(num(service, "latency_mean_ms"), m.latency_mean_ms);
     assert_eq!(num(service, "queue_mean_ms"), m.queue_mean_ms);
-    let latency = service.get("latency").expect("latency summary");
     assert_eq!(num(latency, "count"), m.latency.count as f64);
     assert_eq!(num(latency, "p50_ms"), m.latency.p50_ms);
     assert_eq!(num(latency, "p99_ms"), m.latency.p99_ms);

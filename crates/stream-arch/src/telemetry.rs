@@ -217,11 +217,11 @@ impl LogHistogram {
 
     /// Nearest-rank quantile, `q` in `[0, 1]`; `0.0` when empty.
     ///
-    /// Matches the rank convention of
-    /// [`percentile`](../../sortsvc/metrics/fn.percentile.html)-style
-    /// exact computation: the value reported is the midpoint of the
-    /// bucket containing the `⌈q·n⌉`-th smallest sample, clamped into
-    /// `[min, max]`. Monotone in `q`, so `p99 ≥ p50` always holds.
+    /// Uses the nearest-rank convention of an exact percentile over the
+    /// sorted samples (rank `⌈q·n⌉`, clamped to `[1, n]`): the value
+    /// reported is the midpoint of the bucket containing the `⌈q·n⌉`-th
+    /// smallest sample, clamped into `[min, max]`. Monotone in `q`, so
+    /// `p99 ≥ p50` always holds.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;

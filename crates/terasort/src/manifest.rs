@@ -62,11 +62,15 @@ const HEADER_LINE: &str = "terasort-manifest v1";
 // CRC-32
 // ---------------------------------------------------------------------------
 
-// IEEE CRC-32, hand-rolled like the service WAL's (no crates.io in this
-// build); terasort cannot depend on sortsvc — the dependency runs the
-// other way — so the tables live here too. Slice-by-8, because this CRC
-// runs over entire run files (megabytes per checkpoint), where the
-// byte-at-a-time loop would be a measurable fraction of the sort itself.
+// IEEE CRC-32 (reflected polynomial `0xEDB8_8320`), hand-rolled because
+// the build has no crates.io access. This is the workspace's only copy:
+// the service WAL (`sortsvc::wal`) checksums its records with it too,
+// since sortsvc depends on terasort. Slice-by-8 — 8 input bytes per
+// iteration through 8 precomputed tables, where table `t` maps a byte to
+// its CRC contribution from `t` positions further back — because this
+// CRC runs over entire run files (megabytes per checkpoint) and over
+// every WAL append, where the byte-at-a-time loop (table 0 alone) would
+// be a measurable fraction of the sort and of the durability budget.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -97,8 +101,8 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// IEEE CRC-32 of `bytes` — the checksum in manifest lines and over data
-/// files.
+/// IEEE CRC-32 of `bytes` — the checksum in manifest lines, over data
+/// files, and in every `sortsvc` WAL record header.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
@@ -528,6 +532,13 @@ mod tests {
             ],
             output: None,
         }
+    }
+
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        // The canonical CRC-32 check: crc32("123456789") = 0xCBF43926.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
