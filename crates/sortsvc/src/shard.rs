@@ -546,7 +546,7 @@ mod tests {
         assert!((run.sim_ms - total).abs() < 1e-9);
         assert!(run.counters.launches > 0);
         // The pooled processors were left clean.
-        for proc in &pool {
+        for proc in &mut pool {
             assert_eq!(proc.counters(), Counters::new());
         }
     }

@@ -91,25 +91,43 @@ impl CacheStats {
     }
 }
 
-/// A set-associative LRU cache over 2D element tiles.
+/// Most ways a set may have: one set's tags and LRU stamps fill exactly one
+/// 64-byte line.
+pub const MAX_WAYS: u32 = 4;
+
+const EMPTY_TAG: u64 = u64::MAX;
+
+/// One cache set: the tags of its ways (`EMPTY_TAG` for an empty way) and
+/// their LRU stamps, packed into one 64-byte line so a probe touches one
+/// line of host memory.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[repr(align(64))]
+struct Set {
+    tags: [u64; MAX_WAYS as usize],
+    stamps: [u64; MAX_WAYS as usize],
+}
+
+const EMPTY_SET: Set = Set {
+    tags: [EMPTY_TAG; MAX_WAYS as usize],
+    stamps: [0; MAX_WAYS as usize],
+};
+
+/// A set-associative LRU cache over 2D element tiles: the processor's one
+/// texture cache.
 ///
-/// Each simulated processor unit owns one `CacheSim` (GPUs of that era had
-/// per-pipe texture caches), so the simulation stays deterministic under
-/// parallel execution: a unit's access sequence depends only on the
-/// instances assigned to it.
+/// The simulation is exact and order-dependent: the statistics after a
+/// sequence of accesses depend on the whole sequence, so the accounting
+/// feeds it every cached fetch of a processor in record order (see
+/// [`crate::accounting`]).
 #[derive(Clone, Debug)]
 pub struct CacheSim {
     config: CacheConfig,
-    num_sets: u32,
-    /// `sets[set * ways + way]` = tag of the cached tile, or `u64::MAX`.
-    tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
+    /// `num_sets - 1`; the set count is a power of two.
+    set_mask: u64,
+    sets: Vec<Set>,
     clock: u64,
     stats: CacheStats,
 }
-
-const EMPTY_TAG: u64 = u64::MAX;
 
 impl CacheSim {
     /// Create an empty cache.
@@ -119,8 +137,8 @@ impl CacheSim {
             "block edge must be a power of two"
         );
         assert!(
-            config.ways >= 1 && config.num_blocks.is_multiple_of(config.ways),
-            "num_blocks must be a multiple of ways"
+            (1..=MAX_WAYS).contains(&config.ways) && config.num_blocks.is_multiple_of(config.ways),
+            "ways must be in 1..=4 and divide num_blocks"
         );
         let num_sets = config.num_blocks / config.ways;
         assert!(
@@ -129,9 +147,8 @@ impl CacheSim {
         );
         CacheSim {
             config,
-            num_sets,
-            tags: vec![EMPTY_TAG; config.num_blocks as usize],
-            stamps: vec![0; config.num_blocks as usize],
+            set_mask: num_sets as u64 - 1,
+            sets: vec![EMPTY_SET; num_sets as usize],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -162,21 +179,6 @@ impl CacheSim {
     /// stamps and clock byte-identical to `count` single-element accesses.
     #[inline]
     pub fn access_tile_run(&mut self, stream_id: u64, bx: u32, by: u32, count: u64) -> bool {
-        let (hit, _, _) = self.access_tile_run_slot(stream_id, bx, by, count);
-        hit
-    }
-
-    /// [`CacheSim::access_tile_run`] that additionally reports the tag and
-    /// the slot the tile now occupies, so callers can service later probes
-    /// of the same tile through [`CacheSim::try_fast_hit`].
-    #[inline]
-    pub fn access_tile_run_slot(
-        &mut self,
-        stream_id: u64,
-        bx: u32,
-        by: u32,
-        count: u64,
-    ) -> (bool, u64, u32) {
         // A hard precondition even in release builds: the miss path below
         // charges `count - 1` hits, which would wrap on an empty run.
         assert!(count > 0, "a tile run has at least one access");
@@ -186,58 +188,47 @@ impl CacheSim {
         let by = by as u64;
         // Tag combines the stream identity and the tile coordinate.
         let tag = (stream_id << 40) ^ (by << 20) ^ bx;
-        let set = ((bx ^ by.wrapping_mul(0x9E37_79B9) ^ stream_id.wrapping_mul(0x85EB_CA6B))
-            & (self.num_sets as u64 - 1)) as usize;
-        let ways = self.config.ways as usize;
-        let base = set * ways;
-        let set_tags = &self.tags[base..base + ways];
+        let set_index = (bx ^ by.wrapping_mul(0x9E37_79B9) ^ stream_id.wrapping_mul(0x85EB_CA6B))
+            & self.set_mask;
+        let ways = self.config.ways;
+        let set = &mut self.sets[set_index as usize];
 
-        // Look for a hit.
-        if let Some(w) = set_tags.iter().position(|&t| t == tag) {
-            self.stamps[base + w] = self.clock;
-            self.stats.hits += count;
-            return (true, tag, (base + w) as u32);
+        // Masks of the ways holding the tag and of the empty ways, built
+        // without data-dependent branches (which way hits is random).
+        let live = (1u32 << ways) - 1;
+        let mut hits = 0u32;
+        let mut empty = 0u32;
+        for w in 0..MAX_WAYS as usize {
+            hits |= u32::from(set.tags[w] == tag) << w;
+            empty |= u32::from(set.tags[w] == EMPTY_TAG) << w;
         }
-        // Miss on the first access: evict the LRU way and fill; the rest of
-        // the run hits the freshly filled tile.
+        let hits = hits & live;
+        if hits != 0 {
+            set.stamps[hits.trailing_zeros() as usize] = self.clock;
+            self.stats.hits += count;
+            return true;
+        }
+        // Miss on the first access: evict the LRU way (the first empty way,
+        // else the first of the oldest stamps) and fill; the rest of the
+        // run hits the freshly filled tile.
         self.stats.misses += 1;
         self.stats.hits += count - 1;
         self.stats.fill_bytes += self.config.block_fill_bytes();
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for (w, &t) in set_tags.iter().enumerate() {
-            if t == EMPTY_TAG {
-                victim = w;
-                break;
-            }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = tag;
-        self.stamps[base + victim] = self.clock;
-        (false, tag, (base + victim) as u32)
-    }
-
-    /// Service a run of `count` accesses to a tile previously reported at
-    /// `(tag, slot)` by [`CacheSim::access_tile_run_slot`], *if* the tile
-    /// is still resident there. Returns `false` without touching anything
-    /// when it was evicted — the caller falls back to the full probe. A
-    /// successful fast hit is byte-identical to the full probe's hit path
-    /// (statistics, stamp, clock).
-    #[inline]
-    pub fn try_fast_hit(&mut self, tag: u64, slot: u32, count: u64) -> bool {
-        let slot = slot as usize;
-        if self.tags.get(slot) == Some(&tag) {
-            self.clock += count;
-            self.stats.accesses += count;
-            self.stats.hits += count;
-            self.stamps[slot] = self.clock;
-            true
+        let empty = empty & live;
+        let victim = if empty != 0 {
+            empty.trailing_zeros() as usize
         } else {
-            false
-        }
+            let mut victim = 0;
+            for w in 1..ways as usize {
+                if set.stamps[w] < set.stamps[victim] {
+                    victim = w;
+                }
+            }
+            victim
+        };
+        set.tags[victim] = tag;
+        set.stamps[victim] = self.clock;
+        false
     }
 
     /// Statistics accumulated so far.
@@ -247,13 +238,12 @@ impl CacheSim {
 
     /// Reset contents and statistics. An untouched cache (every access
     /// bumps the clock) returns immediately, so resetting a processor that
-    /// ran nothing since its last reset does not refill the tag arrays.
+    /// ran nothing since its last reset does not refill the sets.
     pub fn reset(&mut self) {
         if self.clock == 0 {
             return;
         }
-        self.tags.fill(EMPTY_TAG);
-        self.stamps.fill(0);
+        self.sets.fill(EMPTY_SET);
         self.clock = 0;
         self.stats = CacheStats::default();
     }
@@ -398,9 +388,25 @@ mod tests {
             batched.access_tile_run(id, x >> shift, y >> shift, count);
         }
         assert_eq!(single.stats(), batched.stats());
-        assert_eq!(single.tags, batched.tags);
-        assert_eq!(single.stamps, batched.stamps);
+        assert_eq!(single.sets, batched.sets);
         assert_eq!(single.clock, batched.clock);
+    }
+
+    #[test]
+    fn a_set_fills_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Set>(), 64);
+        assert_eq!(std::mem::align_of::<Set>(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "ways must be in 1..=4")]
+    fn rejects_more_ways_than_a_line_holds() {
+        let _ = CacheSim::new(CacheConfig {
+            block_edge: 4,
+            num_blocks: 16,
+            ways: 8,
+            element_bytes: 8,
+        });
     }
 
     #[test]

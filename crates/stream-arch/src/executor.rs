@@ -4,9 +4,11 @@
 //! A [`StreamProcessor`] owns
 //!
 //! * a [`GpuProfile`] (the hardware being simulated),
-//! * the processor's one texture cache (a [`CacheSim`] modelling the
-//!   combined effect of the per-pipe L1 and the shared L2),
-//! * the accumulated [`Counters`],
+//! * the accumulated plain [`Counters`],
+//! * the recorder of cached fetches and the cost model that replays them
+//!   into the processor's one texture cache (a [`crate::CacheSim`]
+//!   modelling the combined effect of the per-pipe L1 and the shared L2;
+//!   see [`crate::accounting`]),
 //! * and a [`StreamArena`] recycling stream backing buffers across runs.
 //!
 //! [`StreamProcessor::launch`] executes one *stream operation*: it runs the
@@ -16,15 +18,22 @@
 //! execution, so a run is deterministic and its counters, cache statistics
 //! and simulated time do not depend on the host.
 //!
+//! The kernels' cached fetches are replayed into the texture cache either
+//! on the calling thread or on a helper thread the processor keeps, in
+//! record order either way. The drain points — [`StreamProcessor::counters`],
+//! [`StreamProcessor::simulated_time`], [`StreamProcessor::take_counters`]
+//! and [`StreamProcessor::reset`] — replay everything recorded before they
+//! read, which is why they take `&mut self`.
+//!
 //! The processor enforces the hardware restrictions of Sections 3.2, 6.1
 //! and 7.1: maximum stream size, per-instance output budget, and (via
 //! [`StreamProcessor::check_distinct_io`]) distinctness of input and output
 //! streams.
 
+use crate::accounting::{FetchLog, FetchObserver, FetchStream, InLaunch};
 use crate::arena::StreamArena;
-use crate::cache::CacheSim;
 use crate::error::{Result, StreamError};
-use crate::kernel::{AccountingMode, KernelCtx};
+use crate::kernel::KernelCtx;
 use crate::metrics::{Counters, SimTime};
 use crate::profile::GpuProfile;
 use crate::stream::Stream;
@@ -34,9 +43,10 @@ use crate::value::StreamElement;
 /// The simulated stream processor.
 pub struct StreamProcessor {
     profile: GpuProfile,
-    accounting: AccountingMode,
-    cache: CacheSim,
+    /// Everything but the cache statistics and the block-fill
+    /// `bytes_read`, which the cost model behind `log` keeps.
     counters: Counters,
+    log: FetchLog,
     arena: StreamArena,
 }
 
@@ -44,9 +54,8 @@ impl StreamProcessor {
     /// Create a processor for the given hardware profile.
     pub fn new(profile: GpuProfile) -> Self {
         StreamProcessor {
-            cache: CacheSim::new(profile.cache),
+            log: FetchLog::new(profile.cache),
             profile,
-            accounting: AccountingMode::Batched,
             counters: Counters::new(),
             arena: StreamArena::new(),
         }
@@ -57,18 +66,14 @@ impl StreamProcessor {
         &self.profile
     }
 
-    /// How kernel-side accesses are charged to the cost model (batched
-    /// block accumulation by default; see [`AccountingMode`]).
-    pub fn accounting_mode(&self) -> AccountingMode {
-        self.accounting
-    }
-
-    /// Change the accounting mode. Counters, cache statistics and simulated
-    /// times are byte-identical under both modes; only the host wall-clock
-    /// cost of the accounting differs. [`AccountingMode::PerAccess`] is the
-    /// reference model the identity tests compare against.
-    pub fn set_accounting_mode(&mut self, mode: AccountingMode) {
-        self.accounting = mode;
+    /// Hand every chunk of raw cached fetches this processor records to
+    /// `observer`, in record order, on the calling thread, as the chunk
+    /// leaves the recorder (when it is full, and at every drain point).
+    ///
+    /// Observing changes no charge. The identity tests feed the per-access
+    /// reference model of the texture cache from it.
+    pub fn observe_fetches(&mut self, observer: FetchObserver) {
+        self.log.set_observer(observer);
     }
 
     /// The processor's buffer arena. Drivers allocate their intermediate
@@ -85,18 +90,22 @@ impl StreamProcessor {
         &self.arena
     }
 
-    /// Accumulated counters, with the cache statistics filled in.
-    pub fn counters(&self) -> Counters {
+    /// Accumulated counters, with the cache statistics and block-fill
+    /// bytes filled in. A drain point: everything recorded so far is
+    /// charged before it returns.
+    pub fn counters(&mut self) -> Counters {
+        let model = self.log.drain();
         Counters {
-            cache: *self.cache.stats(),
+            cache: model.stats(),
+            bytes_read: model.bytes_read(),
             ..self.counters
         }
     }
 
-    /// Reset all counters and cache contents.
+    /// Reset all counters and cache contents (a drain point).
     pub fn reset(&mut self) {
         self.counters = Counters::new();
-        self.cache.reset();
+        self.log.reset();
     }
 
     /// Return the accumulated counters (cache statistics merged in) and
@@ -113,8 +122,9 @@ impl StreamProcessor {
     }
 
     /// Simulated running time of everything executed since the last reset.
-    pub fn simulated_time(&self) -> SimTime {
-        self.profile.simulate(&self.counters())
+    pub fn simulated_time(&mut self) -> SimTime {
+        let counters = self.counters();
+        self.profile.simulate(&counters)
     }
 
     /// Record that the launches issued since the previous step boundary
@@ -179,14 +189,12 @@ impl StreamProcessor {
     ///
     /// This is the shape of GPU-ABiSort's copy-back (Section 6.1), which
     /// follows every phase and carries roughly half of all simulated
-    /// traffic. Under [`AccountingMode::Batched`] the whole operation is
-    /// vectorized: it is charged as one block (reads, writes, cache-tile
-    /// runs — byte-identical to the per-element kernel) and the data moves
-    /// in one `memcpy`. Under [`AccountingMode::PerAccess`] it runs as a
-    /// regular per-element kernel launch — the reference engine.
+    /// traffic. The whole operation is vectorized: it is charged as one
+    /// block (reads, writes and one logged fetch — the same charges as the
+    /// per-element kernel) and the data moves in one `memcpy`.
     pub fn launch_copy<T: StreamElement>(
         &mut self,
-        name: &str,
+        _name: &str,
         src: &Stream<T>,
         dst: &mut Stream<T>,
         block: (usize, usize),
@@ -201,27 +209,17 @@ impl StreamProcessor {
         let blocks = crate::stream::BlockSet::contiguous(block.0, block.1);
         let instances = block.1 / per_instance;
 
-        if self.accounting != AccountingMode::Batched {
-            let read = crate::kernel::ReadView::new(src, blocks.clone(), per_instance)?;
-            let mut write = crate::kernel::WriteView::new(dst, blocks, per_instance)?;
-            return self.launch(name, instances, |ctx| {
-                for slot in 0..per_instance {
-                    let v = read.get(ctx, slot);
-                    write.set(ctx, slot, v);
-                }
-            });
-        }
-
         src.check_blocks(&blocks)?;
         dst.check_blocks(&blocks)?;
+        let _in_launch = InLaunch::enter();
         self.counters.launches += 1;
         self.counters.kernel_instances += instances as u64;
         if instances == 0 {
             return Ok(());
         }
-        // The per-instance output budget check of the per-element engine,
+        // The per-instance output budget check of the per-element kernel,
         // which aborts after the first instance exceeded it (with that
-        // instance's charges recorded).
+        // instance's charges recorded, and its elements written).
         let max_output_bytes = self.profile.max_kernel_output_bytes;
         let budget_error = per_instance * T::BYTES > max_output_bytes;
         let copied = if budget_error {
@@ -229,12 +227,14 @@ impl StreamProcessor {
         } else {
             instances * per_instance
         };
-        let mut ctx = KernelCtx::new(&mut self.counters, Some(&mut self.cache), true);
-        ctx.charge_copy_block(src.cache_tag(), src.layout(), block.0, copied, T::BYTES);
-        ctx.flush();
-        // On the budget error path the per-element reference still *writes*
-        // the first instance before the check aborts the launch, so the
-        // stream contents stay byte-identical across accounting modes.
+        let mut ctx = KernelCtx::new(&mut self.counters, &mut self.log);
+        let stream = FetchStream {
+            tag: src.cache_tag(),
+            layout: src.layout(),
+            bytes: T::BYTES as u32,
+        };
+        ctx.charge_reads(stream, block.0, copied);
+        ctx.charge_writes(copied, T::BYTES);
         dst.as_mut_slice()[block.0..block.0 + copied]
             .copy_from_slice(&src.as_slice()[block.0..block.0 + copied]);
         if budget_error {
@@ -278,39 +278,31 @@ impl StreamProcessor {
     /// This exists as the compiled-out control for the tracing-overhead
     /// acceptance test; production callers use [`StreamProcessor::launch`].
     ///
-    /// One [`KernelCtx`] serves the whole launch: per-instance state is
-    /// reset by `begin_instance`, while the batched accounting accumulates
-    /// across instances (a cache-tile run of a linear view usually
-    /// continues straight into the next instance's elements) and is
-    /// flushed exactly once per exit path, so an aborted launch still
-    /// charges everything the failing instance touched — identical to the
-    /// per-access model.
+    /// One [`KernelCtx`] serves the whole launch; `begin_instance` resets
+    /// its per-instance state. Accesses are charged as they happen, so an
+    /// aborted launch keeps everything the failing instance touched.
     pub fn launch_untraced<F>(&mut self, _name: &str, instances: usize, mut kernel: F) -> Result<()>
     where
         F: FnMut(&mut KernelCtx<'_>),
     {
+        let _in_launch = InLaunch::enter();
         self.counters.launches += 1;
         self.counters.kernel_instances += instances as u64;
         let max_output_bytes = self.profile.max_kernel_output_bytes;
-        let batched = self.accounting == AccountingMode::Batched;
-        let mut ctx = KernelCtx::new(&mut self.counters, Some(&mut self.cache), batched);
+        let mut ctx = KernelCtx::new(&mut self.counters, &mut self.log);
         for instance in 0..instances {
             ctx.begin_instance(instance);
             kernel(&mut ctx);
             if ctx.bytes_pushed > max_output_bytes {
-                let bytes = ctx.bytes_pushed;
-                ctx.flush();
                 return Err(StreamError::KernelOutputTooLarge {
-                    bytes,
+                    bytes: ctx.bytes_pushed,
                     max_bytes: max_output_bytes,
                 });
             }
             if let Some(e) = ctx.error.take() {
-                ctx.flush();
                 return Err(e);
             }
         }
-        ctx.flush();
         Ok(())
     }
 }
@@ -318,10 +310,12 @@ impl StreamProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{ReadView, WriteView};
+    use crate::kernel::{GatherView, ReadView, WriteView};
     use crate::layout::Layout;
+    use crate::per_access;
     use crate::stream::{BlockSet, Stream};
     use crate::value::Value;
+    use proptest::prelude::*;
 
     fn doubling_op(proc_: &mut StreamProcessor, input: &Stream<u32>, output: &mut Stream<u32>) {
         let n = input.len();
@@ -540,59 +534,71 @@ mod tests {
         assert_eq!(out.as_slice(), &[3, 4, 0, 0, 1, 2, 0, 0]);
     }
 
-    #[test]
-    fn launch_copy_is_byte_identical_across_accounting_modes() {
-        let src = Stream::from_vec("src", (0u32..512).collect(), Layout::ZOrder);
-        let run = |accounting: AccountingMode| {
-            let mut p = StreamProcessor::new(GpuProfile::geforce_6800());
-            p.set_accounting_mode(accounting);
-            let mut dst: Stream<u32> = Stream::new("dst", 512, Layout::ZOrder);
-            let r = p.launch_copy("copy", &src, &mut dst, (32, 256), 2);
-            assert!(r.is_ok());
-            (dst.as_slice().to_vec(), p.counters(), p.simulated_time())
+    /// `launch_copy` next to the per-element copy kernel it vectorizes.
+    fn copy_both_ways(
+        profile: &GpuProfile,
+        src: &Stream<u32>,
+        block: (usize, usize),
+        per_instance: usize,
+    ) -> [(Vec<u32>, Counters, SimTime, Result<()>); 2] {
+        let vectorized = {
+            let mut p = StreamProcessor::new(profile.clone());
+            let mut dst: Stream<u32> = Stream::new("dst", src.len(), src.layout());
+            let r = p.launch_copy("copy", src, &mut dst, block, per_instance);
+            (dst.as_slice().to_vec(), p.counters(), p.simulated_time(), r)
         };
-        let batched = run(AccountingMode::Batched);
-        let reference = run(AccountingMode::PerAccess);
-        assert_eq!(batched, reference);
-        // The copied block landed; everything else stayed default.
-        assert_eq!(&batched.0[32..288], src.range(32, 256));
-        assert!(batched.0[..32].iter().all(|&v| v == 0));
+        let per_element = {
+            let mut p = StreamProcessor::new(profile.clone());
+            let mut dst: Stream<u32> = Stream::new("dst", src.len(), src.layout());
+            let blocks = BlockSet::contiguous(block.0, block.1);
+            let read = ReadView::new(src, blocks.clone(), per_instance).unwrap();
+            let mut write = WriteView::new(&mut dst, blocks, per_instance).unwrap();
+            let r = p.launch("copy", block.1 / per_instance, |ctx| {
+                for slot in 0..per_instance {
+                    let v = read.get(ctx, slot);
+                    write.set(ctx, slot, v);
+                }
+            });
+            drop(write);
+            (dst.as_slice().to_vec(), p.counters(), p.simulated_time(), r)
+        };
+        [vectorized, per_element]
     }
 
     #[test]
-    fn launch_copy_budget_error_is_byte_identical_across_accounting_modes() {
+    fn launch_copy_matches_the_per_element_copy_kernel() {
+        let src = Stream::from_vec("src", (0u32..512).collect(), Layout::ZOrder);
+        let [copy, kernel] = copy_both_ways(&GpuProfile::geforce_6800(), &src, (32, 256), 2);
+        assert_eq!(copy, kernel);
+        assert!(copy.1.cache.accesses > 0);
+        // The copied block landed; everything else stayed default.
+        assert_eq!(&copy.0[32..288], src.range(32, 256));
+        assert!(copy.0[..32].iter().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn launch_copy_budget_error_matches_the_per_element_copy_kernel() {
         // A per-instance element count whose bytes exceed the output
         // budget: the launch errors, but the first instance still ran (and
-        // wrote) under the per-element reference — the vectorized path
-        // must reproduce the partial write, the charges and the error
-        // exactly.
+        // wrote) under the per-element kernel — the vectorized copy must
+        // reproduce the partial write, the charges and the error exactly.
         let mut profile = GpuProfile::geforce_6800();
         profile.max_kernel_output_bytes = 4; // one u32
         let src = Stream::from_vec("src", (1u32..=64).collect(), Layout::Linear);
-        let run = |accounting: AccountingMode| {
-            let mut p = StreamProcessor::new(profile.clone());
-            p.set_accounting_mode(accounting);
-            let mut dst: Stream<u32> = Stream::new("dst", 64, Layout::Linear);
-            let err = p
-                .launch_copy("copy", &src, &mut dst, (0, 64), 2)
-                .unwrap_err();
-            (dst.as_slice().to_vec(), p.counters(), err)
-        };
-        let batched = run(AccountingMode::Batched);
-        let reference = run(AccountingMode::PerAccess);
-        assert_eq!(batched, reference);
+        let [copy, kernel] = copy_both_ways(&profile, &src, (0, 64), 2);
+        assert_eq!(copy, kernel);
         assert!(matches!(
-            batched.2,
-            StreamError::KernelOutputTooLarge { bytes: 8, .. }
+            copy.3,
+            Err(StreamError::KernelOutputTooLarge { bytes: 8, .. })
         ));
         // The first instance's pair was written before the abort; nothing
         // after it.
-        assert_eq!(&batched.0[..2], &[1, 2]);
-        assert!(batched.0[2..].iter().all(|&v| v == 0));
+        assert_eq!(&copy.0[..2], &[1, 2]);
+        assert!(copy.0[2..].iter().all(|&v| v == 0));
     }
 
     #[test]
-    fn block_ranges_past_usize_max_are_typed_errors_under_both_accounting_modes() {
+    fn block_ranges_past_usize_max_are_typed_errors() {
         // `start + len` wraps around for this block; it must be rejected
         // when the view is bound (or the copy validated), never reach the
         // stream memory.
@@ -602,26 +608,23 @@ mod tests {
             end: usize::MAX,
         };
         let src = Stream::from_vec("src", (0u32..8).collect(), Layout::Linear);
-        for accounting in [AccountingMode::Batched, AccountingMode::PerAccess] {
-            let mut p = StreamProcessor::new(GpuProfile::geforce_6800());
-            p.set_accounting_mode(accounting);
-            let mut dst: Stream<u32> = Stream::new("dst", 8, Layout::Linear);
-            assert_eq!(
-                ReadView::contiguous(&src, usize::MAX - 2, 8, 1).err(),
-                Some(expected.clone())
-            );
-            assert_eq!(
-                WriteView::contiguous(&mut dst, usize::MAX - 2, 8, 1).err(),
-                Some(expected.clone())
-            );
-            assert_eq!(
-                p.launch_copy("copy", &src, &mut dst, (usize::MAX - 2, 8), 1),
-                Err(expected.clone()),
-                "{accounting:?}"
-            );
-            assert!(dst.as_slice().iter().all(|&v| v == 0));
-            assert_eq!(src.as_slice(), (0u32..8).collect::<Vec<_>>().as_slice());
-        }
+        let mut p = StreamProcessor::new(GpuProfile::geforce_6800());
+        let mut dst: Stream<u32> = Stream::new("dst", 8, Layout::Linear);
+        assert_eq!(
+            ReadView::contiguous(&src, usize::MAX - 2, 8, 1).err(),
+            Some(expected.clone())
+        );
+        assert_eq!(
+            WriteView::contiguous(&mut dst, usize::MAX - 2, 8, 1).err(),
+            Some(expected.clone())
+        );
+        assert_eq!(
+            p.launch_copy("copy", &src, &mut dst, (usize::MAX - 2, 8), 1),
+            Err(expected)
+        );
+        assert!(dst.as_slice().iter().all(|&v| v == 0));
+        assert_eq!(src.as_slice(), (0u32..8).collect::<Vec<_>>().as_slice());
+        assert_eq!(p.counters(), Counters::new());
     }
 
     #[test]
@@ -657,5 +660,183 @@ mod tests {
         p.charge_transfer(2 * 8 * (1 << 20));
         let t = p.simulated_time();
         assert!(t.breakdown.transfer_ms > 50.0);
+    }
+
+    /// A processor whose fetches are replayed on the helper thread
+    /// (`helper`) or on the calling thread, from its first launch on.
+    fn processor_on(profile: GpuProfile, helper: bool) -> StreamProcessor {
+        let mut p = StreamProcessor::new(profile);
+        p.log.forced = Some(helper);
+        p.reset(); // a drain point: the forced driver takes over
+        p
+    }
+
+    /// A launch shape: instances per launch, launches, simulated units,
+    /// and an instance that gathers out of bounds or panics.
+    #[derive(Clone, Debug)]
+    struct Shape {
+        instances: usize,
+        launches: usize,
+        units: usize,
+        fail_at: Option<usize>,
+        panic_at: Option<usize>,
+    }
+
+    fn shape_strategy() -> impl Strategy<Value = Shape> {
+        (
+            prop_oneof![
+                1 => Just(0usize),
+                1 => Just(1usize),
+                2 => 2usize..300,
+                // Several full chunks per launch.
+                2 => 3000usize..9000,
+            ],
+            1usize..4,
+            prop_oneof![Just(1usize), Just(3), Just(16)],
+            prop_oneof![
+                3 => Just((None, None)),
+                1 => (0usize..1 << 16).prop_map(|p| (Some(p), None)),
+                1 => (0usize..1 << 16).prop_map(|p| (None, Some(p))),
+            ],
+        )
+            .prop_map(|(instances, launches, units, (fail, panic))| Shape {
+                instances,
+                launches,
+                units,
+                fail_at: fail.and_then(|p| (instances > 0).then(|| p % instances)),
+                panic_at: panic.and_then(|p| (instances > 0).then(|| p % instances)),
+            })
+    }
+
+    /// Everything a run of a shape must reproduce.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        output: Vec<u32>,
+        counters: Counters,
+        sim_time: SimTime,
+        errors: Vec<String>,
+    }
+
+    /// Run `shape` on the given driver; return its outcome and the
+    /// outcome the per-access replay of the same fetch log gives.
+    fn run_shape(shape: &Shape, helper: bool) -> (Outcome, Outcome) {
+        let profile = GpuProfile::geforce_6800().with_units(shape.units);
+        let mut proc = processor_on(profile.clone(), helper);
+        let reference = per_access::attach(&mut proc);
+        let n = shape.instances;
+        let input = Stream::from_vec("in", (0..n as u32).collect(), Layout::ZOrder);
+        let lookup = Stream::from_vec("lut", (0..n.max(1) as u32).rev().collect(), Layout::Linear);
+        let mut out: Stream<u32> = Stream::new("out", n, Layout::ZOrder);
+        let mut errors = Vec::new();
+        for _ in 0..shape.launches {
+            let read = ReadView::contiguous(&input, 0, n, 1).unwrap();
+            let gather = GatherView::new(&lookup);
+            let mut write = WriteView::contiguous(&mut out, 0, n, 1).unwrap();
+            let (fail_at, panic_at) = (shape.fail_at, shape.panic_at);
+            let lut_len = lookup.len();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                proc.launch("shape", n, |ctx| {
+                    let i = ctx.instance_index();
+                    let v = read.get(ctx, 0);
+                    // A scattered, data-dependent gather: every fetch is an
+                    // entry of its own, so large shapes fill chunks.
+                    let idx = if fail_at == Some(i) {
+                        lut_len + 7
+                    } else {
+                        (i * 7919) % lut_len
+                    };
+                    let g = gather.gather(ctx, idx);
+                    if panic_at == Some(i) {
+                        panic!("kernel bug");
+                    }
+                    ctx.count_comparisons(1);
+                    write.set(ctx, 0, v.wrapping_mul(3).wrapping_add(g));
+                })
+            }));
+            errors.push(match result {
+                Ok(r) => format!("{r:?}"),
+                Err(_) => "panicked".to_string(),
+            });
+            proc.record_step();
+        }
+        let counters = proc.counters();
+        let outcome = Outcome {
+            output: out.as_slice().to_vec(),
+            counters,
+            sim_time: proc.simulated_time(),
+            errors: errors.clone(),
+        };
+        let reference = reference.lock().unwrap();
+        let replayed = Outcome {
+            output: outcome.output.clone(),
+            counters: reference.counters(&counters),
+            sim_time: reference.simulated_time(&profile, &counters),
+            errors,
+        };
+        (outcome, replayed)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Both drivers charge every shape — 0/1-instance, error-aborted
+        /// and panicking launches included — byte-identically, and equal
+        /// to the per-access replay of the fetch log.
+        #[test]
+        fn both_drivers_match_the_per_access_replay(shape in shape_strategy()) {
+            let (engine, engine_ref) = run_shape(&shape, false);
+            let (helper, helper_ref) = run_shape(&shape, true);
+            prop_assert_eq!(&engine, &helper);
+            prop_assert_eq!(&engine, &engine_ref);
+            prop_assert_eq!(&helper, &helper_ref);
+        }
+    }
+
+    /// A launch of `instances` scattered gathers: about one logged fetch
+    /// per instance.
+    fn scattered_gathers(proc: &mut StreamProcessor, lookup: &Stream<u32>, instances: usize) {
+        let gather = GatherView::new(lookup);
+        proc.launch("scatter", instances, |ctx| {
+            let i = ctx.instance_index();
+            gather.gather(ctx, (i * 7919) % lookup.len());
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn take_counters_with_chunks_still_queued_returns_the_full_totals() {
+        let lookup = Stream::from_vec("lut", (0u32..1 << 16).collect(), Layout::ZOrder);
+        let instances = 40 * crate::accounting::CHUNK_FETCHES;
+        let mut engine = processor_on(GpuProfile::geforce_7800(), false);
+        let mut helper = processor_on(GpuProfile::geforce_7800(), true);
+        scattered_gathers(&mut engine, &lookup, instances);
+        scattered_gathers(&mut helper, &lookup, instances);
+        assert!(!engine.log.has_helper());
+        assert!(helper.log.has_helper(), "40 full chunks go to the helper");
+        let taken = helper.take_counters();
+        assert_eq!(taken, engine.take_counters());
+        assert_eq!(taken.cache.accesses, instances as u64);
+
+        // The next batch starts clean, on the same helper.
+        assert_eq!(helper.counters(), Counters::new());
+        scattered_gathers(&mut engine, &lookup, instances);
+        scattered_gathers(&mut helper, &lookup, instances);
+        assert_eq!(helper.counters(), engine.counters());
+        assert_eq!(helper.simulated_time(), engine.simulated_time());
+        let mut fresh = processor_on(GpuProfile::geforce_7800(), false);
+        scattered_gathers(&mut fresh, &lookup, instances);
+        assert_eq!(helper.counters(), fresh.counters());
+    }
+
+    #[test]
+    fn small_runs_start_no_helper() {
+        // Offloading or not, a run that never fills a chunk is replayed
+        // at its drain point on the calling thread.
+        let mut p = processor_on(GpuProfile::geforce_7800(), true);
+        let input = Stream::from_vec("in", (0u32..1024).collect(), Layout::ZOrder);
+        let mut out: Stream<u32> = Stream::new("out", 1024, Layout::ZOrder);
+        doubling_op(&mut p, &input, &mut out);
+        assert_eq!(p.counters().cache.accesses, 1024);
+        assert!(!p.log.has_helper());
     }
 }

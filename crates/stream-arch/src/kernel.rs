@@ -28,8 +28,19 @@
 //! Scatter (random-access writes) is simply not expressible: [`WriteView`]
 //! has no indexed write method. This is the architectural restriction the
 //! whole paper is designed around (Section 3.2).
+//!
+//! Every access is charged as it happens, through the [`KernelCtx`]: plain
+//! event counts go into the processor's [`Counters`], and each cached
+//! fetch (a streaming read or a gather) is appended to the processor's
+//! fetch log, which the cost model of [`crate::accounting`] replays into
+//! the texture cache. The views' block accessors ([`ReadView::read_into`],
+//! [`GatherView::gather_range`], [`WriteView::write_all`],
+//! [`IterStream::pair`]) charge a whole contiguous range at once; their
+//! per-element fallbacks (multi-block substreams, ranges that run past
+//! the end) charge element by element, so the result is the same either
+//! way.
 
-use crate::cache::CacheSim;
+use crate::accounting::{FetchLog, FetchStream};
 use crate::error::{Result, StreamError};
 use crate::layout::Layout;
 use crate::metrics::Counters;
@@ -45,174 +56,46 @@ fn words(bytes: usize) -> u64 {
     (bytes as u64).div_ceil(4).max(1)
 }
 
-/// How a [`KernelCtx`] charges the per-access cost model.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum AccountingMode {
-    /// Block accumulation (the default): accesses are summed into plain
-    /// local counters, and consecutive cached fetches that land in the same
-    /// cache tile are charged as one batched probe
-    /// ([`CacheSim::access_tile_run`]). The counters, cache statistics and
-    /// simulated times are byte-identical to [`AccountingMode::PerAccess`];
-    /// only the host wall-clock cost of the accounting changes.
-    #[default]
-    Batched,
-    /// The original reference model: every access updates the shared
-    /// counters and probes the cache individually. The executable
-    /// specification of the cost model: the identity tests and the
-    /// accounting acceptance test compare the batched mode against it.
-    PerAccess,
-}
-
-/// A pending run of consecutive cached fetches that all landed in the same
-/// cache tile of the same stream; flushed as one batched probe.
-#[derive(Copy, Clone)]
-struct TileRun {
-    stream_id: u64,
-    /// Tile identity under the stream's layout (see [`tile_key`]); only
-    /// comparable for the same `stream_id`.
-    key: u64,
-    /// Global element index of the first access of the run (tile
-    /// coordinates are recomputed from it once, at flush time).
-    first_idx: usize,
-    layout: Layout,
-    /// Element size, for the miss fill charge.
-    bytes: usize,
-    /// Accesses in the run; 0 means "no pending run".
-    count: u64,
-}
-
-const NO_RUN: TileRun = TileRun {
-    stream_id: 0,
-    key: 0,
-    first_idx: 0,
-    layout: Layout::Linear,
-    bytes: 0,
-    count: 0,
-};
-
-/// One entry of the context's probe memo: where tile `(stream_id, key)`
-/// was last found in the texture cache. A memo hit lets [`KernelCtx`]
-/// service a whole run through [`CacheSim::try_fast_hit`] — no 1D→2D
-/// conversion, no set hash, no way scan. Entries are only trusted after
-/// the cache re-verifies the tag, so eviction can never be missed.
-#[derive(Copy, Clone)]
-struct ProbeMemo {
-    stream_id: u64,
-    key: u64,
-    tag: u64,
-    slot: u32,
-}
-
-const NO_MEMO: ProbeMemo = ProbeMemo {
-    stream_id: u64::MAX,
-    key: u64::MAX,
-    tag: 0,
-    slot: 0,
-};
-
-/// Probe-memo entries (a power of two; indexed by a multiplicative hash).
-const PROBE_MEMO_ENTRIES: usize = 8;
-
+/// The texture-cache identity of a stream of `T`.
 #[inline]
-fn memo_index(stream_id: u64, key: u64) -> usize {
-    ((stream_id ^ key)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_shr(61)) as usize
-        & (PROBE_MEMO_ENTRIES - 1)
-}
-
-/// Locally accumulated event counts, flushed into the shared
-/// [`Counters`] once per launch instead of once per access.
-#[derive(Copy, Clone, Default)]
-struct PendingCounters {
-    stream_reads: u64,
-    stream_writes: u64,
-    gathers: u64,
-    iter_reads: u64,
-    comparisons: u64,
-    bytes_written: u64,
-    bytes_read: u64,
-}
-
-/// The identity of the cache tile that element `idx` of a stream with the
-/// given layout falls into, as a single comparable key. `shift` is
-/// `log₂ block_edge`. Two accesses of one stream share a cache tile iff
-/// their keys are equal; the key avoids the full 1D→2D conversion on the
-/// hot path (for Z-order, the tile is just the index shifted by
-/// `2·shift` — no bit de-interleaving per access).
-#[inline]
-fn tile_key(layout: Layout, idx: usize, shift: u32) -> u64 {
-    match layout {
-        Layout::Linear => ((idx as u32) >> shift) as u64,
-        Layout::RowMajor { width } => {
-            let w = width.trailing_zeros();
-            let x = (idx as u32) & (width - 1);
-            let y = (idx >> w) as u32;
-            (((y >> shift) as u64) << 32) | ((x >> shift) as u64)
-        }
-        // Consecutive Morton indices interleave x/y bits, so dropping the
-        // low 2·shift bits yields exactly (x >> shift, y >> shift) still
-        // interleaved — a unique tile id.
-        Layout::ZOrder => (idx >> (2 * shift)) as u64,
+fn fetch_stream<T: StreamElement>(tag: u64, layout: Layout) -> FetchStream {
+    FetchStream {
+        tag,
+        layout,
+        bytes: T::BYTES as u32,
     }
 }
 
 /// Per-instance execution context handed to the kernel closure.
 ///
-/// It carries the instance index, the processor's texture cache, the local
-/// event counters and the bytes the instance pushed so far (which the
-/// executor checks against Section 7.1's 16 × 32-bit output budget).
-///
-/// Under [`AccountingMode::Batched`] the context does not touch the shared
-/// [`Counters`] per access: events accumulate into plain local fields and
-/// cached fetches coalesce into per-tile runs, both flushed by the executor
-/// once per launch (and at every early exit). The executor owns the flush
-/// discipline; tests that build a context by hand must call the
-/// crate-internal `KernelCtx::flush` before inspecting counters.
+/// It carries the instance index, the processor's counters and fetch log,
+/// and the bytes the instance pushed so far (which the executor checks
+/// against Section 7.1's 16 × 32-bit output budget). Charges land the
+/// moment an access happens, so a launch that aborts — on an error or a
+/// panicking kernel — keeps everything its instances touched.
 pub struct KernelCtx<'a> {
     pub(crate) instance: usize,
     pub(crate) counters: &'a mut Counters,
-    pub(crate) cache: Option<&'a mut CacheSim>,
+    log: &'a mut FetchLog,
     pub(crate) bytes_pushed: usize,
     pub(crate) error: Option<StreamError>,
-    batched: bool,
-    /// `log₂ block_edge` of the cache (0 when there is no cache).
-    edge_shift: u32,
-    pending: PendingCounters,
-    run: TileRun,
-    probe_memo: [ProbeMemo; PROBE_MEMO_ENTRIES],
 }
 
 impl<'a> KernelCtx<'a> {
     /// Build a context for the instances of one launch (the executor
     /// resets the per-instance state via [`KernelCtx::begin_instance`]).
-    pub(crate) fn new(
-        counters: &'a mut Counters,
-        cache: Option<&'a mut CacheSim>,
-        batched: bool,
-    ) -> Self {
-        let edge_shift = cache
-            .as_deref()
-            .map(|c| c.config().block_edge.trailing_zeros())
-            .unwrap_or(0);
+    pub(crate) fn new(counters: &'a mut Counters, log: &'a mut FetchLog) -> Self {
         KernelCtx {
             instance: 0,
             counters,
-            cache,
+            log,
             bytes_pushed: 0,
             error: None,
-            batched,
-            edge_shift,
-            pending: PendingCounters::default(),
-            run: NO_RUN,
-            probe_memo: [NO_MEMO; PROBE_MEMO_ENTRIES],
         }
     }
 
     /// Reset the per-instance state (output budget, error) for the next
-    /// instance of the launch. Pending batched charges survive — a tile run
-    /// may span instances, since consecutive instances of a linear view
-    /// read consecutive elements.
+    /// instance of the launch.
     #[inline]
     pub(crate) fn begin_instance(&mut self, instance: usize) {
         self.instance = instance;
@@ -220,64 +103,6 @@ impl<'a> KernelCtx<'a> {
         self.error = None;
     }
 
-    /// Flush all pending batched charges into the shared counters and the
-    /// cache model. Idempotent; a no-op in per-access mode.
-    pub(crate) fn flush(&mut self) {
-        self.flush_run();
-        let p = self.pending;
-        self.counters.stream_reads += p.stream_reads;
-        self.counters.stream_writes += p.stream_writes;
-        self.counters.gathers += p.gathers;
-        self.counters.iter_reads += p.iter_reads;
-        self.counters.comparisons += p.comparisons;
-        self.counters.bytes_written += p.bytes_written;
-        self.counters.bytes_read += p.bytes_read;
-        self.pending = PendingCounters::default();
-    }
-
-    /// Flush the pending cache-tile run as one batched probe.
-    fn flush_run(&mut self) {
-        if self.run.count == 0 {
-            return;
-        }
-        let run = self.run;
-        self.run = NO_RUN;
-        let cache = self
-            .cache
-            .as_deref_mut()
-            .expect("a tile run exists only with a cache model");
-        // Probe memo: a kernel alternates between a handful of tiles, so
-        // the tile usually sits exactly where its last probe left it; a
-        // verified fast hit skips the 1D→2D conversion, the set hash and
-        // the way scan while producing byte-identical cache state.
-        let mi = memo_index(run.stream_id, run.key);
-        let memo = self.probe_memo[mi];
-        if memo.stream_id == run.stream_id
-            && memo.key == run.key
-            && cache.try_fast_hit(memo.tag, memo.slot, run.count)
-        {
-            return;
-        }
-        let (x, y) = run.layout.to_2d(run.first_idx);
-        let (hit, tag, slot) = cache.access_tile_run_slot(
-            run.stream_id,
-            x >> self.edge_shift,
-            y >> self.edge_shift,
-            run.count,
-        );
-        self.probe_memo[mi] = ProbeMemo {
-            stream_id: run.stream_id,
-            key: run.key,
-            tag,
-            slot,
-        };
-        if !hit {
-            // One fill per missed tile, charged at the accessed element's
-            // size (see `charge_cached_fetch`).
-            let edge = cache.config().block_edge as u64;
-            self.pending.bytes_read += edge * edge * run.bytes as u64;
-        }
-    }
     /// The index of this kernel instance within the stream operation
     /// (the paper's `instance_index`).
     #[inline]
@@ -288,11 +113,7 @@ impl<'a> KernelCtx<'a> {
     /// Record `n` key comparisons (for the work-complexity experiments).
     #[inline]
     pub fn count_comparisons(&mut self, n: u64) {
-        if self.batched {
-            self.pending.comparisons += n;
-        } else {
-            self.counters.comparisons += n;
-        }
+        self.counters.comparisons += n;
     }
 
     /// True once any access of this instance failed; subsequent accesses
@@ -309,246 +130,41 @@ impl<'a> KernelCtx<'a> {
         }
     }
 
+    /// Charge `count` streaming reads of the consecutive elements from
+    /// `first`.
     #[inline]
-    pub(crate) fn charge_read(
-        &mut self,
-        stream_id: u64,
-        layout: Layout,
-        global_idx: usize,
-        bytes: usize,
-    ) {
-        if self.batched {
-            self.pending.stream_reads += words(bytes);
-        } else {
-            self.counters.stream_reads += words(bytes);
-        }
-        self.charge_cached_fetch(stream_id, layout, global_idx, bytes);
+    pub(crate) fn charge_reads(&mut self, stream: FetchStream, first: usize, count: usize) {
+        self.counters.stream_reads += count as u64 * words(stream.bytes as usize);
+        self.log.record(stream, first, count);
     }
 
+    /// Charge `count` gathers of the consecutive elements from `first`.
     #[inline]
-    fn charge_gather(&mut self, stream_id: u64, layout: Layout, global_idx: usize, bytes: usize) {
-        if self.batched {
-            self.pending.gathers += words(bytes);
-        } else {
-            self.counters.gathers += words(bytes);
-        }
-        self.charge_cached_fetch(stream_id, layout, global_idx, bytes);
+    fn charge_gathers(&mut self, stream: FetchStream, first: usize, count: usize) {
+        self.counters.gathers += count as u64 * words(stream.bytes as usize);
+        self.log.record(stream, first, count);
     }
 
+    /// Charge `count` linear writes of `bytes`-byte elements (writes
+    /// bypass the texture cache, so this is pure arithmetic).
     #[inline]
-    fn charge_cached_fetch(
-        &mut self,
-        stream_id: u64,
-        layout: Layout,
-        global_idx: usize,
-        bytes: usize,
-    ) {
-        if self.batched {
-            match self.cache {
-                Some(_) => {
-                    // Extend the pending same-tile run, or flush it and
-                    // start a new one. Linear streaming reads walk tiles in
-                    // order (a Z-order tile holds `edge²` consecutive
-                    // elements), so most accesses take the extend arm and
-                    // skip the cache probe entirely.
-                    let key = tile_key(layout, global_idx, self.edge_shift);
-                    self.extend_run(stream_id, key, global_idx, layout, bytes, 1);
-                }
-                // No cache model: charge the raw element fetch.
-                None => self.pending.bytes_read += bytes as u64,
-            }
-            return;
-        }
-        match self.cache.as_deref_mut() {
-            Some(cache) => {
-                let (x, y) = layout.to_2d(global_idx);
-                let hit = cache.access(stream_id, x, y);
-                if !hit {
-                    // A miss fills a block_edge × block_edge tile of *this
-                    // stream's* elements; charge the fill at the accessed
-                    // element's size so that 4-byte index streams are not
-                    // billed for 16-byte node tiles.
-                    let edge = cache.config().block_edge as u64;
-                    self.counters.bytes_read += edge * edge * bytes as u64;
-                }
-            }
-            None => {
-                // No cache model: charge the raw element fetch.
-                self.counters.bytes_read += bytes as u64;
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn charge_write(&mut self, bytes: usize) {
-        if self.batched {
-            self.pending.stream_writes += words(bytes);
-            self.pending.bytes_written += bytes as u64;
-        } else {
-            self.counters.stream_writes += words(bytes);
-            self.counters.bytes_written += bytes as u64;
-        }
-        self.bytes_pushed += bytes;
-    }
-
-    #[inline]
-    fn charge_iter(&mut self) {
-        if self.batched {
-            self.pending.iter_reads += 1;
-        } else {
-            self.counters.iter_reads += 1;
-        }
-    }
-
-    /// Continue the pending tile run with `count` accesses of tile `key`,
-    /// or flush it and start a new run.
-    #[inline]
-    fn extend_run(
-        &mut self,
-        stream_id: u64,
-        key: u64,
-        first_idx: usize,
-        layout: Layout,
-        bytes: usize,
-        count: u64,
-    ) {
-        if self.run.count > 0
-            && self.run.stream_id == stream_id
-            && self.run.key == key
-            && self.run.bytes == bytes
-        {
-            self.run.count += count;
-        } else {
-            self.flush_run();
-            self.run = TileRun {
-                stream_id,
-                key,
-                first_idx,
-                layout,
-                bytes,
-                count,
-            };
-        }
-    }
-
-    /// Bulk charge of `count` linear reads of the consecutive elements
-    /// `[start_idx, start_idx + count)` — the block-accumulation fast path
-    /// behind the views' bulk accessors. Byte-identical to `count`
-    /// individual [`KernelCtx::charge_read`] calls; only reachable in
-    /// batched mode (per-access mode goes through the per-element loop).
-    #[inline]
-    fn charge_read_range(
-        &mut self,
-        stream_id: u64,
-        layout: Layout,
-        start_idx: usize,
-        count: usize,
-        bytes: usize,
-    ) {
-        debug_assert!(self.batched);
-        self.pending.stream_reads += count as u64 * words(bytes);
-        self.charge_cached_fetch_range(stream_id, layout, start_idx, count, bytes);
-    }
-
-    /// Bulk charge of `count` gathers of consecutive elements (a common
-    /// kernel shape: a whole aligned group re-read by every instance that
-    /// works on it).
-    #[inline]
-    fn charge_gather_range(
-        &mut self,
-        stream_id: u64,
-        layout: Layout,
-        start_idx: usize,
-        count: usize,
-        bytes: usize,
-    ) {
-        debug_assert!(self.batched);
-        self.pending.gathers += count as u64 * words(bytes);
-        self.charge_cached_fetch_range(stream_id, layout, start_idx, count, bytes);
-    }
-
-    /// Charge a whole copy operation: `count` linear reads of
-    /// `[start_idx, start_idx + count)` plus `count` linear writes (the
-    /// executor's vectorized copy launch).
-    #[inline]
-    pub(crate) fn charge_copy_block(
-        &mut self,
-        stream_id: u64,
-        layout: Layout,
-        start_idx: usize,
-        count: usize,
-        bytes: usize,
-    ) {
-        self.charge_read_range(stream_id, layout, start_idx, count, bytes);
-        self.charge_write_range(count, bytes);
-    }
-
-    /// Bulk charge of `count` linear writes (writes bypass the texture
-    /// cache, so this is pure arithmetic).
-    #[inline]
-    fn charge_write_range(&mut self, count: usize, bytes: usize) {
-        debug_assert!(self.batched);
-        self.pending.stream_writes += count as u64 * words(bytes);
-        self.pending.bytes_written += (count * bytes) as u64;
+    pub(crate) fn charge_writes(&mut self, count: usize, bytes: usize) {
+        self.counters.stream_writes += count as u64 * words(bytes);
+        self.counters.bytes_written += (count * bytes) as u64;
         self.bytes_pushed += count * bytes;
     }
 
-    /// Bulk charge of `count` iterator-stream reads.
+    /// Charge `count` iterator-stream reads.
     #[inline]
-    fn charge_iter_range(&mut self, count: usize) {
-        debug_assert!(self.batched);
-        self.pending.iter_reads += count as u64;
-    }
-
-    /// Charge `count` consecutive cached fetches, advancing the tile run
-    /// segment-by-segment (one arithmetic step per tile crossed) instead of
-    /// element-by-element.
-    fn charge_cached_fetch_range(
-        &mut self,
-        stream_id: u64,
-        layout: Layout,
-        start_idx: usize,
-        count: usize,
-        bytes: usize,
-    ) {
-        if self.cache.is_none() {
-            self.pending.bytes_read += (count * bytes) as u64;
-            return;
-        }
-        let shift = self.edge_shift;
-        let mut idx = start_idx;
-        let end = start_idx + count;
-        while idx < end {
-            // The tile identity comes from the one canonical formula
-            // (`tile_key`, shared with the per-element path — runs from
-            // both producers must merge); the per-layout arithmetic below
-            // only finds the first index past the tile.
-            let key = tile_key(layout, idx, shift);
-            let seg_end = match layout {
-                // Aligned 2^(2·shift) element blocks are exactly the cache
-                // tiles of the Morton layout.
-                Layout::ZOrder => (((idx >> (2 * shift)) + 1) << (2 * shift)).min(end),
-                Layout::Linear => (((idx >> shift) + 1) << shift).min(end),
-                Layout::RowMajor { width } => {
-                    // The walk leaves the tile at the next x-tile boundary
-                    // or at the end of the row, whichever comes first.
-                    let x = (idx as u32) & (width - 1);
-                    let next_x_tile = (((x >> shift) + 1) << shift).min(width);
-                    (idx + (next_x_tile - x) as usize).min(end)
-                }
-            };
-            let n = (seg_end - idx) as u64;
-            self.extend_run(stream_id, key, idx, layout, bytes, n);
-            idx = seg_end;
-        }
+    fn charge_iter(&mut self, count: usize) {
+        self.counters.iter_reads += count as u64;
     }
 }
 
 /// A linear (streaming-read) input view: the paper's `in stream<T>`.
 pub struct ReadView<'a, T> {
     data: &'a [T],
-    stream_id: u64,
-    layout: Layout,
+    stream: FetchStream,
     blocks: BlockSet,
     per_instance: usize,
 }
@@ -562,8 +178,7 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
             data: stream.as_slice(),
             // The cache model keys on the stable name-derived tag so that
             // identical runs charge identical cache behaviour.
-            stream_id: stream.cache_tag(),
-            layout: stream.layout(),
+            stream: fetch_stream::<T>(stream.cache_tag(), stream.layout()),
             blocks,
             per_instance,
         })
@@ -602,7 +217,7 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
             return T::default();
         }
         let global = self.blocks.locate(pos);
-        ctx.charge_read(self.stream_id, self.layout, global, T::BYTES);
+        ctx.charge_reads(self.stream, global, 1);
         self.data[global]
     }
 
@@ -617,26 +232,23 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
     /// Read slots `0..out.len()` of this instance's elements into `out` —
     /// semantically identical to calling [`ReadView::get`] per slot
     /// (including the error and partial-charge behaviour on underflow),
-    /// but located, bounds-checked and cost-charged as one block in
-    /// batched-accounting mode. This is the vectorized read path the
-    /// GPU-ABiSort kernels use.
+    /// but located, bounds-checked and cost-charged as one block. This is
+    /// the vectorized read path the GPU-ABiSort kernels use.
     #[inline]
     pub fn read_into(&self, ctx: &mut KernelCtx<'_>, out: &mut [T]) {
         debug_assert!(out.len() <= self.per_instance, "slot out of range");
-        if ctx.batched {
-            if let Some(start) = self.blocks.contiguous_start() {
-                let pos0 = ctx.instance * self.per_instance;
-                if pos0 + out.len() <= self.blocks.total() {
-                    let g0 = start + pos0;
-                    ctx.charge_read_range(self.stream_id, self.layout, g0, out.len(), T::BYTES);
-                    out.copy_from_slice(&self.data[g0..g0 + out.len()]);
-                    return;
-                }
+        if let Some(start) = self.blocks.contiguous_start() {
+            let pos0 = ctx.instance * self.per_instance;
+            if pos0 + out.len() <= self.blocks.total() {
+                let g0 = start + pos0;
+                ctx.charge_reads(self.stream, g0, out.len());
+                out.copy_from_slice(&self.data[g0..g0 + out.len()]);
+                return;
             }
         }
-        // Reference path: per-access mode, multi-block substreams, and
-        // underflowing reads (which must error and charge element by
-        // element exactly like the legacy engine).
+        // Multi-block substreams and underflowing reads (which must error
+        // after charging the slots before the failing one) go slot by
+        // slot.
         for (slot, v) in out.iter_mut().enumerate() {
             *v = self.get(ctx, slot);
         }
@@ -646,8 +258,7 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
 /// A random-access (gather) input view: the paper's `gather stream<T>`.
 pub struct GatherView<'a, T> {
     data: &'a [T],
-    stream_id: u64,
-    layout: Layout,
+    stream: FetchStream,
 }
 
 impl<'a, T: StreamElement> GatherView<'a, T> {
@@ -655,8 +266,7 @@ impl<'a, T: StreamElement> GatherView<'a, T> {
     pub fn new(stream: &'a Stream<T>) -> Self {
         GatherView {
             data: stream.as_slice(),
-            stream_id: stream.cache_tag(),
-            layout: stream.layout(),
+            stream: fetch_stream::<T>(stream.cache_tag(), stream.layout()),
         }
     }
 
@@ -680,22 +290,20 @@ impl<'a, T: StreamElement> GatherView<'a, T> {
             });
             return T::default();
         };
-        ctx.charge_gather(self.stream_id, self.layout, index, T::BYTES);
+        ctx.charge_gathers(self.stream, index, 1);
         v
     }
 
     /// Gather the consecutive elements `[start, start + out.len())` into
     /// `out` — semantically identical to one [`GatherView::gather`] per
     /// element (including the error behaviour past the end), but charged
-    /// as one block in batched-accounting mode.
+    /// as one block.
     #[inline]
     pub fn gather_range(&self, ctx: &mut KernelCtx<'_>, start: usize, out: &mut [T]) {
-        if ctx.batched {
-            if let Some(src) = self.data.get(start..start.saturating_add(out.len())) {
-                ctx.charge_gather_range(self.stream_id, self.layout, start, out.len(), T::BYTES);
-                out.copy_from_slice(src);
-                return;
-            }
+        if let Some(src) = self.data.get(start..start.saturating_add(out.len())) {
+            ctx.charge_gathers(self.stream, start, out.len());
+            out.copy_from_slice(src);
+            return;
         }
         for (i, v) in out.iter_mut().enumerate() {
             *v = self.gather(ctx, start.saturating_add(i));
@@ -796,7 +404,7 @@ impl<'a, T: StreamElement> WriteView<'a, T> {
             return;
         }
         let global = self.blocks.locate(pos);
-        ctx.charge_write(T::BYTES);
+        ctx.charge_writes(1, T::BYTES);
         self.data[global] = value;
     }
 
@@ -810,25 +418,23 @@ impl<'a, T: StreamElement> WriteView<'a, T> {
     /// output positions — semantically identical to calling
     /// [`WriteView::set`] per slot (including the error and partial-charge
     /// behaviour on overflow), but located, budget-charged and stored as
-    /// one block in batched-accounting mode. This is the vectorized write
-    /// path the GPU-ABiSort kernels use.
+    /// one block. This is the vectorized write path the GPU-ABiSort
+    /// kernels use.
     #[inline]
     pub fn write_all(&mut self, ctx: &mut KernelCtx<'_>, values: &[T]) {
         debug_assert!(values.len() <= self.per_instance, "slot out of range");
-        if ctx.batched {
-            if let Some(start) = self.blocks.contiguous_start() {
-                let pos0 = ctx.instance * self.per_instance;
-                if pos0 + values.len() <= self.blocks.total() {
-                    let g0 = start + pos0;
-                    ctx.charge_write_range(values.len(), T::BYTES);
-                    self.data[g0..g0 + values.len()].copy_from_slice(values);
-                    return;
-                }
+        if let Some(start) = self.blocks.contiguous_start() {
+            let pos0 = ctx.instance * self.per_instance;
+            if pos0 + values.len() <= self.blocks.total() {
+                let g0 = start + pos0;
+                ctx.charge_writes(values.len(), T::BYTES);
+                self.data[g0..g0 + values.len()].copy_from_slice(values);
+                return;
             }
         }
-        // Reference path: per-access mode, multi-block substreams, and
-        // overflowing writes (which must error and charge element by
-        // element exactly like the legacy engine).
+        // Multi-block substreams and overflowing writes (which must error
+        // after charging the slots before the failing one) go slot by
+        // slot.
         for (slot, v) in values.iter().enumerate() {
             self.set(ctx, slot, *v);
         }
@@ -895,21 +501,19 @@ impl IterStream {
             });
             return 0;
         }
-        ctx.charge_iter();
+        ctx.charge_iter(1);
         self.blocks.locate(pos) as u32
     }
 
     /// Read the first two slots as a pair.
     #[inline]
     pub fn pair(&self, ctx: &mut KernelCtx<'_>) -> (u32, u32) {
-        if ctx.batched {
-            if let Some(start) = self.blocks.contiguous_start() {
-                let pos0 = ctx.instance * self.per_instance;
-                if pos0 + 2 <= self.blocks.total() {
-                    ctx.charge_iter_range(2);
-                    let g0 = (start + pos0) as u32;
-                    return (g0, g0 + 1);
-                }
+        if let Some(start) = self.blocks.contiguous_start() {
+            let pos0 = ctx.instance * self.per_instance;
+            if pos0 + 2 <= self.blocks.total() {
+                ctx.charge_iter(2);
+                let g0 = (start + pos0) as u32;
+                return (g0, g0 + 1);
             }
         }
         (self.get(ctx, 0), self.get(ctx, 1))
@@ -919,14 +523,21 @@ impl IterStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
     use crate::layout::Layout;
+    use crate::per_access::PerAccess;
+    use std::sync::{Arc, Mutex};
+
+    fn test_log() -> FetchLog {
+        FetchLog::new(CacheConfig::geforce_like(4))
+    }
 
     fn test_ctx<'a>(
         instance: usize,
         counters: &'a mut Counters,
-        cache: Option<&'a mut CacheSim>,
+        log: &'a mut FetchLog,
     ) -> KernelCtx<'a> {
-        let mut ctx = KernelCtx::new(counters, cache, true);
+        let mut ctx = KernelCtx::new(counters, log);
         ctx.begin_instance(instance);
         ctx
     }
@@ -936,13 +547,15 @@ mod tests {
         let s = Stream::from_vec("s", (0u32..16).collect(), Layout::Linear);
         let view = ReadView::contiguous(&s, 4, 8, 2).unwrap();
         let mut c = Counters::new();
-        let mut ctx = test_ctx(1, &mut c, None);
+        let mut log = test_log();
+        let mut ctx = test_ctx(1, &mut c, &mut log);
         assert_eq!(view.pair(&mut ctx), (6, 7));
         assert_eq!(view.capacity(), 8);
         assert_eq!(view.per_instance(), 2);
-        ctx.flush();
         assert_eq!(c.stream_reads, 2);
-        assert!(c.bytes_read > 0);
+        let model = log.drain();
+        assert_eq!(model.stats().accesses, 2);
+        assert!(model.bytes_read() > 0);
     }
 
     #[test]
@@ -950,7 +563,8 @@ mod tests {
         let s = Stream::from_vec("s", (0u32..4).collect(), Layout::Linear);
         let view = ReadView::contiguous(&s, 0, 4, 2).unwrap();
         let mut c = Counters::new();
-        let mut ctx = test_ctx(2, &mut c, None); // instance 2 needs positions 4,5
+        let mut log = test_log();
+        let mut ctx = test_ctx(2, &mut c, &mut log); // instance 2 needs positions 4,5
         let _ = view.get(&mut ctx, 0);
         assert!(ctx.failed());
         assert!(matches!(
@@ -964,8 +578,9 @@ mod tests {
         let s = Stream::from_vec("s", (0u32..8).collect(), Layout::Linear);
         let view = GatherView::new(&s);
         let mut c = Counters::new();
+        let mut log = test_log();
         {
-            let mut ctx = test_ctx(0, &mut c, None);
+            let mut ctx = test_ctx(0, &mut c, &mut log);
             assert_eq!(view.gather(&mut ctx, 5), 5);
             assert_eq!(view.len(), 8);
             assert!(!view.is_empty());
@@ -974,9 +589,9 @@ mod tests {
                 ctx.error,
                 Some(StreamError::GatherOutOfBounds { .. })
             ));
-            ctx.flush();
         }
         assert_eq!(c.gathers, 1);
+        assert_eq!(log.drain().stats().accesses, 1);
     }
 
     #[test]
@@ -985,10 +600,10 @@ mod tests {
         {
             let mut view = WriteView::contiguous(&mut s, 0, 8, 2).unwrap();
             let mut c = Counters::new();
+            let mut log = test_log();
             for instance in 0..4 {
-                let mut ctx = test_ctx(instance, &mut c, None);
+                let mut ctx = test_ctx(instance, &mut c, &mut log);
                 view.pair(&mut ctx, instance as u32 * 10, instance as u32 * 10 + 1);
-                ctx.flush();
             }
             assert_eq!(c.stream_writes, 8);
             assert_eq!(c.bytes_written, 8 * 4);
@@ -1007,8 +622,9 @@ mod tests {
             assert_eq!(view.destination_index(1, 0), 0);
             assert_eq!(view.destination_index(2, 1), 3);
             let mut c = Counters::new();
+            let mut log = test_log();
             for instance in 0..3 {
-                let mut ctx = test_ctx(instance, &mut c, None);
+                let mut ctx = test_ctx(instance, &mut c, &mut log);
                 view.pair(&mut ctx, 100 + instance as u32, 200 + instance as u32);
             }
         }
@@ -1021,7 +637,8 @@ mod tests {
         let mut s: Stream<u32> = Stream::new("out", 4, Layout::Linear);
         let mut view = WriteView::contiguous(&mut s, 0, 4, 2).unwrap();
         let mut c = Counters::new();
-        let mut ctx = test_ctx(2, &mut c, None);
+        let mut log = test_log();
+        let mut ctx = test_ctx(2, &mut c, &mut log);
         view.set(&mut ctx, 0, 1);
         assert!(matches!(
             ctx.error,
@@ -1035,12 +652,14 @@ mod tests {
         let next_phase_out = WriteView::contiguous(&mut s, 8, 8, 2).unwrap();
         let iter = IterStream::for_write_view(&next_phase_out);
         let mut c = Counters::new();
-        let mut ctx = test_ctx(1, &mut c, None);
+        let mut log = test_log();
+        let mut ctx = test_ctx(1, &mut c, &mut log);
         assert_eq!(iter.pair(&mut ctx), (10, 11));
-        ctx.flush();
         assert_eq!(c.iter_reads, 2);
         // Iterator reads cost no memory traffic.
-        assert_eq!(c.bytes_read, 0);
+        let model = log.drain();
+        assert_eq!(model.bytes_read(), 0);
+        assert_eq!(model.stats().accesses, 0);
         assert_eq!(iter.capacity(), 8);
     }
 
@@ -1049,77 +668,54 @@ mod tests {
         // iter_stream(2*nextStart .. 2*(nextStart+len)-1) with per-instance 2
         let iter = IterStream::range(6, 8, 2);
         let mut c = Counters::new();
-        let mut ctx = test_ctx(0, &mut c, None);
+        let mut log = test_log();
+        let mut ctx = test_ctx(0, &mut c, &mut log);
         assert_eq!(iter.pair(&mut ctx), (6, 7));
-        let mut ctx = test_ctx(3, &mut c, None);
+        let mut ctx = test_ctx(3, &mut c, &mut log);
         assert_eq!(iter.pair(&mut ctx), (12, 13));
     }
 
     #[test]
-    fn tile_key_matches_the_layout_tiling() {
-        // Two indices share a tile key iff their 2D coordinates fall into
-        // the same block_edge × block_edge cache tile — for every layout.
-        for layout in [
-            Layout::Linear,
-            Layout::RowMajor { width: 32 },
-            Layout::ZOrder,
-        ] {
-            for shift in [1u32, 2, 3] {
-                for idx in 0..2048usize {
-                    let (x, y) = layout.to_2d(idx);
-                    let expected = (((y >> shift) as u64) << 32) | ((x >> shift) as u64);
-                    let key = tile_key(layout, idx, shift);
-                    for other in idx.saturating_sub(40)..idx {
-                        let (ox, oy) = layout.to_2d(other);
-                        let other_expected =
-                            (((oy >> shift) as u64) << 32) | ((ox >> shift) as u64);
-                        assert_eq!(
-                            key == tile_key(layout, other, shift),
-                            expected == other_expected,
-                            "layout {layout:?} shift {shift} idx {idx} other {other}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_accounting_is_byte_identical_to_per_access() {
-        // An interleaved read/gather/write/iter pattern over two streams
-        // must produce identical counters and cache state under both
-        // accounting modes once the batched context is flushed.
+    fn coalesced_cost_model_matches_the_per_access_replay_of_its_log() {
+        // An interleaved read/gather/write/iter pattern over two streams:
+        // the cost model's tile runs must give exactly the cache statistics
+        // and fill bytes of probing every logged element on its own.
         let nodes = Stream::from_vec(
             "nodes",
             (0u64..512).map(|i| i as u32).collect(),
             Layout::ZOrder,
         );
         let idxs = Stream::from_vec("idxs", (0u32..512).rev().collect(), Layout::ZOrder);
-        let run = |batched: bool| {
-            let mut c = Counters::new();
-            let mut cache = CacheSim::new(crate::cache::CacheConfig::geforce_like(4));
-            let mut ctx = KernelCtx::new(&mut c, Some(&mut cache), batched);
-            let read = ReadView::contiguous(&nodes, 0, 512, 4).unwrap();
-            let gather = GatherView::new(&idxs);
-            let iter = IterStream::range(0, 512, 4);
-            for instance in 0..128usize {
-                ctx.begin_instance(instance);
-                for slot in 0..4 {
-                    let v = read.get(&mut ctx, slot) as usize;
-                    let g = gather.gather(&mut ctx, (v * 7) % 512);
-                    let _ = iter.get(&mut ctx, slot);
-                    ctx.count_comparisons(u64::from(g % 3));
-                }
+        let config = CacheConfig::geforce_like(4);
+        let reference = Arc::new(Mutex::new(PerAccess::new(config)));
+        let mut c = Counters::new();
+        let mut log = FetchLog::new(config);
+        let fed = Arc::clone(&reference);
+        log.set_observer(Box::new(move |chunk| fed.lock().unwrap().replay(chunk)));
+        let mut ctx = KernelCtx::new(&mut c, &mut log);
+        let read = ReadView::contiguous(&nodes, 0, 512, 4).unwrap();
+        let gather = GatherView::new(&idxs);
+        let iter = IterStream::range(0, 512, 4);
+        for instance in 0..128usize {
+            ctx.begin_instance(instance);
+            for slot in 0..4 {
+                let v = read.get(&mut ctx, slot) as usize;
+                let g = gather.gather(&mut ctx, (v * 7) % 512);
+                let _ = iter.get(&mut ctx, slot);
+                ctx.count_comparisons(u64::from(g % 3));
             }
-            ctx.flush();
-            (c, *cache.stats())
+        }
+        let mut grouped = [0u32; 16];
+        gather.gather_range(&mut ctx, 100, &mut grouped);
+        let model = log.drain();
+        let reference = reference.lock().unwrap();
+        let counters = Counters {
+            cache: model.stats(),
+            bytes_read: model.bytes_read(),
+            ..c
         };
-        let (c_batched, cache_batched) = run(true);
-        let (c_per_access, cache_per_access) = run(false);
-        assert_eq!(c_batched, c_per_access);
-        assert_eq!(cache_batched, cache_per_access);
-        assert!(c_batched.cache == Default::default(), "merged later");
-        assert!(cache_batched.accesses > 0);
+        assert_eq!(counters, reference.counters(&c));
+        assert_eq!(model.stats().accesses, 512 + 512 + 16);
     }
 
     #[test]
@@ -1127,19 +723,19 @@ mod tests {
         let s = Stream::from_vec("s", (0u32..64).collect(), Layout::RowMajor { width: 8 });
         let view = ReadView::contiguous(&s, 0, 64, 64).unwrap();
         let mut c = Counters::new();
-        let mut cache = CacheSim::new(crate::cache::CacheConfig {
+        let mut log = FetchLog::new(CacheConfig {
             block_edge: 4,
             num_blocks: 64,
             ways: 4,
             element_bytes: 4,
         });
-        let mut ctx = test_ctx(0, &mut c, Some(&mut cache));
+        let mut ctx = test_ctx(0, &mut c, &mut log);
         for slot in 0..64 {
             let _ = view.get(&mut ctx, slot);
         }
-        ctx.flush();
         // 64 elements in an 8x8 texture with 4x4 cache tiles = 4 tiles.
-        assert_eq!(cache.stats().misses, 4);
-        assert_eq!(c.bytes_read, 4 * 16 * 4);
+        let model = log.drain();
+        assert_eq!(model.stats().misses, 4);
+        assert_eq!(model.bytes_read(), 4 * 16 * 4);
     }
 }

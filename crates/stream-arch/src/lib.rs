@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod accounting;
 pub mod arena;
 pub mod cache;
 pub mod error;
@@ -60,7 +61,7 @@ pub use arena::{ArenaStats, StreamArena};
 pub use cache::{CacheConfig, CacheSim, CacheStats};
 pub use error::{Result, StreamError};
 pub use executor::StreamProcessor;
-pub use kernel::{AccountingMode, GatherView, IterStream, KernelCtx, ReadView, WriteView};
+pub use kernel::{GatherView, IterStream, KernelCtx, ReadView, WriteView};
 pub use layout::{Addr2D, Layout, Mapping1Dto2D, RowMajor2D, ZOrder2D};
 pub use metrics::{CostBreakdown, Counters, SimTime};
 pub use profile::GpuProfile;
@@ -68,3 +69,11 @@ pub use stream::{BlockSet, Stream, SubStream};
 pub use telemetry::{HistogramSummary, LogHistogram, TraceEvent, TraceSink};
 pub use transfer::{BusKind, DeviceLink, TransferModel};
 pub use value::{Node, StreamElement, Value, NULL_INDEX};
+
+// The per-access reference model the unit tests replay fetch logs into; it
+// names this crate the way its other users do.
+#[cfg(test)]
+extern crate self as stream_arch;
+#[cfg(test)]
+#[path = "../tests/per_access/mod.rs"]
+mod per_access;

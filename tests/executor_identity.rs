@@ -1,9 +1,14 @@
 //! Property tests for the execution engine:
 //!
 //! * repeated runs are deterministic;
-//! * batched accounting is byte-identical to the per-access reference
-//!   model, per launch and — against the committed fingerprints of
-//!   `tests/golden_fingerprints.txt` — per sort run;
+//! * the engine's cost model (coalesced tile runs replayed from the fetch
+//!   log) is byte-identical to the per-access reference model replayed
+//!   from the same log, per launch and — against the committed
+//!   fingerprints of `tests/golden_fingerprints.txt` — per sort run. The
+//!   processors here pick their replay driver as in production: the
+//!   helper thread when a CPU is free, the calling thread otherwise (CI
+//!   runs this suite a second time on one CPU for the latter; the
+//!   `stream-arch` unit tests force each driver);
 //! * the stream arena reaches a steady state: repeated sorts on one
 //!   pooled processor stop allocating — the (type, capacity-class) bin
 //!   count and pooled-buffer count do not grow, and every subsequent run
@@ -11,21 +16,23 @@
 
 mod fingerprints;
 
+use fingerprints::per_access;
+
 use abisort::{GpuAbiSorter, SortConfig};
 use proptest::prelude::*;
 use stream_arch::{
-    AccountingMode, Counters, GatherView, GpuProfile, Layout, ReadView, SimTime, Stream,
-    StreamProcessor, WriteView,
+    Counters, GatherView, GpuProfile, Layout, ReadView, SimTime, Stream, StreamProcessor, WriteView,
 };
 
 /// A launch shape: how many instances, over how many simulated units, and
-/// whether the kernel is poisoned to fail at a given instance.
+/// whether the kernel is poisoned to fail or panic at a given instance.
 #[derive(Clone, Debug)]
 struct Shape {
     instances: usize,
     units: usize,
     launches: usize,
     fail_at: Option<usize>,
+    panic_at: Option<usize>,
 }
 
 fn shape_strategy() -> impl Strategy<Value = Shape> {
@@ -40,6 +47,8 @@ fn shape_strategy() -> impl Strategy<Value = Shape> {
             1 => Just(17usize),
             2 => 257usize..2000,
             1 => Just(1024usize),
+            // Several full fetch-log chunks per launch.
+            1 => 5000usize..9000,
         ],
         prop_oneof![
             1 => Just(1usize),
@@ -48,18 +57,20 @@ fn shape_strategy() -> impl Strategy<Value = Shape> {
             1 => Just(16usize),
         ],
         1usize..4,
-        // A failure selector folded onto the instance range below (None =
-        // clean launch).
+        // Failure and panic selectors folded onto the instance range
+        // below (None = clean launch).
         prop_oneof![
-            3 => Just(None),
-            2 => (0usize..1 << 16).prop_map(Some),
+            3 => Just((None, None)),
+            2 => (0usize..1 << 16).prop_map(|p| (Some(p), None)),
+            1 => (0usize..1 << 16).prop_map(|p| (None, Some(p))),
         ],
     )
-        .prop_map(|(instances, units, launches, fail_pick)| Shape {
+        .prop_map(|(instances, units, launches, (fail, panic))| Shape {
             instances,
             units,
             launches,
-            fail_at: fail_pick.and_then(|p| (instances > 0).then(|| p % instances)),
+            fail_at: fail.and_then(|p| (instances > 0).then(|| p % instances)),
+            panic_at: panic.and_then(|p| (instances > 0).then(|| p % instances)),
         })
 }
 
@@ -73,15 +84,16 @@ struct Outcome {
 }
 
 /// Run `shape.launches` launches of a kernel that reads, gathers and
-/// writes — and, when poisoned, gathers out of bounds at `fail_at`.
-fn run_shape(shape: &Shape) -> Outcome {
-    run_shape_accounted(shape, AccountingMode::Batched)
-}
-
-/// [`run_shape`] under an explicit accounting mode.
-fn run_shape_accounted(shape: &Shape, accounting: AccountingMode) -> Outcome {
-    let mut proc = StreamProcessor::new(GpuProfile::geforce_6800().with_units(shape.units));
-    proc.set_accounting_mode(accounting);
+/// writes — and, when poisoned, gathers out of bounds at `fail_at` or
+/// panics at `panic_at`. Returns the processor's outcome and the outcome
+/// the per-access replay of its fetch log gives.
+fn run_shape(shape: &Shape) -> (Outcome, Outcome) {
+    let profile = GpuProfile::geforce_6800().with_units(shape.units);
+    let mut proc = StreamProcessor::new(profile.clone());
+    let reference = per_access::attach(&mut proc);
+    // A drain point, as at the start of every sort run: it picks the
+    // replay driver of the launches below.
+    proc.reset();
     let n = shape.instances;
     let input = Stream::from_vec("in", (0..n as u32).collect(), Layout::ZOrder);
     let lookup = Stream::from_vec("lut", (0..n.max(1) as u32).rev().collect(), Layout::Linear);
@@ -91,27 +103,48 @@ fn run_shape_accounted(shape: &Shape, accounting: AccountingMode) -> Outcome {
         let read = ReadView::contiguous(&input, 0, n, 1).unwrap();
         let gather = GatherView::new(&lookup);
         let mut write = WriteView::contiguous(&mut out, 0, n, 1).unwrap();
-        let fail_at = shape.fail_at;
+        let (fail_at, panic_at) = (shape.fail_at, shape.panic_at);
         let lut_len = lookup.len();
-        let result = proc.launch("shape", n, |ctx| {
-            let i = ctx.instance_index();
-            let v = read.get(ctx, 0);
-            // A poisoned instance gathers past the end; everything else
-            // does a legal data-dependent gather.
-            let idx = if fail_at == Some(i) { lut_len + 7 } else { i };
-            let g = gather.gather(ctx, idx);
-            ctx.count_comparisons(1);
-            write.set(ctx, 0, v.wrapping_mul(3).wrapping_add(g));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            proc.launch("shape", n, |ctx| {
+                let i = ctx.instance_index();
+                let v = read.get(ctx, 0);
+                // A poisoned instance gathers past the end; everything
+                // else does a legal data-dependent gather.
+                let idx = if fail_at == Some(i) {
+                    lut_len + 7
+                } else {
+                    (i * 7919) % lut_len
+                };
+                let g = gather.gather(ctx, idx);
+                if panic_at == Some(i) {
+                    panic!("kernel bug");
+                }
+                ctx.count_comparisons(1);
+                write.set(ctx, 0, v.wrapping_mul(3).wrapping_add(g));
+            })
+        }));
+        errors.push(match result {
+            Ok(r) => r.err().map(|e| format!("{e:?}")),
+            Err(_) => Some("panicked".to_string()),
         });
-        errors.push(result.err().map(|e| format!("{e:?}")));
         proc.record_step();
     }
-    Outcome {
+    let counters = proc.counters();
+    let outcome = Outcome {
         output: out.as_slice().to_vec(),
-        counters: proc.counters(),
+        counters,
         sim_time: proc.simulated_time(),
+        errors: errors.clone(),
+    };
+    let reference = reference.lock().unwrap();
+    let replayed = Outcome {
+        output: outcome.output.clone(),
+        counters: reference.counters(&counters),
+        sim_time: reference.simulated_time(&profile, &counters),
         errors,
-    }
+    };
+    (outcome, replayed)
 }
 
 proptest! {
@@ -120,21 +153,18 @@ proptest! {
     /// The engine is deterministic run to run.
     #[test]
     fn engine_is_deterministic(shape in shape_strategy()) {
-        let first = run_shape(&shape);
-        let second = run_shape(&shape);
+        let (first, _) = run_shape(&shape);
+        let (second, _) = run_shape(&shape);
         prop_assert_eq!(first, second);
     }
 
-    /// Batched accounting == per-access accounting, byte for byte: output
-    /// bytes, all counters (the cache statistics included), simulated time
-    /// and returned errors: the identity assertion for the
-    /// block-accumulation cost model, over shapes including 0/1-instance
-    /// and error-aborted launches.
+    /// The cost model == the per-access replay of its fetch log, byte for
+    /// byte: all counters (the cache statistics included), simulated time
+    /// and returned errors, over shapes including 0/1-instance,
+    /// error-aborted and panicking launches.
     #[test]
     fn batched_accounting_is_byte_identical_to_per_access(shape in shape_strategy()) {
-        let batched = run_shape_accounted(&shape, AccountingMode::Batched);
-        let reference = run_shape_accounted(&shape, AccountingMode::PerAccess);
-        prop_assert_eq!(&batched.output, &reference.output);
+        let (batched, reference) = run_shape(&shape);
         prop_assert_eq!(&batched.counters, &reference.counters);
         prop_assert_eq!(&batched.sim_time, &reference.sim_time);
         prop_assert_eq!(&batched.errors, &reference.errors);
@@ -143,11 +173,12 @@ proptest! {
 
 /// Sort-level accounting identity: full GPU-ABiSort runs (which exercise
 /// the bulk view accessors, the vectorized copy launch and the gather
-/// paths) under the per-access reference model reproduce the committed
-/// fingerprints of the batched runs, under arena and plan-cache reuse.
+/// paths) charged by the per-access reference model, replayed from their
+/// fetch logs, reproduce the committed fingerprints, under arena and
+/// plan-cache reuse.
 #[test]
 fn batched_sort_runs_are_byte_identical_to_per_access_sort_runs() {
-    fingerprints::assert_committed(&fingerprints::lines(AccountingMode::PerAccess, |_, n| {
+    fingerprints::assert_committed(&fingerprints::per_access_lines(|_, n| {
         matches!(n, 2 | 37 | 1024)
     }));
 }

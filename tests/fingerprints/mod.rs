@@ -18,10 +18,12 @@
 // Each test target uses its own subset of these helpers.
 #![allow(dead_code)]
 
+#[path = "../../crates/stream-arch/tests/per_access/mod.rs"]
+pub mod per_access;
+
 use abisort::{GpuAbiSorter, SortConfig};
-use stream_arch::{
-    padding, AccountingMode, CacheStats, Counters, GpuProfile, StreamProcessor, Value,
-};
+use std::sync::Mutex;
+use stream_arch::{padding, CacheStats, Counters, GpuProfile, SimTime, StreamProcessor, Value};
 use workloads::Distribution;
 
 /// The committed fingerprint file.
@@ -122,12 +124,23 @@ fn padded(input: &[Value]) -> Vec<Value> {
     values
 }
 
-/// Execute one cell of the matrix and hash its record.
-fn run_case(sorter: &GpuAbiSorter, proc: &mut StreamProcessor, run: &str, input: &[Value]) -> u64 {
+/// Execute one cell of the matrix and hash its record, with the counters
+/// and simulated time passed through `record`.
+fn run_case(
+    sorter: &GpuAbiSorter,
+    proc: &mut StreamProcessor,
+    run: &str,
+    input: &[Value],
+    record: impl Fn(&Counters, SimTime) -> (Counters, SimTime),
+) -> u64 {
+    let fingerprint = |output: &[Value], counters: &Counters, sim_time: SimTime| {
+        let (counters, sim_time) = record(counters, sim_time);
+        fingerprint(output, &counters, sim_time.total_ms)
+    };
     match run {
         "sort" => {
             let r = sorter.sort_run(proc, input).expect("sort_run");
-            fingerprint(&r.output, &r.counters, r.sim_time.total_ms)
+            fingerprint(&r.output, &r.counters, r.sim_time)
         }
         "segments" => {
             let values = padded(input);
@@ -135,7 +148,7 @@ fn run_case(sorter: &GpuAbiSorter, proc: &mut StreamProcessor, run: &str, input:
             let r = sorter
                 .sort_segments_run(proc, &values, segment_len)
                 .expect("sort_segments_run");
-            fingerprint(&r.output, &r.counters, r.sim_time.total_ms)
+            fingerprint(&r.output, &r.counters, r.sim_time)
         }
         "merge-blocks" => {
             // Blocks sorted in alternating directions: the precondition of
@@ -152,25 +165,38 @@ fn run_case(sorter: &GpuAbiSorter, proc: &mut StreamProcessor, run: &str, input:
             let r = sorter
                 .merge_blocks_run(proc, &values, block_len)
                 .expect("merge_blocks_run");
-            fingerprint(&r.output, &r.counters, r.sim_time.total_ms)
+            fingerprint(&r.output, &r.counters, r.sim_time)
         }
         "top-k" => {
             let k = (input.len() / 16).max(1);
             let r = sorter.top_k_run(proc, input, k).expect("top_k_run");
-            fingerprint(&r.output, &r.counters, r.sim_time.total_ms)
+            fingerprint(&r.output, &r.counters, r.sim_time)
         }
         other => unreachable!("unknown run kind {other}"),
     }
 }
 
 /// The fingerprint lines of every matrix cell `keep(run, n)` selects, in
-/// file order, each run under `accounting`. One long-lived processor
-/// serves all cells, as in the service: arena and plan-cache reuse across
-/// runs must not change any record.
-pub fn lines(accounting: AccountingMode, keep: impl Fn(&str, usize) -> bool) -> Vec<String> {
+/// file order. One long-lived processor serves all cells, as in the
+/// service: arena and plan-cache reuse across runs must not change any
+/// record.
+pub fn lines(keep: impl Fn(&str, usize) -> bool) -> Vec<String> {
+    lines_with(false, keep)
+}
+
+/// [`lines`] with every record's cache statistics, block-fill bytes and
+/// simulated time taken from the per-access reference model, replayed
+/// from the processor's fetch log.
+pub fn per_access_lines(keep: impl Fn(&str, usize) -> bool) -> Vec<String> {
+    lines_with(true, keep)
+}
+
+fn lines_with(per_access: bool, keep: impl Fn(&str, usize) -> bool) -> Vec<String> {
     let sorter = GpuAbiSorter::new(SortConfig::default());
     let mut proc = StreamProcessor::new(GpuProfile::geforce_7800());
-    proc.set_accounting_mode(accounting);
+    let profile = proc.profile().clone();
+    let reference = per_access.then(|| per_access::attach(&mut proc));
+    let reference: Option<&Mutex<per_access::PerAccess>> = reference.as_deref();
     let mut lines = Vec::new();
     for run in RUNS {
         for (dist_name, dist) in DISTRIBUTIONS {
@@ -179,7 +205,28 @@ pub fn lines(accounting: AccountingMode, keep: impl Fn(&str, usize) -> bool) -> 
                     continue;
                 }
                 let input = workloads::generate(dist, n, 0x5EED + n as u64);
-                let hash = run_case(&sorter, &mut proc, run, &input);
+                // Every run resets the processor first, and the previous
+                // run's fetches were all replayed at its closing drain.
+                if let Some(reference) = reference {
+                    reference.lock().unwrap().reset();
+                }
+                let hash =
+                    run_case(
+                        &sorter,
+                        &mut proc,
+                        run,
+                        &input,
+                        |counters, sim_time| match reference {
+                            Some(reference) => {
+                                let reference = reference.lock().unwrap();
+                                (
+                                    reference.counters(counters),
+                                    reference.simulated_time(&profile, counters),
+                                )
+                            }
+                            None => (*counters, sim_time),
+                        },
+                    );
                 lines.push(format!("{run} {dist_name} n={n} sequential {hash:016x}"));
             }
         }

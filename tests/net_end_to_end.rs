@@ -367,3 +367,69 @@ fn malformed_submit_payload_is_rejected_per_job() {
     assert_eq!(frame.frame_type, FrameType::Result);
     server.shutdown();
 }
+
+/// A JSON payload of 200 000 nested `[` gets the per-job
+/// `MALFORMED_PAYLOAD` reject: the depth-limited parser returns a typed
+/// error instead of overflowing the reader thread's stack, which aborted
+/// the whole server process. The connection survives, and a concurrent
+/// `RAW_LE` client gets its reply.
+#[test]
+fn deeply_nested_json_payload_is_rejected_per_job_and_the_server_survives() {
+    let server = SortServer::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let mut neighbour = SortClient::connect(addr).expect("connect");
+
+    let mut conn = TcpStream::connect(addr).expect("connect raw");
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&9u64.to_le_bytes()); // job id
+    payload.extend_from_slice(&0u32.to_le_bytes()); // tenant
+    payload.push(PayloadEncoding::Json as u8);
+    payload.extend_from_slice(&[0u8; 3]);
+    payload.extend(std::iter::repeat_n(b'[', 200_000));
+    let frame = Frame::new(FrameType::Submit, payload).encode();
+    assert_eq!(frame.len(), 200_028);
+    conn.write_all(&frame).expect("write submit");
+    conn.set_read_timeout(Some(REPLY_TIMEOUT)).expect("timeout");
+
+    let input = workloads::uniform(512, 5);
+    let ticket = neighbour.submit(input.clone()).expect("submit");
+    neighbour.flush().expect("flush");
+
+    let mut reader = FrameReader::new(1 << 20);
+    let mut next_frame = |conn: &mut TcpStream| loop {
+        match reader.poll(conn).expect("server answers") {
+            FramePoll::Frame(f) => break f,
+            FramePoll::WouldBlock => continue,
+            FramePoll::Eof => panic!("connection closed instead of rejecting the job"),
+        }
+    };
+    let frame = next_frame(&mut conn);
+    assert_eq!(frame.frame_type, FrameType::Reject);
+    let reject =
+        gpu_abisort::sortsvc::net::RejectPayload::decode(&frame.payload).expect("typed reject");
+    assert_eq!(reject.job_id, 9);
+    assert_eq!(reject.code, ErrorCode::MalformedPayload);
+
+    let mut expected = input;
+    expected.sort();
+    match ticket
+        .wait_timeout(REPLY_TIMEOUT)
+        .expect("neighbour answered")
+    {
+        JobReply::Sorted(values) => assert_eq!(bits(&values), bits(&expected)),
+        other => panic!("the neighbour's job was not sorted: {other:?}"),
+    }
+
+    // The connection that sent the hostile frame still works.
+    let good = gpu_abisort::sortsvc::net::SubmitPayload {
+        job_id: 10,
+        tenant: 0,
+        encoding: PayloadEncoding::RawLe,
+        values: workloads::uniform(16, 2),
+    };
+    conn.write_all(&Frame::new(FrameType::Submit, good.encode().unwrap()).encode())
+        .expect("write good submit");
+    assert_eq!(next_frame(&mut conn).frame_type, FrameType::Result);
+    drop(neighbour);
+    server.shutdown();
+}

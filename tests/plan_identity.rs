@@ -15,13 +15,13 @@ mod fingerprints;
 
 use abisort::stream_sort::SortPlan;
 use abisort::{GpuAbiSorter, SortConfig};
-use stream_arch::{AccountingMode, GpuProfile, StreamProcessor};
+use stream_arch::{GpuProfile, StreamProcessor};
 
 /// Every cell of the fingerprint matrix under the default (batched)
 /// accounting. On a mismatch the actual file is printed in full.
 #[test]
 fn sort_runs_match_the_committed_fingerprints() {
-    let actual = fingerprints::render(&fingerprints::lines(AccountingMode::Batched, |_, _| true));
+    let actual = fingerprints::render(&fingerprints::lines(|_, _| true));
     if actual != fingerprints::GOLDEN {
         let changed = actual
             .lines()
