@@ -361,8 +361,7 @@ pub fn copy_back(
         &[(trees_in.id(), trees_in.name())],
     )?;
     // A pure block forward: the executor's vectorized copy launch charges
-    // it wholesale (and runs it as the per-element reference kernel under
-    // per-access accounting).
+    // it wholesale, exactly as the per-element copy kernel would be.
     proc.launch_copy("copy-back", trees_out, trees_in, block, 2)
 }
 

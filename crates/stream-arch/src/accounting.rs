@@ -37,7 +37,7 @@
 //! * on a **helper thread**, which the processor starts the first time it
 //!   hands off a full chunk and keeps for its lifetime: the helper
 //!   replays queued chunks while the engine thread runs the next kernels.
-//!   The queue is bounded: once more than [`MAX_BACKLOG`] chunks wait,
+//!   The queue is bounded: once more than 16 chunks wait,
 //!   the engine thread pauses until the helper has caught up halfway.
 //!   That only happens in bursts of scattered gathers, where replaying a
 //!   fetch costs more than recording it, or when the helper lost its CPU
@@ -56,27 +56,29 @@
 //! own engine thread together leave a CPU of
 //! [`std::thread::available_parallelism`] free, the engine thread
 //! otherwise. A processor runs on the engine thread until it has charged
-//! [`OFFLOAD_AFTER`] fetches, so short-lived ones never start a helper.
+//! 2^20 fetches, so short-lived ones never start a helper.
 
 use crate::cache::{CacheConfig, CacheSim, CacheStats};
 use crate::layout::Layout;
+use crate::stream::Stream;
+use crate::value::StreamElement;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 /// Fetches per chunk: 4096 entries of 12 bytes, a 48 KiB chunk.
-pub const CHUNK_FETCHES: usize = 4096;
+pub(crate) const CHUNK_FETCHES: usize = 4096;
 
 /// Full chunks that may wait for the helper (768 KiB): enough to ride out
 /// the bursts of the ABiSort merge phases at 2^18 elements.
-pub const MAX_BACKLOG: usize = 16;
+pub(crate) const MAX_BACKLOG: usize = 16;
 
 /// Cached fetches a processor charges before it first offloads (about one
 /// 2^14-element sort). A short-lived processor — a service slot's, one
 /// micro-batch long — would pay a thread start and its allocator arena
 /// for little overlap.
-pub const OFFLOAD_AFTER: u64 = 1 << 20;
+pub(crate) const OFFLOAD_AFTER: u64 = 1 << 20;
 
 /// A stream as the texture-cache model sees it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -101,6 +103,19 @@ pub struct Fetch {
     pub slot: u32,
 }
 
+impl FetchStream {
+    /// The texture-cache identity of `stream`. The cache keys on the
+    /// stable name-derived tag, so identical runs charge identical cache
+    /// behaviour.
+    pub(crate) fn of<T: StreamElement>(stream: &Stream<T>) -> Self {
+        FetchStream {
+            tag: stream.cache_tag(),
+            layout: stream.layout(),
+            bytes: T::BYTES as u32,
+        }
+    }
+}
+
 impl Fetch {
     /// The element indices this fetch covers.
     pub fn indices(&self) -> std::ops::Range<usize> {
@@ -108,8 +123,8 @@ impl Fetch {
     }
 }
 
-/// A bounded piece of the fetch log: up to [`CHUNK_FETCHES`] fetches in
-/// record order, plus the table of the streams they name.
+/// A bounded piece of the fetch log: up to 4096 fetches (48 KiB) in record
+/// order, plus the table of the streams they name.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FetchChunk {
     fetches: Vec<Fetch>,
@@ -384,6 +399,15 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(config: CacheConfig) -> Self {
+        Shared {
+            model: Mutex::new(CostModel::new(config)),
+            queue: Mutex::new(Queue::default()),
+            work: Condvar::new(),
+            room: Condvar::new(),
+        }
+    }
+
     fn queue(&self) -> MutexGuard<'_, Queue> {
         self.queue.lock().expect("fetch queue poisoned")
     }
@@ -464,7 +488,8 @@ pub(crate) struct FetchLog {
     chunk: FetchChunk,
     /// Slot of the stream of the last logged fetch.
     last_slot: u32,
-    shared: Arc<Shared>,
+    /// Created at the first hand-off to the helper.
+    shared: Option<Arc<Shared>>,
     helper: Option<JoinHandle<()>>,
     /// Cached fetches charged before the model's last reset.
     charged_before_reset: u64,
@@ -485,12 +510,7 @@ impl FetchLog {
             // allocates one.
             chunk: FetchChunk::default(),
             last_slot: 0,
-            shared: Arc::new(Shared {
-                model: Mutex::new(CostModel::new(config)),
-                queue: Mutex::new(Queue::default()),
-                work: Condvar::new(),
-                room: Condvar::new(),
-            }),
+            shared: None,
             helper: None,
             charged_before_reset: 0,
             observer: None,
@@ -576,11 +596,15 @@ impl FetchLog {
             self.chunk.clear();
             return;
         }
+        let config = *self.model.cache.config();
+        let shared = self
+            .shared
+            .get_or_insert_with(|| Arc::new(Shared::new(config)));
         if !self.model_shared {
-            std::mem::swap(&mut self.model, &mut *self.shared.model());
+            std::mem::swap(&mut self.model, &mut *shared.model());
             self.model_shared = true;
         }
-        let mut queue = self.shared.queue();
+        let mut queue = shared.queue();
         let fresh = queue.spare.pop().unwrap_or_else(FetchChunk::full_size);
         queue
             .pending
@@ -590,7 +614,7 @@ impl FetchLog {
         drop(queue);
         if self.helper.is_none() {
             HELPERS_STARTED.fetch_add(1, Ordering::Relaxed);
-            let shared = Arc::clone(&self.shared);
+            let shared = Arc::clone(shared);
             self.helper = Some(
                 std::thread::Builder::new()
                     .name("fetch-replay".into())
@@ -598,7 +622,7 @@ impl FetchLog {
                     .expect("failed to spawn the fetch replay thread"),
             );
         } else if wake {
-            self.shared.work.notify_one();
+            shared.work.notify_one();
         }
         if backlog > MAX_BACKLOG {
             self.wait_for_room();
@@ -608,17 +632,17 @@ impl FetchLog {
     /// Wait until the helper has replayed half of the queue. A helper that
     /// died (a panicking replay poisons the model) leaves the queue to the
     /// engine thread, which then panics on the poisoned model too.
-    fn wait_for_room(&mut self) {
-        let mut queue = self.shared.queue();
+    fn wait_for_room(&self) {
+        let shared = self.shared();
+        let mut queue = shared.queue();
         while queue.pending.len() > MAX_BACKLOG / 2 {
             if self.helper.as_ref().is_some_and(|h| h.is_finished()) {
                 drop(queue);
-                drop(self.shared.replay_queued());
+                drop(shared.replay_queued());
                 return;
             }
             queue.engine_waiting = true;
-            queue = self
-                .shared
+            queue = shared
                 .room
                 .wait_timeout(queue, std::time::Duration::from_millis(10))
                 .expect("fetch queue poisoned")
@@ -638,9 +662,10 @@ impl FetchLog {
         if self.model_shared {
             // Replay what the helper has not (alongside it, in queue
             // order) and take the live model back.
-            let mut shared = self.shared.replay_queued();
-            std::mem::swap(&mut self.model, &mut *shared);
-            drop(shared);
+            let shared = self.shared.as_deref().expect("a shared model exists");
+            let mut live = shared.replay_queued();
+            std::mem::swap(&mut self.model, &mut *live);
+            drop(live);
             self.model_shared = false;
         }
         self.model.settle();
@@ -662,6 +687,14 @@ impl FetchLog {
         self.charged_before_reset += charged;
     }
 
+    /// The state shared with the helper; it exists once the processor has
+    /// offloaded a chunk.
+    fn shared(&self) -> &Shared {
+        self.shared
+            .as_deref()
+            .expect("the shared model exists once a chunk was offloaded")
+    }
+
     /// Whether a helper thread was started.
     #[cfg(test)]
     pub(crate) fn has_helper(&self) -> bool {
@@ -672,12 +705,13 @@ impl FetchLog {
 impl Drop for FetchLog {
     fn drop(&mut self) {
         if let Some(helper) = self.helper.take() {
-            let mut queue = self.shared.queue();
+            let shared = self.shared();
+            let mut queue = shared.queue();
             // Nobody reads the model any more: skip the backlog.
             queue.pending.clear();
             queue.closed = true;
             drop(queue);
-            self.shared.work.notify_one();
+            shared.work.notify_one();
             // A helper that panicked already poisoned the model; the
             // processor is being dropped, so there is nothing to report to.
             let _ = helper.join();
@@ -802,23 +836,22 @@ mod tests {
         log.record(stream, 1, 1); // hands the first chunk to the helper
         assert!(log.model_shared && log.has_helper());
 
-        // Stall the helper: hold the live model while the engine thread
-        // tries to queue more than MAX_BACKLOG chunks. It waits for room
-        // until the model is released.
-        let shared = Arc::clone(&log.shared);
+        // Stall the helper: hold the live model until the engine thread,
+        // having queued more than MAX_BACKLOG chunks, waits for room.
+        let shared = Arc::clone(log.shared.as_ref().unwrap());
         let (locked_tx, locked_rx) = std::sync::mpsc::channel();
         let staller = std::thread::spawn(move || {
             let _model = shared.model();
             locked_tx.send(()).unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(200));
+            while !shared.queue().engine_waiting {
+                std::thread::yield_now();
+            }
         });
         locked_rx.recv().unwrap();
-        let started = std::time::Instant::now();
         fill(&mut log, stream, MAX_BACKLOG + 2);
-        assert!(started.elapsed() >= std::time::Duration::from_millis(100));
         staller.join().unwrap();
         assert!(log.offload && log.model_shared);
-        assert!(log.shared.queue().pending.len() <= MAX_BACKLOG + 1);
+        assert!(log.shared().queue().pending.len() <= MAX_BACKLOG + 1);
 
         // The fetches reached the model in record order all the same.
         let mut reference = CostModel::new(config);

@@ -366,8 +366,7 @@ mod tests {
     fn tile_run_is_byte_identical_to_repeated_accesses() {
         // Any interleaving of tile runs must leave the cache (tags, stamps,
         // clock) and statistics exactly as the per-access walk does — this
-        // is what lets the batched accounting charge a whole run with one
-        // probe.
+        // is what lets the cost model charge a whole run with one probe.
         let walk: Vec<(u64, u32, u32, u64)> = vec![
             (1, 0, 0, 7),  // 7 accesses inside tile (0,0)
             (1, 5, 1, 3),  // different tile, same stream

@@ -228,12 +228,7 @@ impl StreamProcessor {
             instances * per_instance
         };
         let mut ctx = KernelCtx::new(&mut self.counters, &mut self.log);
-        let stream = FetchStream {
-            tag: src.cache_tag(),
-            layout: src.layout(),
-            bytes: T::BYTES as u32,
-        };
-        ctx.charge_reads(stream, block.0, copied);
+        ctx.charge_reads(FetchStream::of(src), block.0, copied);
         ctx.charge_writes(copied, T::BYTES);
         dst.as_mut_slice()[block.0..block.0 + copied]
             .copy_from_slice(&src.as_slice()[block.0..block.0 + copied]);

@@ -42,7 +42,6 @@
 
 use crate::accounting::{FetchLog, FetchStream};
 use crate::error::{Result, StreamError};
-use crate::layout::Layout;
 use crate::metrics::Counters;
 use crate::stream::{BlockSet, Stream};
 use crate::value::StreamElement;
@@ -54,16 +53,6 @@ use crate::value::StreamElement;
 #[inline]
 fn words(bytes: usize) -> u64 {
     (bytes as u64).div_ceil(4).max(1)
-}
-
-/// The texture-cache identity of a stream of `T`.
-#[inline]
-fn fetch_stream<T: StreamElement>(tag: u64, layout: Layout) -> FetchStream {
-    FetchStream {
-        tag,
-        layout,
-        bytes: T::BYTES as u32,
-    }
 }
 
 /// Per-instance execution context handed to the kernel closure.
@@ -176,9 +165,7 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
         stream.check_blocks(&blocks)?;
         Ok(ReadView {
             data: stream.as_slice(),
-            // The cache model keys on the stable name-derived tag so that
-            // identical runs charge identical cache behaviour.
-            stream: fetch_stream::<T>(stream.cache_tag(), stream.layout()),
+            stream: FetchStream::of(stream),
             blocks,
             per_instance,
         })
@@ -266,7 +253,7 @@ impl<'a, T: StreamElement> GatherView<'a, T> {
     pub fn new(stream: &'a Stream<T>) -> Self {
         GatherView {
             data: stream.as_slice(),
-            stream: fetch_stream::<T>(stream.cache_tag(), stream.layout()),
+            stream: FetchStream::of(stream),
         }
     }
 
