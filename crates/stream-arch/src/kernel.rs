@@ -31,9 +31,12 @@
 //!
 //! Every access is charged as it happens, through the [`KernelCtx`]: plain
 //! event counts go into the processor's [`Counters`], and each cached
-//! fetch (a streaming read or a gather) is appended to the processor's
-//! fetch log, which the cost model of [`crate::accounting`] replays into
-//! the texture cache. The views' block accessors ([`ReadView::read_into`],
+//! fetch (a streaming read or a gather) goes to the processor's recorder,
+//! which feeds it to the one cost model of [`crate::accounting`] — at
+//! once on the engine thread, or through the fetch log a helper thread
+//! replays. The texture-cache statistics are therefore complete only at a
+//! drain point ([`crate::StreamProcessor::counters`] and its siblings),
+//! not inside a launch. The views' block accessors ([`ReadView::read_into`],
 //! [`GatherView::gather_range`], [`WriteView::write_all`],
 //! [`IterStream::pair`]) charge a whole contiguous range at once; their
 //! per-element fallbacks (multi-block substreams, ranges that run past
