@@ -884,4 +884,20 @@ mod tests {
         assert_eq!(log.charged_before_reset, 4 * CHUNK_FETCHES as u64);
         assert!(!log.has_helper());
     }
+
+    #[test]
+    fn dropping_an_offloading_log_mid_run_stops_its_helper() {
+        let stream = FetchStream {
+            tag: 9,
+            layout: Layout::Linear,
+            bytes: 4,
+        };
+        let mut log = FetchLog::new(CacheConfig::geforce_like(4));
+        log.forced = Some(true);
+        log.drain();
+        fill(&mut log, stream, MAX_BACKLOG);
+        assert!(log.has_helper());
+        // Chunks may still be queued: the drop discards them and joins.
+        drop(log);
+    }
 }
