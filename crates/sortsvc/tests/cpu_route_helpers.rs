@@ -33,7 +33,7 @@ fn a_run_of_cpu_route_jobs_starts_no_replay_helper() {
     // fetches starts one for its next sort wherever a CPU is free.
     let sorter = GpuAbiSorter::new(SortConfig::default());
     let mut proc = StreamProcessor::new(GpuProfile::geforce_7800());
-    let input = workloads::uniform(1 << 15, 1);
+    let input = workloads::uniform(1 << 16, 1);
     let before = helpers_started();
     sorter.sort_run(&mut proc, &input).expect("first sort");
     assert_eq!(helpers_started(), before, "a fresh processor stays inline");

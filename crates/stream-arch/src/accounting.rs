@@ -56,7 +56,7 @@
 //! own engine thread together leave a CPU of
 //! [`std::thread::available_parallelism`] free, the engine thread
 //! otherwise. A processor runs on the engine thread until it has charged
-//! 2^20 fetches, so short-lived ones never start a helper.
+//! 2^22 fetches, so short-lived ones never start a helper.
 
 use crate::cache::{CacheConfig, CacheSim, CacheStats};
 use crate::layout::Layout;
@@ -75,10 +75,10 @@ pub(crate) const CHUNK_FETCHES: usize = 4096;
 pub(crate) const MAX_BACKLOG: usize = 16;
 
 /// Cached fetches a processor charges before it first offloads (about one
-/// 2^14-element sort). A short-lived processor — a service slot's, one
+/// 2^16-element sort). A short-lived processor — a service slot's, one
 /// micro-batch long — would pay a thread start and its allocator arena
 /// for little overlap.
-pub(crate) const OFFLOAD_AFTER: u64 = 1 << 20;
+pub(crate) const OFFLOAD_AFTER: u64 = 1 << 22;
 
 /// A stream as the texture-cache model sees it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
