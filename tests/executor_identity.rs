@@ -5,10 +5,9 @@
 //!   log) is byte-identical to the per-access reference model replayed
 //!   from the same log, per launch and — against the committed
 //!   fingerprints of `tests/golden_fingerprints.txt` — per sort run. The
-//!   processors here pick their replay driver as in production: the
-//!   helper thread when a CPU is free, the calling thread otherwise (CI
-//!   runs this suite a second time on one CPU for the latter; the
-//!   `stream-arch` unit tests force each driver);
+//!   processors here pick their replay driver as in production, and these
+//!   runs are too small to leave the calling thread; the `stream-arch`
+//!   unit tests run the same launch shapes forced onto each driver;
 //! * the stream arena reaches a steady state: repeated sorts on one
 //!   pooled processor stop allocating — the (type, capacity-class) bin
 //!   count and pooled-buffer count do not grow, and every subsequent run
