@@ -706,7 +706,11 @@ impl Drop for FetchLog {
     fn drop(&mut self) {
         if let Some(helper) = self.helper.take() {
             let shared = self.shared();
-            let mut queue = shared.queue();
+            // No panic in a destructor: a poisoned queue still closes.
+            let mut queue = shared
+                .queue
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             // Nobody reads the model any more: skip the backlog.
             queue.pending.clear();
             queue.closed = true;
