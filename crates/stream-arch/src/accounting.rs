@@ -20,7 +20,7 @@
 //! probing every element on its own — the per-access reference model,
 //! which the identity tests replay from the same fetches.
 //!
-//! # The fetch log, drivers and drain points
+//! # The fetch log, the replay threads and drain points
 //!
 //! The recorder appends fetches to a log of raw [`Fetch`] entries in
 //! fixed-size [`FetchChunk`]s, each with its own small stream table; a
@@ -47,15 +47,15 @@
 //! queue, so chunks are replayed in record order whichever thread runs
 //! them, and a drain point replays whatever is left before it reads the
 //! model. Counters, cache statistics and simulated times are therefore
-//! byte-identical under both drivers.
+//! byte-identical whichever thread replays.
 //!
 //! Offloading pays only when a CPU is free for the helper; on a busy or
 //! one-CPU host the hand-offs and wake-ups are pure overhead. So every
-//! drain point decides the driver until the next one: the helper when the
-//! processors inside a launch, the helpers replaying and this processor's
-//! own engine thread together leave a CPU of
+//! drain point decides which thread replays until the next one: the
+//! helper when the processors inside a launch, the helpers replaying and
+//! this processor's own engine thread together leave a CPU of
 //! [`std::thread::available_parallelism`] free, the engine thread
-//! otherwise. A processor runs on the engine thread until it has charged
+//! otherwise. A processor stays on the engine thread until it has charged
 //! 2^22 fetches, so short-lived ones never start a helper.
 
 use crate::cache::{CacheConfig, CacheSim, CacheStats};
@@ -494,7 +494,7 @@ pub(crate) struct FetchLog {
     /// Cached fetches charged before the model's last reset.
     charged_before_reset: u64,
     observer: Option<FetchObserver>,
-    /// Overrides the drain-point decision (tests drive each driver).
+    /// Overrides the drain-point decision (tests pin each replay thread).
     #[cfg(test)]
     pub(crate) forced: Option<bool>,
 }

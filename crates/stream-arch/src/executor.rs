@@ -662,7 +662,7 @@ mod tests {
     fn processor_on(profile: GpuProfile, helper: bool) -> StreamProcessor {
         let mut p = StreamProcessor::new(profile);
         p.log.forced = Some(helper);
-        p.reset(); // a drain point: the forced driver takes over
+        p.reset(); // a drain point: the forced replay thread takes over
         p
     }
 
@@ -712,7 +712,7 @@ mod tests {
         errors: Vec<String>,
     }
 
-    /// Run `shape` on the given driver; return its outcome and the
+    /// Run `shape` with the given replay thread; return its outcome and the
     /// outcome the per-access replay of the same fetch log gives.
     fn run_shape(shape: &Shape, helper: bool) -> (Outcome, Outcome) {
         let profile = GpuProfile::geforce_6800().with_units(shape.units);
@@ -774,11 +774,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Both drivers charge every shape — 0/1-instance, error-aborted
+        /// Both replay threads charge every shape — 0/1-instance, error-aborted
         /// and panicking launches included — byte-identically, and equal
         /// to the per-access replay of the fetch log.
         #[test]
-        fn both_drivers_match_the_per_access_replay(shape in shape_strategy()) {
+        fn both_replay_threads_match_the_per_access_replay(shape in shape_strategy()) {
             let (engine, engine_ref) = run_shape(&shape, false);
             let (helper, helper_ref) = run_shape(&shape, true);
             prop_assert_eq!(&engine, &helper);

@@ -5,9 +5,9 @@
 //!   log) is byte-identical to the per-access reference model replayed
 //!   from the same log, per launch and — against the committed
 //!   fingerprints of `tests/golden_fingerprints.txt` — per sort run. The
-//!   processors here pick their replay driver as in production, and these
+//!   processors here pick their replay thread as in production, and these
 //!   runs are too small to leave the calling thread; the `stream-arch`
-//!   unit tests run the same launch shapes forced onto each driver;
+//!   unit tests run the same launch shapes forced onto each replay thread;
 //! * the stream arena reaches a steady state: repeated sorts on one
 //!   pooled processor stop allocating — the (type, capacity-class) bin
 //!   count and pooled-buffer count do not grow, and every subsequent run
@@ -91,7 +91,7 @@ fn run_shape(shape: &Shape) -> (Outcome, Outcome) {
     let mut proc = StreamProcessor::new(profile.clone());
     let reference = per_access::attach(&mut proc);
     // A drain point, as at the start of every sort run: it picks the
-    // replay driver of the launches below.
+    // replay thread of the launches below.
     proc.reset();
     let n = shape.instances;
     let input = Stream::from_vec("in", (0..n as u32).collect(), Layout::ZOrder);
