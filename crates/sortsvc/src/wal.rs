@@ -844,6 +844,40 @@ mod tests {
         }
     }
 
+    /// The on-disk bytes of one ADMITTED record, pinned: keys `-0.0`, a
+    /// NaN with a payload and `+∞`, and the top id.
+    #[test]
+    fn admitted_record_bytes_are_pinned() {
+        let event = WalEvent::Admitted(AdmittedJob {
+            job_id: 0x0102_0304_0506_0708,
+            tenant: 5,
+            arrival_ms: 2.5,
+            hint: Some(Distribution::Sorted),
+            values: vec![
+                Value::new(-0.0, 0),
+                Value::new(f32::from_bits(0xFFC0_1234), 1),
+                Value::new(f32::INFINITY, u32::MAX),
+            ],
+        });
+        #[rustfmt::skip]
+        let expected: &[u8] = &[
+            0x41, 0x42, 0x57, 0x4c, 0x01, 0x01, 0x00, 0x00, // "ABWL", v1, ADMITTED, reserved
+            0x33, 0x00, 0x00, 0x00, 0xcf, 0xbc, 0x73, 0xfa, // payload length 51, CRC-32
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // job id
+            0x05, 0x00, 0x00, 0x00,                         // tenant
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, // arrival 2.5 ms
+            0x06, b's', b'o', b'r', b't', b'e', b'd',       // hint
+            0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, // -0.0, id 0
+            0x34, 0x12, 0xc0, 0xff, 0x01, 0x00, 0x00, 0x00, // NaN 0xffc01234, id 1
+            0x00, 0x00, 0x80, 0x7f, 0xff, 0xff, 0xff, 0xff, // +inf, id u32::MAX
+        ];
+        let bytes = encode_event(&event);
+        assert_eq!(bytes, expected);
+        let (decoded, len) = parse_record(&bytes).expect("valid record");
+        assert_eq!(decoded, event);
+        assert_eq!(len, bytes.len());
+    }
+
     #[test]
     fn reopen_replays_only_unacknowledged_admissions() {
         let tmp = TempDir::new("replay");
