@@ -2,8 +2,8 @@
 //!
 //! All experiments report *simulated* times from the calibrated
 //! [`stream_arch::GpuProfile`] cost model (plus the CPU model of
-//! [`baselines::CpuSortModel`]); wall-clock measurements of the same code
-//! paths live in the Criterion benches. Absolute numbers are properties of
+//! [`baselines::CpuSortModel`]); host wall-clock time is measured by the
+//! repository benchmark (`perfbench/`). Absolute numbers are properties of
 //! the simulator — what must match the paper is the *shape*: who wins, by
 //! roughly what factor, and how the gaps scale with `n` and `p`.
 

@@ -2,9 +2,9 @@
 //!
 //! Every table and figure of the paper's Section 8 (plus the analytic
 //! claims of Sections 2, 5 and 7) has a corresponding experiment function
-//! here; the `repro` binary prints them in the paper's format and the
-//! Criterion benches measure the host wall-clock behaviour of the same
-//! code paths.
+//! here; the `repro` binary prints them in the paper's format. Host
+//! wall-clock time is measured by the repository benchmark (`perfbench/`,
+//! see `docs/BENCHMARKS.md`).
 //!
 //! | experiment id (DESIGN.md) | function |
 //! |---------------------------|----------|

@@ -31,9 +31,6 @@ use stream_arch::Value;
 pub struct ClientConfig {
     /// Tenant id stamped on submissions (the service's fairness key).
     pub tenant: u32,
-    /// Payload encoding used for submissions ([`PayloadEncoding::RawLe`]
-    /// by default; the server mirrors it in results).
-    pub encoding: PayloadEncoding,
     /// Auto-flush after this many buffered submissions.
     pub flush_jobs: usize,
     /// Auto-flush when the submission buffer reaches this many bytes.
@@ -49,7 +46,6 @@ impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             tenant: 0,
-            encoding: PayloadEncoding::RawLe,
             flush_jobs: 32,
             flush_bytes: 1 << 20,
             max_frame_bytes: 64 << 20,
@@ -61,23 +57,15 @@ impl Default for ClientConfig {
 /// Builder-style setters (the workspace-wide `with_*` convention).
 ///
 /// ```
-/// use sortsvc::net::{ClientConfig, PayloadEncoding};
+/// use sortsvc::net::ClientConfig;
 ///
-/// let config = ClientConfig::default()
-///     .with_tenant(7)
-///     .with_encoding(PayloadEncoding::Json);
-/// assert_eq!(config.tenant, 7);
+/// let config = ClientConfig::default().with_tenant(7).with_flush_jobs(8);
+/// assert_eq!((config.tenant, config.flush_jobs), (7, 8));
 /// ```
 impl ClientConfig {
     /// Set the tenant id stamped on submissions.
     pub fn with_tenant(mut self, tenant: u32) -> Self {
         self.tenant = tenant;
-        self
-    }
-
-    /// Set the payload encoding.
-    pub fn with_encoding(mut self, encoding: PayloadEncoding) -> Self {
-        self.encoding = encoding;
         self
     }
 
@@ -354,34 +342,27 @@ impl SortClient {
         })
     }
 
-    /// Submit one job under the configured tenant and encoding. The
+    /// Submit one job under the configured tenant. The
     /// submission is *buffered*; it reaches the server on auto-flush
     /// (see [`ClientConfig::flush_jobs`] / [`ClientConfig::flush_bytes`])
     /// or an explicit [`SortClient::flush`].
     pub fn submit(&mut self, values: Vec<Value>) -> io::Result<JobTicket> {
-        let (tenant, encoding) = (self.config.tenant, self.config.encoding);
-        self.submit_with(values, tenant, encoding)
+        self.submit_with(values, self.config.tenant)
     }
 
-    /// Submit one job with an explicit tenant and encoding.
-    pub fn submit_with(
-        &mut self,
-        values: Vec<Value>,
-        tenant: u32,
-        encoding: PayloadEncoding,
-    ) -> io::Result<JobTicket> {
+    /// Submit one job with an explicit tenant.
+    pub fn submit_with(&mut self, values: Vec<Value>, tenant: u32) -> io::Result<JobTicket> {
         if self.shared.closed.load(Ordering::SeqCst) {
             return Err(self.shared.closed_error());
         }
         let job_id = self.next_job_id;
-        let payload = SubmitPayload {
+        let Ok(payload) = SubmitPayload {
             job_id,
             tenant,
-            encoding,
+            encoding: PayloadEncoding::RawLe,
             values,
         }
-        .encode()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        .encode();
         self.next_job_id += 1;
         Frame::new(FrameType::Submit, payload).encode_into(&mut self.buf);
         self.buffered_jobs += 1;
@@ -396,10 +377,9 @@ impl SortClient {
     }
 
     /// Submit typed keys over the wire. The order-preserving encodings
-    /// ride the existing SUBMIT frame as raw [`Value`] bit patterns —
-    /// [`PayloadEncoding::RawLe`] is forced regardless of the configured
-    /// default, because the NaN-keyed values typed codecs produce only
-    /// survive a bit-exact encoding. Duplicate keys are deduplicated
+    /// ride the existing SUBMIT frame as raw [`Value`] bit patterns,
+    /// which the bit-exact [`PayloadEncoding::RawLe`] record carries
+    /// unchanged, NaN keys included. Duplicate keys are deduplicated
     /// before transmission (the engines need distinct elements) and
     /// re-expanded when the reply is decoded by
     /// [`TypedTicket::wait_timeout`].
@@ -409,8 +389,7 @@ impl SortClient {
     ) -> io::Result<TypedTicket<K>> {
         let mut batch = crate::keys::EncodedBatch::new(keys);
         let values = batch.take_values();
-        let tenant = self.config.tenant;
-        let ticket = self.submit_with(values, tenant, PayloadEncoding::RawLe)?;
+        let ticket = self.submit_with(values, self.config.tenant)?;
         Ok(TypedTicket { ticket, batch })
     }
 

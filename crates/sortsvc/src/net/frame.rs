@@ -31,6 +31,7 @@
 //! ```
 
 use super::error::ErrorCode;
+use std::convert::Infallible;
 use std::fmt;
 use std::io::Read;
 use stream_arch::Value;
@@ -98,33 +99,24 @@ impl FrameType {
 }
 
 /// How the records inside a `SUBMIT` / `RESULT` payload are encoded.
+///
+/// Version 1 has one encoding. Wire byte 1 is retired (it once named a
+/// JSON encoding) and is never reassigned within version 1; a `SUBMIT`
+/// that carries it, or any other unknown byte, gets the per-job
+/// `UNSUPPORTED_ENCODING` reject.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum PayloadEncoding {
     /// 8 bytes per record, little endian: `f32` key bit pattern, then
-    /// `u32` id. Carries every possible key, including NaN payloads.
+    /// `u32` id (see [`encode_values`]). Carries every possible key,
+    /// including NaN payloads and ±∞.
     RawLe = 0,
-    /// A UTF-8 JSON array of `{"k": <number>, "id": <integer>}` objects.
-    /// Only finite keys are representable (JSON has no NaN/∞ literals).
-    Json = 1,
 }
 
 impl PayloadEncoding {
     /// Decode a wire byte into an encoding.
     pub fn from_wire(byte: u8) -> Option<PayloadEncoding> {
-        match byte {
-            0 => Some(PayloadEncoding::RawLe),
-            1 => Some(PayloadEncoding::Json),
-            _ => None,
-        }
-    }
-
-    /// Human-readable name (`raw-le` / `json`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PayloadEncoding::RawLe => "raw-le",
-            PayloadEncoding::Json => "json",
-        }
+        (byte == PayloadEncoding::RawLe as u8).then_some(PayloadEncoding::RawLe)
     }
 }
 
@@ -361,35 +353,41 @@ pub struct SubmitPayload {
 }
 
 impl SubmitPayload {
-    /// Encode into payload bytes (job header + records).
-    pub fn encode(&self) -> Result<Vec<u8>, PayloadError> {
+    /// Encode into payload bytes (job header + records). Every record is
+    /// representable, so encoding cannot fail.
+    pub fn encode(&self) -> Result<Vec<u8>, Infallible> {
         let mut out = Vec::with_capacity(JOB_HEADER_LEN + self.values.len() * RAW_RECORD_LEN);
         out.extend_from_slice(&self.job_id.to_le_bytes());
         out.extend_from_slice(&self.tenant.to_le_bytes());
         out.push(self.encoding as u8);
         out.extend_from_slice(&[0u8; 3]); // reserved, must be zero
-        encode_values(self.encoding, &self.values, &mut out)?;
+        encode_values(&self.values, &mut out);
         Ok(out)
+    }
+
+    /// Validate the job header and the length of the record section, and
+    /// return the record count, without decoding any record. A receiver
+    /// can turn away an oversized job on this count before it allocates
+    /// the records.
+    pub fn record_count(bytes: &[u8]) -> Result<usize, PayloadError> {
+        if bytes.len() < JOB_HEADER_LEN {
+            return Err(PayloadError("submit payload shorter than its job header"));
+        }
+        PayloadEncoding::from_wire(bytes[12]).ok_or(PayloadError("unknown payload encoding"))?;
+        if bytes[13..16] != [0u8; 3] {
+            return Err(PayloadError("non-zero reserved bytes in the job header"));
+        }
+        records_in(&bytes[JOB_HEADER_LEN..])
     }
 
     /// Decode from payload bytes.
     pub fn decode(bytes: &[u8]) -> Result<SubmitPayload, PayloadError> {
-        if bytes.len() < JOB_HEADER_LEN {
-            return Err(PayloadError("submit payload shorter than its job header"));
-        }
-        let job_id = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
-        let tenant = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let encoding = PayloadEncoding::from_wire(bytes[12])
-            .ok_or(PayloadError("unknown payload encoding"))?;
-        if bytes[13..16] != [0u8; 3] {
-            return Err(PayloadError("non-zero reserved bytes in the job header"));
-        }
-        let values = decode_values(encoding, &bytes[JOB_HEADER_LEN..])?;
+        SubmitPayload::record_count(bytes)?;
         Ok(SubmitPayload {
-            job_id,
-            tenant,
-            encoding,
-            values,
+            job_id: u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")),
+            tenant: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
+            encoding: PayloadEncoding::RawLe,
+            values: decode_values(&bytes[JOB_HEADER_LEN..])?,
         })
     }
 }
@@ -399,21 +397,21 @@ impl SubmitPayload {
 pub struct ResultPayload {
     /// The client's job id, echoed from the submission.
     pub job_id: u64,
-    /// How `values` are encoded (the server mirrors the submission's
-    /// encoding).
+    /// How `values` are encoded.
     pub encoding: PayloadEncoding,
     /// The sorted records.
     pub values: Vec<Value>,
 }
 
 impl ResultPayload {
-    /// Encode into payload bytes (job header + records).
-    pub fn encode(&self) -> Result<Vec<u8>, PayloadError> {
+    /// Encode into payload bytes (job header + records). Every record is
+    /// representable, so encoding cannot fail.
+    pub fn encode(&self) -> Result<Vec<u8>, Infallible> {
         let mut out = Vec::with_capacity(JOB_HEADER_LEN + self.values.len() * RAW_RECORD_LEN);
         out.extend_from_slice(&self.job_id.to_le_bytes());
         out.push(self.encoding as u8);
         out.extend_from_slice(&[0u8; 7]); // reserved, must be zero
-        encode_values(self.encoding, &self.values, &mut out)?;
+        encode_values(&self.values, &mut out);
         Ok(out)
     }
 
@@ -428,7 +426,7 @@ impl ResultPayload {
         if bytes[9..16] != [0u8; 7] {
             return Err(PayloadError("non-zero reserved bytes in the job header"));
         }
-        let values = decode_values(encoding, &bytes[JOB_HEADER_LEN..])?;
+        let values = decode_values(&bytes[JOB_HEADER_LEN..])?;
         Ok(ResultPayload {
             job_id,
             encoding,
@@ -552,90 +550,41 @@ impl StatsPayload {
     }
 }
 
-/// Append the records in the chosen encoding.
-pub fn encode_values(
-    encoding: PayloadEncoding,
-    values: &[Value],
-    out: &mut Vec<u8>,
-) -> Result<(), PayloadError> {
-    match encoding {
-        PayloadEncoding::RawLe => {
-            out.reserve(values.len() * RAW_RECORD_LEN);
-            for v in values {
-                out.extend_from_slice(&v.key.to_bits().to_le_bytes());
-                out.extend_from_slice(&v.id.to_le_bytes());
-            }
-            Ok(())
-        }
-        PayloadEncoding::Json => {
-            let mut text = String::with_capacity(2 + values.len() * 16);
-            text.push('[');
-            for (i, v) in values.iter().enumerate() {
-                if !v.key.is_finite() {
-                    return Err(PayloadError(
-                        "JSON encoding cannot carry non-finite keys; use RAW_LE",
-                    ));
-                }
-                if i > 0 {
-                    text.push(',');
-                }
-                // `f32::Display` emits the shortest decimal that uniquely
-                // identifies the value, so the parse on the far side
-                // recovers the exact bit pattern.
-                text.push_str(&format!("{{\"k\":{},\"id\":{}}}", v.key, v.id));
-            }
-            text.push(']');
-            out.extend_from_slice(text.as_bytes());
-            Ok(())
-        }
+/// Append the records in the `RAW_LE` record encoding: per record the
+/// `f32` key's bit pattern, then the `u32` id, both little endian. This
+/// is the one definition of the 8-byte record; the `SUBMIT`/`RESULT`
+/// codecs and the WAL's `ADMITTED` record use it.
+pub fn encode_values(values: &[Value], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + values.len() * RAW_RECORD_LEN, 0);
+    for (record, v) in out[start..].chunks_exact_mut(RAW_RECORD_LEN).zip(values) {
+        record[..4].copy_from_slice(&v.key.to_bits().to_le_bytes());
+        record[4..].copy_from_slice(&v.id.to_le_bytes());
     }
 }
 
-/// Decode the records in the chosen encoding.
-pub fn decode_values(encoding: PayloadEncoding, bytes: &[u8]) -> Result<Vec<Value>, PayloadError> {
-    match encoding {
-        PayloadEncoding::RawLe => {
-            if !bytes.len().is_multiple_of(RAW_RECORD_LEN) {
-                return Err(PayloadError(
-                    "RAW_LE record section is not a multiple of 8 bytes",
-                ));
-            }
-            Ok(bytes
-                .chunks_exact(RAW_RECORD_LEN)
-                .map(|c| {
-                    Value::new(
-                        f32::from_bits(u32::from_le_bytes(c[0..4].try_into().expect("4 bytes"))),
-                        u32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-                    )
-                })
-                .collect())
-        }
-        PayloadEncoding::Json => {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| PayloadError("JSON record section is not valid UTF-8"))?;
-            let doc = serde_json::from_str(text)
-                .map_err(|_| PayloadError("JSON record section does not parse"))?;
-            let items = doc
-                .as_array()
-                .ok_or(PayloadError("JSON record section is not an array"))?;
-            let mut values = Vec::with_capacity(items.len());
-            for item in items {
-                let key = item
-                    .get("k")
-                    .and_then(|v| v.as_f64())
-                    .ok_or(PayloadError("JSON record lacks a numeric \"k\""))?;
-                let id = item
-                    .get("id")
-                    .and_then(|v| v.as_f64())
-                    .ok_or(PayloadError("JSON record lacks a numeric \"id\""))?;
-                if id.fract() != 0.0 || !(0.0..=u32::MAX as f64).contains(&id) {
-                    return Err(PayloadError("JSON record id is not a u32"));
-                }
-                values.push(Value::new(key as f32, id as u32));
-            }
-            Ok(values)
-        }
+/// Decode a `RAW_LE` record section (the inverse of [`encode_values`]).
+pub fn decode_values(bytes: &[u8]) -> Result<Vec<Value>, PayloadError> {
+    records_in(bytes)?;
+    Ok(bytes
+        .chunks_exact(RAW_RECORD_LEN)
+        .map(|c| {
+            Value::new(
+                f32::from_bits(u32::from_le_bytes(c[0..4].try_into().expect("4 bytes"))),
+                u32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
+            )
+        })
+        .collect())
+}
+
+/// The number of records in a `RAW_LE` record section.
+fn records_in(bytes: &[u8]) -> Result<usize, PayloadError> {
+    if !bytes.len().is_multiple_of(RAW_RECORD_LEN) {
+        return Err(PayloadError(
+            "RAW_LE record section is not a multiple of 8 bytes",
+        ));
     }
+    Ok(bytes.len() / RAW_RECORD_LEN)
 }
 
 #[cfg(test)]
@@ -710,34 +659,23 @@ mod tests {
     }
 
     #[test]
-    fn submit_payload_round_trips_both_encodings() {
-        for encoding in [PayloadEncoding::RawLe, PayloadEncoding::Json] {
-            let payload = SubmitPayload {
-                job_id: 42,
-                tenant: 7,
-                encoding,
-                values: vec![Value::new(1.5, 0), Value::new(-2.25, 1)],
-            };
-            let decoded = SubmitPayload::decode(&payload.encode().unwrap()).unwrap();
-            assert_eq!(decoded, payload);
-        }
-    }
-
-    #[test]
-    fn json_encoding_refuses_non_finite_keys() {
-        let err = encode_values(
-            PayloadEncoding::Json,
-            &[Value::new(f32::NAN, 0)],
-            &mut Vec::new(),
-        )
-        .unwrap_err();
-        assert!(err.0.contains("non-finite"));
-        // RAW_LE carries the same value exactly.
-        let mut raw = Vec::new();
-        encode_values(PayloadEncoding::RawLe, &[Value::new(f32::NAN, 3)], &mut raw).unwrap();
-        let back = decode_values(PayloadEncoding::RawLe, &raw).unwrap();
-        assert_eq!(back[0].key.to_bits(), f32::NAN.to_bits());
-        assert_eq!(back[0].id, 3);
+    fn record_count_checks_the_header_and_section_without_decoding() {
+        let payload = SubmitPayload {
+            job_id: 1,
+            tenant: 0,
+            encoding: PayloadEncoding::RawLe,
+            values: vec![Value::new(0.0, 0); 3],
+        };
+        let Ok(bytes) = payload.encode();
+        assert_eq!(SubmitPayload::record_count(&bytes), Ok(3));
+        assert!(SubmitPayload::record_count(&bytes[..JOB_HEADER_LEN - 1]).is_err());
+        assert!(SubmitPayload::record_count(&bytes[..bytes.len() - 1]).is_err());
+        let mut retired = bytes.clone();
+        retired[12] = 1;
+        assert!(SubmitPayload::record_count(&retired).is_err());
+        let mut reserved = bytes;
+        reserved[15] = 1;
+        assert!(SubmitPayload::record_count(&reserved).is_err());
     }
 
     #[test]

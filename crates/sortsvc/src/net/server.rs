@@ -224,7 +224,6 @@ struct Submission {
     writer: Arc<ConnWriter>,
     job_id: u64,
     tenant: u32,
-    encoding: PayloadEncoding,
     values: Vec<Value>,
     received: Instant,
     /// Log-wide WAL id of the admission record, when durability is on —
@@ -661,6 +660,19 @@ fn handle_submit(
         reject(writer, shared, echo_id, ErrorCode::UnsupportedEncoding, 0);
         return;
     }
+    // The record count follows from the payload length, so an oversized
+    // job is turned away before its records are decoded.
+    match SubmitPayload::record_count(&payload) {
+        Err(_) => {
+            reject(writer, shared, echo_id, ErrorCode::MalformedPayload, 0);
+            return;
+        }
+        Ok(count) if count > config.max_job_elements => {
+            reject(writer, shared, echo_id, ErrorCode::JobTooLarge, 0);
+            return;
+        }
+        Ok(_) => {}
+    }
     let decode_started = telemetry::enabled().then(Instant::now);
     let mut submit = match SubmitPayload::decode(&payload) {
         Ok(s) => s,
@@ -676,10 +688,6 @@ fn handle_submit(
             started,
             &[("bytes", payload.len() as f64)],
         );
-    }
-    if submit.values.len() > config.max_job_elements {
-        reject(writer, shared, submit.job_id, ErrorCode::JobTooLarge, 0);
-        return;
     }
     // A draining server turns new work away with the same retryable
     // answer as a saturated one; clients with back-off find the restarted
@@ -735,7 +743,6 @@ fn handle_submit(
         writer: writer.clone(),
         job_id: submit.job_id,
         tenant: submit.tenant,
-        encoding: submit.encoding,
         values: submit.values,
         received,
         wal_id,
@@ -866,26 +873,13 @@ fn run_batch(
                 if let Some(id) = sub.wal_id {
                     completed_wal_ids.push(id);
                 }
-                let reply = ResultPayload {
+                let Ok(payload) = ResultPayload {
                     job_id: sub.job_id,
-                    encoding: sub.encoding,
+                    encoding: PayloadEncoding::RawLe,
                     values: result.output,
-                };
-                match reply.encode() {
-                    Ok(payload) => sub.writer.send(FrameType::Result, payload),
-                    // Unreachable in practice: a result mirrors its
-                    // submission's encoding, and anything JSON cannot
-                    // carry could not have been submitted as JSON.
-                    Err(_) => sub.writer.send(
-                        FrameType::Reject,
-                        RejectPayload {
-                            job_id: sub.job_id,
-                            code: ErrorCode::Internal,
-                            retry_after_ms: 0,
-                        }
-                        .encode(),
-                    ),
                 }
+                .encode();
+                sub.writer.send(FrameType::Result, payload);
             }
             // Durability: acknowledgements go in *after* the replies are
             // on the wire, so a crash in between replays the job once

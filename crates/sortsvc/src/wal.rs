@@ -68,6 +68,7 @@
 //! ```
 
 use crate::job::{JobId, RejectReason, TenantId};
+use crate::net::frame::{decode_values, encode_values, RAW_RECORD_LEN};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -98,13 +99,10 @@ const TYPE_REJECTED: u8 = 3;
 const REASON_QUEUE_FULL: u8 = 1;
 const REASON_MEMORY_PRESSURE: u8 = 2;
 
-/// Bytes per value/pointer record in an `ADMITTED` payload (f32 key
-/// bits then u32 id, both little-endian — the same raw coding as the
-/// wire's `RAW_LE`).
-const VALUE_LEN: usize = 8;
-
 /// Fixed prefix of an `ADMITTED` payload before the hint name and values:
-/// job id (8) + tenant (4) + arrival-time bits (8) + hint length (1).
+/// job id (8) + tenant (4) + arrival-time bits (8) + hint length (1). The
+/// values follow in the wire's `RAW_LE` record encoding
+/// ([`encode_values`]).
 const ADMIT_PREFIX_LEN: usize = 21;
 
 // ---------------------------------------------------------------------------
@@ -280,18 +278,13 @@ pub fn encode_event_into(out: &mut Vec<u8>, event: &WalEvent) {
         WalEvent::Admitted(job) => {
             let hint_name = job.hint.as_ref().map(|h| h.name()).unwrap_or_default();
             debug_assert!(hint_name.len() <= u8::MAX as usize);
-            out.reserve(ADMIT_PREFIX_LEN + hint_name.len() + job.values.len() * VALUE_LEN);
+            out.reserve(ADMIT_PREFIX_LEN + hint_name.len() + job.values.len() * RAW_RECORD_LEN);
             out.extend_from_slice(&job.job_id.to_le_bytes());
             out.extend_from_slice(&job.tenant.to_le_bytes());
             out.extend_from_slice(&job.arrival_ms.to_bits().to_le_bytes());
             out.push(hint_name.len() as u8);
             out.extend_from_slice(hint_name.as_bytes());
-            for v in &job.values {
-                let mut pair = [0u8; VALUE_LEN];
-                pair[..4].copy_from_slice(&v.key.to_bits().to_le_bytes());
-                pair[4..].copy_from_slice(&v.id.to_le_bytes());
-                out.extend_from_slice(&pair);
-            }
+            encode_values(&job.values, out);
         }
         WalEvent::Completed { job_id } => out.extend_from_slice(&job_id.to_le_bytes()),
         WalEvent::Rejected { job_id, reason } => {
@@ -381,22 +374,8 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<WalEvent, String> {
                         .map_err(|e| format!("unknown hint {name:?}: {e}"))?,
                 )
             };
-            let rest = &payload[ADMIT_PREFIX_LEN + hint_len..];
-            if !rest.len().is_multiple_of(VALUE_LEN) {
-                return Err(format!(
-                    "value section length {} is not a multiple of {VALUE_LEN}",
-                    rest.len()
-                ));
-            }
-            let values = rest
-                .chunks_exact(VALUE_LEN)
-                .map(|c| {
-                    Value::new(
-                        f32::from_bits(u32::from_le_bytes(c[0..4].try_into().expect("4 bytes"))),
-                        u32::from_le_bytes(c[4..8].try_into().expect("4 bytes")),
-                    )
-                })
-                .collect();
+            let values = decode_values(&payload[ADMIT_PREFIX_LEN + hint_len..])
+                .map_err(|e| e.to_string())?;
             Ok(WalEvent::Admitted(AdmittedJob {
                 job_id,
                 tenant,

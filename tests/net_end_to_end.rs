@@ -36,8 +36,8 @@ fn top_of_domain_job(len: usize) -> Vec<Value> {
 
 /// Wire results must be byte-identical to running the very same jobs
 /// through an in-process [`SortService`], and to `std` sort — several
-/// concurrent clients, both payload encodings, and on RAW_LE one job at
-/// the top of the key domain sized for the GPU route.
+/// concurrent clients, each sending one job at the top of the key domain
+/// sized for the GPU route.
 #[test]
 fn wire_results_match_the_in_process_service_bit_for_bit() {
     let server = SortServer::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
@@ -62,13 +62,7 @@ fn wire_results_match_the_in_process_service_bit_for_bit() {
                         .into_iter()
                         .map(|r| r.values)
                         .collect();
-                    // Odd tenants speak JSON, even tenants RAW_LE.
-                    let encoding = if c % 2 == 0 {
-                        jobs.push(top_of_domain_job(gpu_len));
-                        PayloadEncoding::RawLe
-                    } else {
-                        PayloadEncoding::Json
-                    };
+                    jobs.push(top_of_domain_job(gpu_len));
 
                     // In-process reference run of the identical jobs.
                     let ref_jobs: Vec<SortJob> = jobs
@@ -80,20 +74,12 @@ fn wire_results_match_the_in_process_service_bit_for_bit() {
                         .process(ref_jobs)
                         .expect("reference service run");
                     assert!(ref_report.rejected.is_empty());
-                    if encoding == PayloadEncoding::RawLe {
-                        let top = ref_report.results.last().expect("top-of-domain job");
-                        assert_eq!(top.engine, Engine::GpuAbiSort);
-                    }
+                    let top = ref_report.results.last().expect("top-of-domain job");
+                    assert_eq!(top.engine, Engine::GpuAbiSort);
 
-                    let mut client = SortClient::connect_with(
-                        addr,
-                        ClientConfig {
-                            tenant,
-                            encoding,
-                            ..ClientConfig::default()
-                        },
-                    )
-                    .expect("connect");
+                    let mut client =
+                        SortClient::connect_with(addr, ClientConfig::default().with_tenant(tenant))
+                            .expect("connect");
                     let tickets: Vec<_> = jobs
                         .iter()
                         .map(|values| client.submit(values.clone()).expect("submit"))
@@ -113,18 +99,16 @@ fn wire_results_match_the_in_process_service_bit_for_bit() {
                         assert_eq!(
                             bits(&sorted),
                             bits(&reference.output),
-                            "tenant {tenant} job {} ({}) differs from the in-process run",
+                            "tenant {tenant} job {} differs from the in-process run",
                             ticket.job_id(),
-                            encoding.name(),
                         );
                         let mut expected = values.clone();
                         expected.sort();
                         assert_eq!(
                             bits(&sorted),
                             bits(&expected),
-                            "tenant {tenant} job {} ({}) differs from std sort",
+                            "tenant {tenant} job {} differs from std sort",
                             ticket.job_id(),
-                            encoding.name(),
                         );
                     }
                 })
@@ -135,12 +119,11 @@ fn wire_results_match_the_in_process_service_bit_for_bit() {
         }
     });
 
-    let raw_le_clients = clients.div_ceil(2);
     let stats = server.shutdown();
     assert_eq!(stats.connections_accepted, clients as u64);
     assert_eq!(
         stats.service.jobs_completed,
-        clients * jobs_per_client + raw_le_clients
+        clients * (jobs_per_client + 1)
     );
     assert_eq!(stats.service.jobs_rejected, 0);
 }
@@ -368,13 +351,66 @@ fn malformed_submit_payload_is_rejected_per_job() {
     server.shutdown();
 }
 
-/// A JSON payload of 200 000 nested `[` gets the per-job
-/// `MALFORMED_PAYLOAD` reject: the depth-limited parser returns a typed
-/// error instead of overflowing the reader thread's stack, which aborted
-/// the whole server process. The connection survives, and a concurrent
-/// `RAW_LE` client gets its reply.
+/// `max_job_elements` is inclusive, and the record count it is checked
+/// against comes from the payload length: a job one record over the limit
+/// gets `JOB_TOO_LARGE`, while a ragged record section stays
+/// `MALFORMED_PAYLOAD` however long it is.
 #[test]
-fn deeply_nested_json_payload_is_rejected_per_job_and_the_server_survives() {
+fn job_size_limit_is_inclusive_and_a_ragged_section_stays_malformed() {
+    const LIMIT: usize = 64;
+    let config = ServerConfig {
+        max_job_elements: LIMIT,
+        ..ServerConfig::default()
+    };
+    let server = SortServer::start("127.0.0.1:0", config).expect("bind");
+    let mut client = SortClient::connect(server.local_addr()).expect("connect");
+    let at_limit = client.submit(workloads::uniform(LIMIT, 3)).expect("submit");
+    let over_limit = client
+        .submit(workloads::uniform(LIMIT + 1, 4))
+        .expect("submit");
+    client.flush().expect("flush");
+    match at_limit.wait_timeout(REPLY_TIMEOUT).expect("reply") {
+        JobReply::Sorted(values) => assert_eq!(values.len(), LIMIT),
+        other => panic!("a job at the limit must be sorted: {other:?}"),
+    }
+    match over_limit.wait_timeout(REPLY_TIMEOUT).expect("reply") {
+        JobReply::Rejected { code, .. } => assert_eq!(code, ErrorCode::JobTooLarge),
+        other => panic!("a job over the limit must be rejected: {other:?}"),
+    }
+
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect raw");
+    conn.set_read_timeout(Some(REPLY_TIMEOUT)).expect("timeout");
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&11u64.to_le_bytes()); // job id
+    payload.extend_from_slice(&0u32.to_le_bytes()); // tenant
+    payload.push(PayloadEncoding::RawLe as u8);
+    payload.extend_from_slice(&[0u8; 3]);
+    payload.extend(std::iter::repeat_n(0u8, 8 * (LIMIT + 1) + 3));
+    conn.write_all(&Frame::new(FrameType::Submit, payload).encode())
+        .expect("write submit");
+    let mut reader = FrameReader::new(1 << 20);
+    let frame = loop {
+        match reader.poll(&mut conn).expect("server answers") {
+            FramePoll::Frame(f) => break f,
+            FramePoll::WouldBlock => continue,
+            FramePoll::Eof => panic!("connection closed instead of rejecting the job"),
+        }
+    };
+    let reject =
+        gpu_abisort::sortsvc::net::RejectPayload::decode(&frame.payload).expect("typed reject");
+    assert_eq!(reject.job_id, 11);
+    assert_eq!(reject.code, ErrorCode::MalformedPayload);
+    drop(client);
+    server.shutdown();
+}
+
+/// A payload of 200 000 nested `[` under the retired encoding byte 1
+/// (once JSON, whose recursive parse of this frame aborted the whole
+/// server process) gets the per-job `UNSUPPORTED_ENCODING` reject before
+/// any record byte is parsed. The connection survives, and a concurrent
+/// client gets its reply.
+#[test]
+fn retired_encoding_byte_is_rejected_per_job_and_the_server_survives() {
     let server = SortServer::start("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
     let mut neighbour = SortClient::connect(addr).expect("connect");
@@ -383,7 +419,7 @@ fn deeply_nested_json_payload_is_rejected_per_job_and_the_server_survives() {
     let mut payload = Vec::new();
     payload.extend_from_slice(&9u64.to_le_bytes()); // job id
     payload.extend_from_slice(&0u32.to_le_bytes()); // tenant
-    payload.push(PayloadEncoding::Json as u8);
+    payload.push(1); // the retired encoding byte
     payload.extend_from_slice(&[0u8; 3]);
     payload.extend(std::iter::repeat_n(b'[', 200_000));
     let frame = Frame::new(FrameType::Submit, payload).encode();
@@ -408,7 +444,7 @@ fn deeply_nested_json_payload_is_rejected_per_job_and_the_server_survives() {
     let reject =
         gpu_abisort::sortsvc::net::RejectPayload::decode(&frame.payload).expect("typed reject");
     assert_eq!(reject.job_id, 9);
-    assert_eq!(reject.code, ErrorCode::MalformedPayload);
+    assert_eq!(reject.code, ErrorCode::UnsupportedEncoding);
 
     let mut expected = input;
     expected.sort();
