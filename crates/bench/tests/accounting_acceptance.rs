@@ -1,14 +1,13 @@
 //! The accounting acceptance claim, enforced: the engine's cost model
-//! (coalesced tile runs, replayed from the fetch log) plus zero-fill
-//! elision makes the sequential sorting path at least 1.5× faster in host
-//! wall-clock time than the per-access reference model — every fetched
-//! element probed on its own, replayed from the same log on the engine
-//! thread — with the default arena refill. Outputs, counters and
+//! (coalesced tile runs, replayed from the fetch log) makes the sequential
+//! sorting path at least 1.5× faster in host wall-clock time than the
+//! per-access reference model — every fetched element probed on its own,
+//! replayed from the same log on the engine thread. Outputs, counters and
 //! simulated times are byte-identical (asserted on every repetition while
 //! it measures).
 //!
-//! Both processors replay the sorter's cached plans, so the ratio isolates
-//! the accounting and the refill.
+//! Both processors replay the sorter's cached plans and reuse their arenas
+//! the same way, so the ratio isolates the accounting.
 //!
 //! `#[ignore]`d in the debug tier-1 suite — wall-clock ratios are a
 //! release-profile workload; CI runs it with
@@ -79,7 +78,6 @@ fn measure(sorter: &GpuAbiSorter, n: usize, jobs: usize) -> (f64, f64) {
     let mut batched = StreamProcessor::new(GpuProfile::geforce_7800());
     let mut reference = StreamProcessor::new(GpuProfile::geforce_7800());
     let per_access: Arc<Mutex<PerAccess>> = per_access::attach(&mut reference);
-    reference.arena().set_elision(false);
     let per_access = Some(&*per_access);
 
     // One untimed pass each: first-touch page faults, the arena's initial

@@ -262,39 +262,48 @@ pub fn encode_event(event: &WalEvent) -> Vec<u8> {
 /// touches the payload bytes exactly once (encode) plus the checksum pass
 /// — no per-record allocation, no intermediate payload copy.
 pub fn encode_event_into(out: &mut Vec<u8>, event: &WalEvent) {
+    match event {
+        WalEvent::Admitted(job) => encode_admitted_into(out, job),
+        WalEvent::Completed { job_id } => encode_record_into(out, TYPE_COMPLETED, |out| {
+            out.extend_from_slice(&job_id.to_le_bytes())
+        }),
+        WalEvent::Rejected { job_id, reason } => encode_record_into(out, TYPE_REJECTED, |out| {
+            out.extend_from_slice(&job_id.to_le_bytes());
+            out.push(match reason {
+                RejectReason::QueueFull => REASON_QUEUE_FULL,
+                RejectReason::MemoryPressure => REASON_MEMORY_PRESSURE,
+            });
+        }),
+    }
+}
+
+/// Encode an ADMITTED record straight from the borrowed job.
+fn encode_admitted_into(out: &mut Vec<u8>, job: &AdmittedJob) {
+    encode_record_into(out, TYPE_ADMITTED, |out| {
+        let hint_name = job.hint.as_ref().map(|h| h.name()).unwrap_or_default();
+        debug_assert!(hint_name.len() <= u8::MAX as usize);
+        out.reserve(ADMIT_PREFIX_LEN + hint_name.len() + job.values.len() * RAW_RECORD_LEN);
+        out.extend_from_slice(&job.job_id.to_le_bytes());
+        out.extend_from_slice(&job.tenant.to_le_bytes());
+        out.extend_from_slice(&job.arrival_ms.to_bits().to_le_bytes());
+        out.push(hint_name.len() as u8);
+        out.extend_from_slice(hint_name.as_bytes());
+        encode_values(&job.values, out);
+    })
+}
+
+/// Frame the payload `encode_payload` appends as one record of `kind` in
+/// `out` (cleared first): header, payload, then the patched-in payload
+/// length and CRC.
+fn encode_record_into(out: &mut Vec<u8>, kind: u8, encode_payload: impl FnOnce(&mut Vec<u8>)) {
     out.clear();
-    let kind = match event {
-        WalEvent::Admitted(_) => TYPE_ADMITTED,
-        WalEvent::Completed { .. } => TYPE_COMPLETED,
-        WalEvent::Rejected { .. } => TYPE_REJECTED,
-    };
     out.extend_from_slice(&WAL_MAGIC);
     out.push(WAL_VERSION);
     out.push(kind);
     out.extend_from_slice(&0u16.to_le_bytes());
     // Payload length and CRC are patched in once the payload is encoded.
     out.extend_from_slice(&[0u8; 8]);
-    match event {
-        WalEvent::Admitted(job) => {
-            let hint_name = job.hint.as_ref().map(|h| h.name()).unwrap_or_default();
-            debug_assert!(hint_name.len() <= u8::MAX as usize);
-            out.reserve(ADMIT_PREFIX_LEN + hint_name.len() + job.values.len() * RAW_RECORD_LEN);
-            out.extend_from_slice(&job.job_id.to_le_bytes());
-            out.extend_from_slice(&job.tenant.to_le_bytes());
-            out.extend_from_slice(&job.arrival_ms.to_bits().to_le_bytes());
-            out.push(hint_name.len() as u8);
-            out.extend_from_slice(hint_name.as_bytes());
-            encode_values(&job.values, out);
-        }
-        WalEvent::Completed { job_id } => out.extend_from_slice(&job_id.to_le_bytes()),
-        WalEvent::Rejected { job_id, reason } => {
-            out.extend_from_slice(&job_id.to_le_bytes());
-            out.push(match reason {
-                RejectReason::QueueFull => REASON_QUEUE_FULL,
-                RejectReason::MemoryPressure => REASON_MEMORY_PRESSURE,
-            });
-        }
-    }
+    encode_payload(out);
     let payload_len = (out.len() - RECORD_HEADER_LEN) as u32;
     out[8..12].copy_from_slice(&payload_len.to_le_bytes());
     let crc = crc32(&out[RECORD_HEADER_LEN..]);
@@ -615,7 +624,16 @@ impl Wal {
     /// so a crash between the append and the enqueue replays the job
     /// instead of losing it.
     pub fn append_admitted(&mut self, job: &AdmittedJob) -> Result<(), WalError> {
-        self.append_event(&WalEvent::Admitted(job.clone()))
+        self.write_record(
+            (fault::FaultPoint::AdmitPrefix, fault::FaultPoint::AdmitFull),
+            |out| encode_admitted_into(out, job),
+        )?;
+        self.open_jobs
+            .entry(self.segment)
+            .or_default()
+            .insert(job.job_id);
+        self.job_segment.insert(job.job_id, self.segment);
+        Ok(())
     }
 
     /// Append a completion record. Call this *after* the result was
@@ -623,13 +641,13 @@ impl Wal {
     /// replay once more (at-least-once), never lose an acknowledged
     /// outcome's durability.
     pub fn append_completed(&mut self, job_id: JobId) -> Result<(), WalError> {
-        self.append_event(&WalEvent::Completed { job_id })
+        self.append_ack(&WalEvent::Completed { job_id })
     }
 
     /// Append a service-level rejection record (the job will not be
     /// replayed).
     pub fn append_rejected(&mut self, job_id: JobId, reason: RejectReason) -> Result<(), WalError> {
-        self.append_event(&WalEvent::Rejected { job_id, reason })
+        self.append_ack(&WalEvent::Rejected { job_id, reason })
     }
 
     /// fsync the current segment — a durability point under
@@ -640,22 +658,43 @@ impl Wal {
         Ok(())
     }
 
-    fn append_event(&mut self, event: &WalEvent) -> Result<(), WalError> {
+    /// Append a COMPLETED or REJECTED record, close its job and compact.
+    fn append_ack(&mut self, event: &WalEvent) -> Result<(), WalError> {
+        self.write_record(
+            (fault::FaultPoint::AckPrefix, fault::FaultPoint::AckFull),
+            |out| encode_event_into(out, event),
+        )?;
+        let job_id = event.job_id();
+        if let Some(seg) = self.job_segment.remove(&job_id) {
+            if let Some(set) = self.open_jobs.get_mut(&seg) {
+                set.remove(&job_id);
+                if set.is_empty() {
+                    self.open_jobs.remove(&seg);
+                }
+            }
+        }
+        self.compact()
+    }
+
+    /// Encode one record with `encode` and write it to the current segment
+    /// (rotating first if it would overflow), firing the `(prefix, full)`
+    /// fault points around the write.
+    fn write_record(
+        &mut self,
+        (prefix_point, full_point): (fault::FaultPoint, fault::FaultPoint),
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), WalError> {
         // Encode into the reusable scratch buffer (taken, not borrowed, so
         // `self` stays free for rotation and the write below). Error paths
         // leave an empty scratch behind — the next append just re-grows it.
         let mut bytes = std::mem::take(&mut self.scratch);
-        encode_event_into(&mut bytes, event);
+        encode(&mut bytes);
         if self.segment_bytes > 0
             && self.segment_bytes + bytes.len() as u64 > self.config.segment_max_bytes
         {
             self.rotate()?;
         }
 
-        let (prefix_point, full_point) = match event {
-            WalEvent::Admitted(_) => (fault::FaultPoint::AdmitPrefix, fault::FaultPoint::AdmitFull),
-            _ => (fault::FaultPoint::AckPrefix, fault::FaultPoint::AckFull),
-        };
         if let Some((mode, marker)) = fault::fire(prefix_point) {
             // A torn write: only a prefix of the record reaches the file.
             use std::io::Write;
@@ -679,27 +718,6 @@ impl Wal {
         }
         self.segment_bytes += bytes.len() as u64;
         self.scratch = bytes;
-
-        match event {
-            WalEvent::Admitted(job) => {
-                self.open_jobs
-                    .entry(self.segment)
-                    .or_default()
-                    .insert(job.job_id);
-                self.job_segment.insert(job.job_id, self.segment);
-            }
-            WalEvent::Completed { job_id } | WalEvent::Rejected { job_id, .. } => {
-                if let Some(seg) = self.job_segment.remove(job_id) {
-                    if let Some(set) = self.open_jobs.get_mut(&seg) {
-                        set.remove(job_id);
-                        if set.is_empty() {
-                            self.open_jobs.remove(&seg);
-                        }
-                    }
-                }
-                self.compact()?;
-            }
-        }
         Ok(())
     }
 
@@ -751,7 +769,9 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
-    /// Serializes tests that arm the global fault plan.
+    /// Serializes every test that appends: the fault plan is process-wide,
+    /// so an append in one test would count down or fire another test's
+    /// armed plan.
     fn fault_lock() -> MutexGuard<'static, ()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         match LOCK.get_or_init(|| Mutex::new(())).lock() {
@@ -859,6 +879,7 @@ mod tests {
 
     #[test]
     fn reopen_replays_only_unacknowledged_admissions() {
+        let _guard = fault_lock();
         let tmp = TempDir::new("replay");
         let mut wal = Wal::open(tmp.path(), WalConfig::default()).unwrap().wal;
         wal.append_admitted(&job(1, 8)).unwrap();
@@ -878,6 +899,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_never_replayed() {
+        let _guard = fault_lock();
         let tmp = TempDir::new("torn");
         let mut wal = Wal::open(tmp.path(), WalConfig::default()).unwrap().wal;
         wal.append_admitted(&job(1, 16)).unwrap();
@@ -905,6 +927,7 @@ mod tests {
 
     #[test]
     fn appends_continue_cleanly_after_a_torn_tail() {
+        let _guard = fault_lock();
         let tmp = TempDir::new("resume");
         let mut wal = Wal::open(tmp.path(), WalConfig::default()).unwrap().wal;
         wal.append_admitted(&job(1, 8)).unwrap();
@@ -925,6 +948,7 @@ mod tests {
 
     #[test]
     fn corruption_in_a_sealed_segment_is_a_typed_error() {
+        let _guard = fault_lock();
         let tmp = TempDir::new("sealed");
         let config = WalConfig {
             segment_max_bytes: 64,
@@ -953,6 +977,7 @@ mod tests {
 
     #[test]
     fn rotation_and_prefix_compaction_bound_the_log() {
+        let _guard = fault_lock();
         let tmp = TempDir::new("compact");
         let config = WalConfig {
             segment_max_bytes: 256,
@@ -980,6 +1005,7 @@ mod tests {
 
     #[test]
     fn open_jobs_pin_their_segment_against_compaction() {
+        let _guard = fault_lock();
         let tmp = TempDir::new("pin");
         let config = WalConfig {
             segment_max_bytes: 256,
@@ -1001,6 +1027,7 @@ mod tests {
 
     #[test]
     fn fsync_always_policy_appends_and_recovers() {
+        let _guard = fault_lock();
         let tmp = TempDir::new("fsync");
         let config = WalConfig {
             fsync: FsyncPolicy::Always,

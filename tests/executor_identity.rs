@@ -189,7 +189,6 @@ fn batched_sort_runs_are_byte_identical_to_per_access_sort_runs() {
 fn arena_reaches_steady_state_across_repeated_sorts() {
     let sorter = GpuAbiSorter::new(SortConfig::default());
     let mut proc = StreamProcessor::new(GpuProfile::geforce_7800());
-    proc.arena().set_enabled(true);
     let input = workloads::uniform(1000, 3);
 
     // Warm-up: the first run allocates every class once.
@@ -222,10 +221,9 @@ fn arena_reaches_steady_state_across_repeated_sorts() {
     let stats = proc.arena_ref().stats();
     assert!(stats.hits >= 10 * 7, "reuse hits: {stats:?}");
 
-    // The arena's effect is wall-clock only: a pooling-off processor
-    // produces the identical run record.
+    // The arena's effect is wall-clock only: a fresh processor, whose
+    // streams are all new allocations, produces the identical run record.
     let mut cold = StreamProcessor::new(GpuProfile::geforce_7800());
-    cold.arena().set_enabled(false);
     let a = sorter.sort_run(&mut proc, &input).unwrap();
     let b = sorter.sort_run(&mut cold, &input).unwrap();
     assert_eq!(a.output, b.output);
@@ -234,12 +232,11 @@ fn arena_reaches_steady_state_across_repeated_sorts() {
 }
 
 /// The batched service path reuses arena buffers across batches on one
-/// pooled processor, and stays byte-identical to the pooling-off run.
+/// pooled processor, and stays byte-identical to a fresh processor's run.
 #[test]
 fn segmented_batches_reuse_the_arena_across_submissions() {
     let sorter = GpuAbiSorter::new(SortConfig::default());
     let mut proc = StreamProcessor::new(GpuProfile::geforce_7800());
-    proc.arena().set_enabled(true);
     let input = workloads::uniform(16 * 64, 9);
 
     sorter.sort_segments_run(&mut proc, &input, 64).unwrap();
@@ -250,4 +247,10 @@ fn segmented_batches_reuse_the_arena_across_submissions() {
         assert_eq!(proc.arena_ref().class_count(), warm_classes);
         assert_eq!(proc.arena_ref().stats().misses, warm_misses);
     }
+    let mut cold = StreamProcessor::new(GpuProfile::geforce_7800());
+    let a = sorter.sort_segments_run(&mut proc, &input, 64).unwrap();
+    let b = sorter.sort_segments_run(&mut cold, &input, 64).unwrap();
+    assert_eq!(a.output, b.output);
+    assert_eq!(a.counters, b.counters);
+    assert_eq!(a.sim_time.total_ms, b.sim_time.total_ms);
 }
