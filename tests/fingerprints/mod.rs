@@ -14,6 +14,13 @@
 //! output bit, a counter, a cache statistic or a simulated time changes a
 //! line. A deliberate cost-model change replaces the committed file with
 //! the actual one the failing test prints, and explains the diff.
+//!
+//! `tests/golden_networks.txt` does the same for Batcher's comparator
+//! networks (read by `tests/pram_cross.rs`): the stream-machine baselines
+//! (`GpuSortBaseline` in Z-order and `row_wise(2048)`, `OddEvenMergeSort`,
+//! `PeriodicBalancedSort`) hashed like an engine run, and the PRAM
+//! `bitonic_network` and `oem_network` runs hashed over their output bits,
+//! every `StepRecord` field and the access conflicts, over n up to 1024.
 
 // Each test target uses its own subset of these helpers.
 #![allow(dead_code)]
@@ -257,4 +264,111 @@ pub fn assert_committed(lines: &[String]) {
             "run diverged from the committed fingerprint: {line}"
         );
     }
+}
+
+/// The committed comparator-network fingerprint file.
+pub const GOLDEN_NETWORKS: &str = include_str!("../golden_networks.txt");
+
+/// The comparator-network runs `tests/golden_networks.txt` pins: the
+/// stream-machine baselines and the PRAM networks.
+const NETWORKS: [&str; 6] = [
+    "gpusort-zorder",
+    "gpusort-rowwise-2048",
+    "oems",
+    "pbsn",
+    "pram-bitonic",
+    "pram-oem",
+];
+
+/// The engine sizes without 4097: in a debug build the six 8192-element
+/// network runs take ~10 s of the matrix's ~12 s.
+const NETWORK_SIZES: [usize; 6] = [0, 1, 2, 37, 1000, 1024];
+
+/// Hash one PRAM run. The destructuring is exhaustive, as in
+/// [`fingerprint`].
+fn pram_fingerprint(run: &pram::SortRun) -> u64 {
+    let pram::SortRun {
+        output,
+        stats,
+        model,
+        padded_len,
+    } = run;
+    let pram::PramStats {
+        steps,
+        read_conflicts,
+        write_conflicts,
+    } = stats;
+    let mut h = Fnv::new();
+    h.u64(output.len() as u64);
+    for v in output {
+        h.bytes(&v.key.to_bits().to_le_bytes());
+        h.bytes(&v.id.to_le_bytes());
+    }
+    h.u64(steps.len() as u64);
+    for &pram::StepRecord {
+        tasks,
+        max_accesses,
+        reads,
+        writes,
+        comparisons,
+    } in steps
+    {
+        for field in [tasks, max_accesses, reads, writes, comparisons] {
+            h.u64(field);
+        }
+    }
+    h.u64(*read_conflicts);
+    h.u64(*write_conflicts);
+    h.bytes(model.name().as_bytes());
+    h.u64(*padded_len as u64);
+    h.0
+}
+
+/// Execute one comparator-network cell and hash its record.
+fn run_network_case(network: &str, proc: &mut StreamProcessor, input: &[Value]) -> u64 {
+    use baselines::{GpuSortBaseline, OddEvenMergeSort, PeriodicBalancedSort};
+    use pram::sorters::{bitonic_network, oem_network};
+    let r = match network {
+        "gpusort-zorder" => GpuSortBaseline::new().sort(proc, input),
+        "gpusort-rowwise-2048" => GpuSortBaseline::row_wise(2048).sort(proc, input),
+        "oems" => OddEvenMergeSort::new().sort(proc, input),
+        "pbsn" => PeriodicBalancedSort::new().sort(proc, input),
+        "pram-bitonic" => return pram_fingerprint(&bitonic_network::sort(input).expect(network)),
+        "pram-oem" => return pram_fingerprint(&oem_network::sort(input).expect(network)),
+        other => unreachable!("unknown network {other}"),
+    }
+    .expect(network);
+    fingerprint(&r.output, &r.counters, r.sim_time.total_ms)
+}
+
+/// The fingerprint lines of every comparator-network cell, in file
+/// order. One long-lived processor serves all stream-machine cells.
+pub fn network_lines() -> Vec<String> {
+    let mut proc = StreamProcessor::new(GpuProfile::geforce_7800());
+    let mut lines = Vec::new();
+    for network in NETWORKS {
+        for (dist_name, dist) in DISTRIBUTIONS {
+            for n in NETWORK_SIZES {
+                let input = workloads::generate(dist, n, 0x5EED + n as u64);
+                let hash = run_network_case(network, &mut proc, &input);
+                lines.push(format!("{network} {dist_name} n={n} {hash:016x}"));
+            }
+        }
+    }
+    lines
+}
+
+/// The network file the given lines make, header included.
+pub fn render_networks(lines: &[String]) -> String {
+    let mut out = String::from(
+        "# FNV-1a-64 per comparator-network run. Stream machine: output bits,\n\
+         # every Counters field and sim_time.total_ms bits. PRAM: output bits,\n\
+         # every StepRecord field, read/write conflicts, model and padded length.\n\
+         # <network> <distribution> n=<n> <fingerprint>\n",
+    );
+    for line in lines {
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
 }

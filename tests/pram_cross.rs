@@ -1,6 +1,8 @@
 //! Cross-crate integration tests between the PRAM implementations
 //! (Section 2.1's setting) and the sequential / stream implementations of
-//! adaptive bitonic sorting.
+//! adaptive bitonic sorting and of Batcher's comparator networks.
+
+mod fingerprints;
 
 use gpu_abisort::pram::sorters::{abisort_pram, bitonic_network, rank_merge};
 use gpu_abisort::pram::PramModel;
@@ -116,4 +118,20 @@ fn brent_speedup_grows_until_the_processor_bound() {
     assert!(s16 > 8.0, "speed-up with 16 processors too low: {s16}");
     assert!(s256 > s16);
     assert!(s_unlimited >= s256);
+}
+
+/// Every comparator-network run, on the stream machine and on the PRAM,
+/// hashes to its line of `tests/golden_networks.txt`. On a mismatch the
+/// actual file is printed in full.
+#[test]
+fn network_runs_match_the_committed_fingerprints() {
+    let actual = fingerprints::render_networks(&fingerprints::network_lines());
+    if actual != fingerprints::GOLDEN_NETWORKS {
+        let changed = actual
+            .lines()
+            .zip(fingerprints::GOLDEN_NETWORKS.lines())
+            .filter(|(a, g)| a != g)
+            .count();
+        panic!("{changed} line(s) differ from tests/golden_networks.txt; actual file:\n{actual}");
+    }
 }
