@@ -13,6 +13,13 @@
 //! Because sorting networks are data independent, the pass structure is a
 //! pure function of the element index — [`run_network`] takes that function
 //! and handles the ping-pong, cost accounting and result read-back.
+//!
+//! These roles are the workspace's one definition of each network:
+//! [`bitonic_role`](crate::gpusort::bitonic_role) and
+//! [`odd_even_role`](crate::oems::odd_even_role) share one triangular
+//! pass schedule, and the `pram` crate's network runner
+//! steps the same roles on its EREW PRAM, one processor per
+//! [`Role::KeepMin`] element.
 
 use stream_arch::padding;
 use stream_arch::{
@@ -163,6 +170,28 @@ where
     Ok(run)
 }
 
+/// Number of passes of Batcher's bitonic and odd-even merge sort networks
+/// for `n` (a power of two) inputs: groups of 1, 2, …, `log n` passes,
+/// `log n (log n + 1) / 2` in all.
+pub(crate) fn triangular_passes(n: usize) -> usize {
+    let log_n = n.trailing_zeros() as usize;
+    log_n * (log_n + 1) / 2
+}
+
+/// The `pass`-th step of the triangular schedule as `(half, distance)`:
+/// group `g` (1-based) has `g` passes with `half = 2^(g−1)`, and within a
+/// group the compare distance halves from `half` down to 1.
+pub(crate) fn triangular_step(pass: usize) -> (usize, usize) {
+    let mut group = 1usize;
+    let mut consumed = 0usize;
+    while consumed + group <= pass {
+        consumed += group;
+        group += 1;
+    }
+    let half = 1usize << (group - 1);
+    (half, half >> (pass - consumed))
+}
+
 /// Convenience: a processor with the default GeForce 7800 profile, used by
 /// doc examples and tests.
 pub fn default_processor() -> StreamProcessor {
@@ -216,6 +245,49 @@ mod tests {
         let input = workloads::uniform(6, 0);
         let mut proc = default_processor();
         let _ = run_network(&mut proc, &input, Layout::Linear, 1, adjacent_role);
+    }
+
+    #[test]
+    fn triangular_schedule_halves_the_distance_within_each_group() {
+        // n = 8: (half, distance) = (1,1), (2,2), (2,1), (4,4), (4,2), (4,1)
+        let expected = [(1, 1), (2, 2), (2, 1), (4, 4), (4, 2), (4, 1)];
+        for (pass, &e) in expected.iter().enumerate() {
+            assert_eq!(triangular_step(pass), e, "pass {pass}");
+        }
+        assert_eq!(triangular_passes(8), 6);
+        assert_eq!(triangular_passes(1 << 20), 210);
+    }
+
+    #[test]
+    fn every_network_sorts_any_length_and_distribution_with_data_independent_work() {
+        use crate::{GpuSortBaseline, OddEvenMergeSort, PeriodicBalancedSort};
+        type Sorter = fn(&mut StreamProcessor, &[Value]) -> Result<NetworkRun>;
+        let networks: [(&str, Sorter); 3] = [
+            ("bitonic", |proc, v| GpuSortBaseline::new().sort(proc, v)),
+            ("odd-even", |proc, v| OddEvenMergeSort::new().sort(proc, v)),
+            ("balanced", |proc, v| {
+                PeriodicBalancedSort::new().sort(proc, v)
+            }),
+        ];
+        let mut proc = default_processor();
+        for (name, sort) in networks {
+            let mut comparisons = |input: Vec<Value>| {
+                let run = sort(&mut proc, &input).unwrap();
+                let mut expected = input;
+                expected.sort();
+                assert_eq!(run.output, expected, "{name} n={}", expected.len());
+                run.counters.comparisons
+            };
+            for n in [2usize, 3, 16, 100, 777, 1024] {
+                comparisons(workloads::uniform(n, n as u64));
+            }
+            let counts: std::collections::HashSet<u64> =
+                workloads::Distribution::all_for_data_dependence()
+                    .into_iter()
+                    .map(|dist| comparisons(workloads::generate(dist, 512, 3)))
+                    .collect();
+            assert_eq!(counts.len(), 1, "{name} work depends on the data");
+        }
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!                         docs/OBSERVABILITY.md)
 //! ```
 //!
-//! An unknown argument or experiment name exits with status 2 before
-//! anything runs; a failed `--json` or `--trace` write exits with status 1.
+//! An unknown argument or experiment name, or an option value that is
+//! missing or does not parse, exits with status 2 before anything runs;
+//! a failed `--json` or `--trace` write exits with status 1.
 
 #![forbid(unsafe_code)]
 
@@ -115,16 +116,10 @@ fn parse_args() -> Options {
                 any = true;
             }
             "--max-log-n" => {
-                opts.max_log_n = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--max-log-n requires an integer argument");
+                opts.max_log_n = value(&mut args, "--max-log-n", "an integer argument");
             }
             "--dump-plan" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--dump-plan requires an element count");
+                let n: usize = value(&mut args, "--dump-plan", "an element count");
                 let sorter = abisort::GpuAbiSorter::new(abisort::SortConfig::default());
                 match sorter.describe_plan(n) {
                     Some(text) => print!("{text}"),
@@ -133,10 +128,10 @@ fn parse_args() -> Options {
                 std::process::exit(0);
             }
             "--json" => {
-                opts.json = Some(args.next().expect("--json requires a path"));
+                opts.json = Some(value(&mut args, "--json", "a path"));
             }
             "--trace" => {
-                opts.trace = Some(args.next().expect("--trace requires a path"));
+                opts.trace = Some(value(&mut args, "--trace", "a path"));
             }
             "--help" | "-h" => {
                 println!("see the module documentation at the top of repro.rs");
@@ -152,6 +147,22 @@ fn parse_args() -> Options {
         opts.all = true;
     }
     opts
+}
+
+/// The value that follows `flag`; exits with status 2 if it is missing
+/// or does not parse.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    match args.next().map(|s| s.parse()) {
+        Some(Ok(v)) => v,
+        _ => {
+            eprintln!("{flag} requires {what}");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn print_figures() {

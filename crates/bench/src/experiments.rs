@@ -39,11 +39,11 @@ pub struct TimingRow {
 }
 
 /// The sequence lengths of the paper's tables, optionally capped for quick
-/// runs.
+/// runs; a cap of 2^64 or more caps nothing.
 pub fn table_lengths(max_log_n: u32) -> Vec<usize> {
     workloads::paper_sequence_lengths()
         .into_iter()
-        .filter(|&n| n <= (1usize << max_log_n))
+        .filter(|&n| 1usize.checked_shl(max_log_n).is_none_or(|cap| n <= cap))
         .collect()
 }
 
@@ -436,6 +436,12 @@ mod tests {
         assert!(row.abisort_zorder_ms < row.abisort_rowwise_ms.unwrap());
         assert!(row.abisort_zorder_ms < row.cpu_ms.0);
         assert!(row.cpu_ms.0 <= row.cpu_ms.1);
+    }
+
+    #[test]
+    fn a_cap_past_the_word_size_keeps_every_length() {
+        assert_eq!(table_lengths(64), workloads::paper_sequence_lengths());
+        assert_eq!(table_lengths(u32::MAX), workloads::paper_sequence_lengths());
     }
 
     #[test]

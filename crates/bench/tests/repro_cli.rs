@@ -30,6 +30,23 @@ fn unknown_experiment_names_exit_2_and_list_the_valid_names() {
 }
 
 #[test]
+fn missing_or_non_numeric_option_values_exit_2_without_a_panic() {
+    for (args, message) in [
+        (&["--max-log-n", "x"][..], "--max-log-n requires"),
+        (&["--dump-plan", "x"][..], "--dump-plan requires"),
+        (&["--json"][..], "--json requires"),
+        (&["--trace"][..], "--trace requires"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must run nothing");
+    }
+}
+
+#[test]
 fn failed_report_writes_exit_1_with_the_error() {
     let missing = std::env::temp_dir()
         .join(format!("repro-cli-{}", std::process::id()))

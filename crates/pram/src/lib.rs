@@ -18,8 +18,12 @@
 //!   bitonic sort with the overlapped-stage schedule (`2j − 1` steps per
 //!   recursion level) that Section 5.4 of the paper ports to the stream
 //!   machine;
-//! * [`sorters::bitonic_network`] — Batcher's bitonic sorting network, the
-//!   non-optimal-work comparison point;
+//! * [`sorters::bitonic_network`] and [`sorters::oem_network`] — Batcher's
+//!   bitonic and odd-even merge sort networks, the non-optimal-work
+//!   comparison points. Each network is defined once, as the per-element
+//!   roles of the `baselines` crate that the stream-machine baselines run;
+//!   [`sorters::run_network`] steps those roles on the PRAM, one processor
+//!   per comparator;
 //! * [`sorters::rank_merge`] — a rank-based (binary-search) parallel merge
 //!   sort: optimal `O(log² n)` time but `Θ(n log² n)` comparisons and CREW
 //!   memory accesses. It stands in for the "asymptotically optimal but not

@@ -10,6 +10,12 @@
 //!   for the asymptotically optimal but constant-heavy PRAM sorts of
 //!   Section 2.1.
 //!
+//! The two Batcher networks have one definition in the workspace: the
+//! per-element roles of [`baselines`] (`passes_for` and the `role`
+//! function of [`baselines::gpusort`] and [`baselines::oems`]), which the
+//! stream-machine baselines run too. [`run_network`] executes such a
+//! network on the PRAM.
+//!
 //! All sorters take a slice of [`Value`]s of arbitrary length, pad to a
 //! power of two through [`stream_arch::padding`] (Section 4 of the
 //! paper), and return a [`SortRun`] with the sorted output and the
@@ -21,8 +27,9 @@ pub mod oem_network;
 pub mod rank_merge;
 
 use crate::error::Result;
-use crate::machine::PramModel;
+use crate::machine::{Pram, PramModel};
 use crate::metrics::PramStats;
+use baselines::network::Role;
 use stream_arch::{padding, Value};
 
 /// The result of running one PRAM sorter.
@@ -62,6 +69,43 @@ impl SortRun {
             padded_len,
         })
     }
+}
+
+/// Run a comparator network of [`baselines`] on an EREW PRAM: the padded
+/// length `n` takes `passes_for(n)` steps, and element `i` plays
+/// `role(n, pass, i)` in step `pass`. Each step runs one processor per
+/// [`Role::KeepMin`] element: it reads its own cell and its partner's,
+/// charges one comparison, and writes the minimum to its own cell and the
+/// maximum to the partner's. Comparators that share a cell fail the step
+/// under the machine's EREW check.
+pub fn run_network(
+    values: &[Value],
+    passes_for: impl Fn(usize) -> usize,
+    role: impl Fn(usize, usize, usize) -> Role,
+) -> Result<SortRun> {
+    SortRun::padded(values, PramModel::Erew, |padded| {
+        let n = padded.len();
+        let mut pram: Pram<Value> = Pram::from_vec(padded, PramModel::Erew);
+        let mut pairs = Vec::with_capacity(n / 2);
+        for pass in 0..passes_for(n) {
+            pairs.clear();
+            pairs.extend((0..n).filter_map(|i| match role(n, pass, i) {
+                Role::KeepMin { partner } => Some((i, partner)),
+                Role::KeepMax { .. } | Role::Copy => None,
+            }));
+            pram.step(pairs.len(), |t, ctx| {
+                let (own, partner) = pairs[t];
+                let a = ctx.read(own);
+                let b = ctx.read(partner);
+                ctx.charge_comparison();
+                let (lo, hi) = if a.gt(&b) { (b, a) } else { (a, b) };
+                ctx.write(own, lo);
+                ctx.write(partner, hi);
+            })?;
+        }
+        let stats = pram.take_stats();
+        Ok((pram.memory().to_vec(), stats))
+    })
 }
 
 /// Direction of the `t`-th block of a recursion level: even blocks ascend,
@@ -112,6 +156,57 @@ pub(crate) mod tests {
             assert_sorted_permutation(&probe, &run.output);
             assert_eq!(run.padded_len, 4);
         }
+    }
+
+    #[test]
+    fn both_networks_sort_on_erew_in_passes_for_steps_with_data_independent_work() {
+        use baselines::{GpuSortBaseline, OddEvenMergeSort};
+        type Network = (
+            &'static str,
+            fn(&[Value]) -> Result<SortRun>,
+            fn(usize) -> usize,
+        );
+        let networks: [Network; 2] = [
+            (
+                "bitonic",
+                bitonic_network::sort,
+                GpuSortBaseline::passes_for,
+            ),
+            ("odd-even", oem_network::sort, OddEvenMergeSort::passes_for),
+        ];
+        for (name, sort, passes_for) in networks {
+            for log_n in 1..=10u32 {
+                let n = 1usize << log_n;
+                let input = workloads::uniform(n, log_n as u64);
+                let run = sort(&input).unwrap();
+                assert_sorted_permutation(&input, &run.output);
+                assert_eq!(run.model, PramModel::Erew);
+                assert_eq!(run.stats.conflicts(PramModel::Erew), 0, "{name} n={n}");
+                assert_eq!(run.stats.num_steps(), passes_for(n) as u64, "{name} n={n}");
+            }
+            let mut counts = std::collections::HashSet::new();
+            for dist in workloads::Distribution::all_for_data_dependence() {
+                let input = workloads::generate(dist, 512, 3);
+                let run = sort(&input).unwrap();
+                assert_sorted_permutation(&input, &run.output);
+                counts.insert(run.stats.comparisons());
+            }
+            assert_eq!(counts.len(), 1, "{name} work depends on the data");
+        }
+    }
+
+    #[test]
+    fn comparators_that_share_a_cell_fail_the_erew_check() {
+        use crate::PramError;
+        let input = workloads::uniform(4, 1);
+        let err = run_network(&input, |_| 1, |_, _, i| Role::KeepMin { partner: i ^ 1 });
+        assert!(
+            matches!(
+                err,
+                Err(PramError::ReadConflict { .. } | PramError::WriteConflict { .. })
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -64,17 +64,21 @@ impl Fnv {
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
+
+    fn values(&mut self, values: &[Value]) {
+        self.u64(values.len() as u64);
+        for v in values {
+            self.bytes(&v.key.to_bits().to_le_bytes());
+            self.bytes(&v.id.to_le_bytes());
+        }
+    }
 }
 
 /// Hash one run record. The destructuring is exhaustive, so a new counter
 /// field fails to compile here instead of silently escaping the oracle.
 fn fingerprint(output: &[Value], counters: &Counters, sim_ms: f64) -> u64 {
     let mut h = Fnv::new();
-    h.u64(output.len() as u64);
-    for v in output {
-        h.bytes(&v.key.to_bits().to_le_bytes());
-        h.bytes(&v.id.to_le_bytes());
-    }
+    h.values(output);
     let Counters {
         launches,
         steps,
@@ -269,17 +273,6 @@ pub fn assert_committed(lines: &[String]) {
 /// The committed comparator-network fingerprint file.
 pub const GOLDEN_NETWORKS: &str = include_str!("../golden_networks.txt");
 
-/// The comparator-network runs `tests/golden_networks.txt` pins: the
-/// stream-machine baselines and the PRAM networks.
-const NETWORKS: [&str; 6] = [
-    "gpusort-zorder",
-    "gpusort-rowwise-2048",
-    "oems",
-    "pbsn",
-    "pram-bitonic",
-    "pram-oem",
-];
-
 /// The engine sizes without 4097: in a debug build the six 8192-element
 /// network runs take ~10 s of the matrix's ~12 s.
 const NETWORK_SIZES: [usize; 6] = [0, 1, 2, 37, 1000, 1024];
@@ -289,21 +282,17 @@ const NETWORK_SIZES: [usize; 6] = [0, 1, 2, 37, 1000, 1024];
 fn pram_fingerprint(run: &pram::SortRun) -> u64 {
     let pram::SortRun {
         output,
-        stats,
+        stats:
+            pram::PramStats {
+                steps,
+                read_conflicts,
+                write_conflicts,
+            },
         model,
         padded_len,
     } = run;
-    let pram::PramStats {
-        steps,
-        read_conflicts,
-        write_conflicts,
-    } = stats;
     let mut h = Fnv::new();
-    h.u64(output.len() as u64);
-    for v in output {
-        h.bytes(&v.key.to_bits().to_le_bytes());
-        h.bytes(&v.id.to_le_bytes());
-    }
+    h.values(output);
     h.u64(steps.len() as u64);
     for &pram::StepRecord {
         tasks,
@@ -346,7 +335,14 @@ fn run_network_case(network: &str, proc: &mut StreamProcessor, input: &[Value]) 
 pub fn network_lines() -> Vec<String> {
     let mut proc = StreamProcessor::new(GpuProfile::geforce_7800());
     let mut lines = Vec::new();
-    for network in NETWORKS {
+    for network in [
+        "gpusort-zorder",
+        "gpusort-rowwise-2048",
+        "oems",
+        "pbsn",
+        "pram-bitonic",
+        "pram-oem",
+    ] {
         for (dist_name, dist) in DISTRIBUTIONS {
             for n in NETWORK_SIZES {
                 let input = workloads::generate(dist, n, 0x5EED + n as u64);

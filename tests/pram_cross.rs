@@ -4,7 +4,9 @@
 
 mod fingerprints;
 
-use gpu_abisort::pram::sorters::{abisort_pram, bitonic_network, rank_merge};
+use gpu_abisort::baselines::network::{default_processor, NetworkRun};
+use gpu_abisort::baselines::{GpuSortBaseline, OddEvenMergeSort};
+use gpu_abisort::pram::sorters::{abisort_pram, bitonic_network, oem_network, rank_merge};
 use gpu_abisort::pram::PramModel;
 use gpu_abisort::prelude::*;
 
@@ -29,12 +31,51 @@ fn all_pram_sorters_agree_with_the_stream_sorter() {
         for (name, output) in [
             ("pram-abisort", abisort_pram::sort(&input).unwrap().output),
             (
-                "pram-network",
+                "pram-bitonic",
                 bitonic_network::sort(&input).unwrap().output,
             ),
+            ("pram-odd-even", oem_network::sort(&input).unwrap().output),
             ("pram-rank-merge", rank_merge::sort(&input).unwrap().output),
         ] {
             assert_eq!(output, expected, "{name} wrong at n={n}");
+        }
+    }
+}
+
+/// The PRAM and the stream machine run the same comparator networks: one
+/// PRAM step per stream pass, and one PRAM comparison per comparator where
+/// the stream machine charges both of its ends.
+#[test]
+fn pram_and_stream_networks_take_the_same_steps_and_comparators() {
+    type Stream = fn(&mut StreamProcessor, &[Value]) -> stream_arch::Result<NetworkRun>;
+    type Pram = fn(&[Value]) -> gpu_abisort::pram::Result<gpu_abisort::pram::SortRun>;
+    let networks: [(&str, Stream, Pram); 2] = [
+        (
+            "bitonic",
+            |proc, input| GpuSortBaseline::new().sort(proc, input),
+            bitonic_network::sort,
+        ),
+        (
+            "odd-even",
+            |proc, input| OddEvenMergeSort::new().sort(proc, input),
+            oem_network::sort,
+        ),
+    ];
+    let mut proc = default_processor();
+    for (name, stream_sort, pram_sort) in networks {
+        for n in [2usize, 37, 1024, 4097] {
+            let input = workloads::uniform(n, n as u64);
+            let stream = stream_sort(&mut proc, &input).unwrap();
+            let pram = pram_sort(&input).unwrap();
+            let expected = sorted_reference(&input);
+            assert_eq!(stream.output, expected, "{name} n={n}");
+            assert_eq!(pram.output, expected, "{name} n={n}");
+            assert_eq!(pram.stats.num_steps(), stream.passes as u64, "{name} n={n}");
+            assert_eq!(
+                stream.counters.comparisons,
+                2 * pram.stats.comparisons(),
+                "{name} n={n}"
+            );
         }
     }
 }
