@@ -65,14 +65,15 @@ const HEADER_LINE: &str = "terasort-manifest v1";
 // IEEE CRC-32 (reflected polynomial `0xEDB8_8320`), hand-rolled because
 // the build has no crates.io access. This is the workspace's only copy:
 // the service WAL (`sortsvc::wal`) checksums its records with it too,
-// since sortsvc depends on terasort. Slice-by-8 — 8 input bytes per
-// iteration through 8 precomputed tables, where table `t` maps a byte to
+// since sortsvc depends on terasort. Slice-by-16 — 16 input bytes per
+// iteration through 16 precomputed tables, where table `t` maps a byte to
 // its CRC contribution from `t` positions further back — because this
 // CRC runs over entire run files (megabytes per checkpoint) and over
 // every WAL append, where the byte-at-a-time loop (table 0 alone) would
-// be a measurable fraction of the sort and of the durability budget.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+// be a measurable fraction of the sort and of the durability budget, and
+// where it is most of a WAL record's encode time.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -89,7 +90,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
         i += 1;
     }
     let mut t = 1;
-    while t < 8 {
+    while t < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[t - 1][i];
@@ -105,18 +106,12 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// files, and in every `sortsvc` WAL record header.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut chunks = bytes.chunks_exact(16);
     for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
+        let x = u128::from_le_bytes(chunk.try_into().expect("16-byte chunk")) ^ u128::from(c);
+        c = (0..16).fold(0, |acc, k| {
+            acc ^ CRC_TABLES[15 - k][(x >> (8 * k)) as u8 as usize]
+        });
     }
     for &b in chunks.remainder() {
         c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
