@@ -37,11 +37,13 @@ pub struct StepRecord {
 pub struct PramStats {
     /// Per-step records, in execution order.
     pub steps: Vec<StepRecord>,
-    /// Concurrent reads that occurred (violations under EREW, allowed under
-    /// CREW).
+    /// Concurrent reads that occurred under CREW, where they are allowed.
+    /// Always 0 under EREW: [`crate::Pram::step_map`] fails the step with
+    /// `ReadConflict` at the first one.
     pub read_conflicts: u64,
-    /// Concurrent writes that occurred (violations under both models; they
-    /// can only appear when the machine is configured not to fail fast).
+    /// Concurrent writes that occurred: always 0, since
+    /// [`crate::Pram::step_map`] fails the step with `WriteConflict` at the
+    /// first one under both models.
     pub write_conflicts: u64,
 }
 
