@@ -1,10 +1,15 @@
-//! The kernel programs of GPU-ABiSort and their launch wrappers.
+//! The kernel programs of GPU-ABiSort.
 //!
-//! Each kernel is a launch wrapper (the public free function) over a
-//! private bound form: `bind_*` performs the hardware validation and binds
-//! the input/gather/output substream views, and the `*Bound` struct's
-//! `run` is one kernel instance. The launch-graph planner replays its
-//! nodes through the wrappers.
+//! Each kernel is one public function that validates the hardware
+//! restrictions, binds its streams — contiguous inputs as [`Input`]s,
+//! gather streams as [`GatherView`]s, outputs as plain slices — and runs
+//! as a launch-wide kernel ([`StreamProcessor::launch_wide`]): one body
+//! loops over all instances of the launch. Every instance reads, writes
+//! and compares a fixed number of elements (Section 3.2), which the
+//! kernel declares as its [`LaunchShape`] and the launch charges once;
+//! cached fetches go to the recorder in instance order, and gathers are
+//! charged as they happen. The launch-graph planner replays its nodes
+//! through these functions.
 //!
 //! The kernels correspond to the paper's pseudo code and Section 7
 //! descriptions:
@@ -29,87 +34,58 @@
 
 use crate::tree::fixed_children;
 use stream_arch::{
-    GatherView, IterStream, KernelCtx, Node, ReadView, Result, Stream, StreamProcessor, Value,
-    WriteView, NULL_INDEX,
+    GatherView, Input, LaunchCtx, LaunchShape, Node, Result, Stream, StreamElement, StreamError,
+    StreamProcessor, Value,
 };
 
+// The kernels' launch names, which [`super::Op::name`] reports too.
+pub(super) const EXTRACT_ROOTS_SPARES: &str = "extract-roots-spares";
+pub(super) const PHASE0: &str = "phase0";
+pub(super) const PHASE_I: &str = "phaseI";
+pub(super) const COPY_BACK: &str = "copy-back";
+pub(super) const COMMIT_LEVEL: &str = "commit-level";
+pub(super) const LOCAL_SORT8: &str = "local-sort-8";
+pub(super) const BUILD_TREES16: &str = "build-trees-16";
+pub(super) const TRAVERSE16: &str = "traverse-16";
+pub(super) const FIXED_MERGE16: &str = "fixed-merge-16";
+
+/// Check that a one-input, one-output kernel reads and writes distinct
+/// streams (Section 6.1).
+fn check_distinct<A: StreamElement, B: StreamElement>(
+    proc: &StreamProcessor,
+    input: &Stream<A>,
+    output: &Stream<B>,
+) -> Result<()> {
+    proc.check_distinct_io(
+        &[(input.id(), input.name())],
+        &[(output.id(), output.name())],
+    )
+}
+
 /// `isOdd(instance / numInstancesPerTree)` — the alternating sort direction
-/// of Listings 3/4, expressed as "is this tree sorted ascending?".
+/// of Listings 3/4, expressed as "is this tree sorted ascending?". Trees
+/// hold a power of two of instances (each kernel asserts it), so this is a
+/// mask, not a division.
 #[inline]
 fn ascending_for(instance: usize, instances_per_tree: usize) -> bool {
-    (instance / instances_per_tree).is_multiple_of(2)
+    instance & instances_per_tree == 0
 }
 
 /// The comparison of Listings 3/4: `(p > q) != reverseSortDir`, i.e. the
-/// pair is out of order with respect to the tree's sort direction.
+/// pair is out of order with respect to the tree's sort direction. The
+/// launch's [`LaunchShape`] counts it.
 #[inline]
-fn out_of_order(ctx: &mut KernelCtx<'_>, p: &Value, q: &Value, ascending: bool) -> bool {
-    ctx.count_comparisons(1);
+fn out_of_order(p: &Value, q: &Value, ascending: bool) -> bool {
     p.gt(q) == ascending
 }
 
-/// Bound form of [`extract_roots_and_spares`]: views and derived counts,
-/// ready to run.
-pub(super) struct ExtractRootsSparesBound<'a> {
-    gather: GatherView<'a, Node>,
-    out: WriteView<'a, Node>,
-    n: usize,
-    num_trees: usize,
-    pairs_per_tree: usize,
-}
-
-/// Validate and bind [`extract_roots_and_spares`] without launching.
-fn bind_extract_roots_and_spares<'a>(
-    proc: &StreamProcessor,
-    trees_in: &'a Stream<Node>,
-    trees_out: &'a mut Stream<Node>,
-    n: usize,
-    j: u32,
-) -> Result<ExtractRootsSparesBound<'a>> {
-    let num_trees = n >> j;
-    let pairs_per_tree = 1usize << (j - 1);
-    proc.check_distinct_io(
-        &[(trees_in.id(), trees_in.name())],
-        &[(trees_out.id(), trees_out.name())],
-    )?;
-    let gather = GatherView::new(trees_in);
-    let out = WriteView::contiguous(trees_out, 0, 2 * num_trees, 1)?;
-    Ok(ExtractRootsSparesBound {
-        gather,
-        out,
-        n,
-        num_trees,
-        pairs_per_tree,
-    })
-}
-
-impl ExtractRootsSparesBound<'_> {
-    /// The launch name of this kernel.
-    pub(super) const NAME: &'static str = "extract-roots-spares";
-
-    /// Number of kernel instances the launch covers.
-    fn instances(&self) -> usize {
-        2 * self.num_trees
-    }
-
-    /// One kernel instance (the body of Listing 5's initialization).
-    ///
-    /// Instances [0, numTrees) emit the spare values, instances
-    /// [numTrees, 2·numTrees) the root nodes, so that a single linear write
-    /// produces the layout stage 0 phase 0 expects.
-    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
-        let i = ctx.instance_index();
-        if i < self.num_trees {
-            let spare_pos = self.n + (2 * i + 2) * self.pairs_per_tree - 1;
-            let spare = self.gather.gather(ctx, spare_pos);
-            self.out.set(ctx, 0, Node::leaf(spare.value));
-        } else {
-            let t = i - self.num_trees;
-            let root_pos = self.n + (2 * t + 1) * self.pairs_per_tree - 1;
-            let root = self.gather.gather(ctx, root_pos);
-            self.out.set(ctx, 0, root);
-        }
-    }
+/// Swap `keys[a]` and `keys[b]` if they are [`out_of_order`], branch-free
+/// on [`Value::order_key`]s. Equal keys are equal values, so swapping them
+/// or not leaves the same keys.
+#[inline]
+fn compare_exchange(keys: &mut [u64], a: usize, b: usize, ascending: bool) {
+    let (lo, hi) = (keys[a].min(keys[b]), keys[a].max(keys[b]));
+    (keys[a], keys[b]) = if ascending { (lo, hi) } else { (hi, lo) };
 }
 
 /// Initialization of the merge at recursion level `j` (Listing 5, before
@@ -125,75 +101,26 @@ pub fn extract_roots_and_spares(
     n: usize,
     j: u32,
 ) -> Result<()> {
-    let mut b = bind_extract_roots_and_spares(proc, trees_in, trees_out, n, j)?;
-    proc.launch(ExtractRootsSparesBound::NAME, b.instances(), |ctx| {
-        b.run(ctx)
+    let num_trees = n >> j;
+    let pairs_per_tree = 1usize << (j - 1);
+    check_distinct(proc, trees_in, trees_out)?;
+    let gather = GatherView::new(trees_in);
+    let out = trees_out.block_mut(0, 2 * num_trees)?;
+    let shape = LaunchShape::new(2 * num_trees).writes::<Node>(1);
+    proc.launch_wide(EXTRACT_ROOTS_SPARES, shape, |ctx| {
+        // Instances [0, numTrees) emit the spare values, instances
+        // [numTrees, 2·numTrees) the root nodes, so that a single linear
+        // write produces the layout stage 0 phase 0 expects.
+        ctx.for_each_instance(|ctx, i| {
+            out[i] = if i < num_trees {
+                let spare_pos = n + (2 * i + 2) * pairs_per_tree - 1;
+                Node::leaf(ctx.gather(&gather, spare_pos).value)
+            } else {
+                let t = i - num_trees;
+                ctx.gather(&gather, n + (2 * t + 1) * pairs_per_tree - 1)
+            };
+        });
     })
-}
-
-/// Bound form of [`phase0`].
-pub(super) struct Phase0Bound<'a> {
-    root_in: ReadView<'a, Node>,
-    spare_in: ReadView<'a, Node>,
-    node_out: WriteView<'a, Node>,
-    pq: WriteView<'a, u32>,
-    len: usize,
-    instances_per_tree: usize,
-}
-
-/// Validate and bind [`phase0`] without launching.
-fn bind_phase0<'a>(
-    proc: &StreamProcessor,
-    trees_in: &'a Stream<Node>,
-    trees_out: &'a mut Stream<Node>,
-    pq_out: &'a mut Stream<u32>,
-    pq_out_offset: usize,
-    len: usize,
-    instances_per_tree: usize,
-) -> Result<Phase0Bound<'a>> {
-    proc.check_distinct_io(
-        &[(trees_in.id(), trees_in.name())],
-        &[
-            (trees_out.id(), trees_out.name()),
-            (pq_out.id(), pq_out.name()),
-        ],
-    )?;
-    let root_in = ReadView::contiguous(trees_in, len, len, 1)?;
-    let spare_in = ReadView::contiguous(trees_in, 0, len, 1)?;
-    let node_out = WriteView::contiguous(trees_out, 0, 2 * len, 2)?;
-    let pq = WriteView::contiguous(pq_out, pq_out_offset, 2 * len, 2)?;
-    Ok(Phase0Bound {
-        root_in,
-        spare_in,
-        node_out,
-        pq,
-        len,
-        instances_per_tree,
-    })
-}
-
-impl Phase0Bound<'_> {
-    /// The launch name of this kernel.
-    pub(super) const NAME: &'static str = "phase0";
-
-    /// Number of kernel instances the launch covers.
-    fn instances(&self) -> usize {
-        self.len
-    }
-
-    /// One kernel instance (the body of Listing 3).
-    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
-        let ascending = ascending_for(ctx.instance_index(), self.instances_per_tree);
-        let mut root = self.root_in.get(ctx, 0);
-        let mut spare_value = self.spare_in.get(ctx, 0).value;
-        if out_of_order(ctx, &root.value, &spare_value, ascending) {
-            std::mem::swap(&mut root.value, &mut spare_value);
-            std::mem::swap(&mut root.left, &mut root.right);
-        }
-        self.pq.pair(ctx, root.left, root.right);
-        self.node_out
-            .pair(ctx, Node::leaf(root.value), Node::leaf(spare_value));
-    }
 }
 
 /// The phase 0 kernel (Listing 3): one instance per bitonic (sub)tree.
@@ -212,99 +139,37 @@ pub fn phase0(
     len: usize,
     instances_per_tree: usize,
 ) -> Result<()> {
-    let mut b = bind_phase0(
-        proc,
-        trees_in,
-        trees_out,
-        pq_out,
-        pq_out_offset,
-        len,
-        instances_per_tree,
-    )?;
-    proc.launch(Phase0Bound::NAME, b.instances(), |ctx| b.run(ctx))
-}
-
-/// Bound form of [`phase_i`].
-pub(super) struct PhaseIBound<'a> {
-    pq_read: ReadView<'a, u32>,
-    gather: GatherView<'a, Node>,
-    node_out: WriteView<'a, Node>,
-    pq_write: WriteView<'a, u32>,
-    index_generator: IterStream,
-    len: usize,
-    instances_per_tree: usize,
-}
-
-/// Validate and bind [`phase_i`] without launching.
-#[allow(clippy::too_many_arguments)]
-fn bind_phase_i<'a>(
-    proc: &StreamProcessor,
-    trees_in: &'a Stream<Node>,
-    trees_out: &'a mut Stream<Node>,
-    pq_in: &'a Stream<u32>,
-    pq_in_offset: usize,
-    pq_out: &'a mut Stream<u32>,
-    pq_out_offset: usize,
-    out_block: (usize, usize),
-    next_block_start: usize,
-    len: usize,
-    instances_per_tree: usize,
-) -> Result<PhaseIBound<'a>> {
+    assert!(instances_per_tree.is_power_of_two());
     proc.check_distinct_io(
-        &[(trees_in.id(), trees_in.name()), (pq_in.id(), pq_in.name())],
+        &[(trees_in.id(), trees_in.name())],
         &[
             (trees_out.id(), trees_out.name()),
             (pq_out.id(), pq_out.name()),
         ],
     )?;
-    let pq_read = ReadView::contiguous(pq_in, pq_in_offset, 2 * len, 2)?;
-    let gather = GatherView::new(trees_in);
-    let node_out = WriteView::contiguous(trees_out, out_block.0, out_block.1, 2)?;
-    let pq_write = WriteView::contiguous(pq_out, pq_out_offset, 2 * len, 2)?;
-    // The iterator stream yields the element indices the *next* phase will
-    // write to (Section 5.2), so child pointers can be redirected there.
-    let index_generator = IterStream::range(next_block_start, 2 * len, 2);
-    Ok(PhaseIBound {
-        pq_read,
-        gather,
-        node_out,
-        pq_write,
-        index_generator,
-        len,
-        instances_per_tree,
-    })
-}
-
-impl PhaseIBound<'_> {
-    /// The launch name of this kernel.
-    pub(super) const NAME: &'static str = "phaseI";
-
-    /// Number of kernel instances the launch covers.
-    fn instances(&self) -> usize {
-        self.len
-    }
-
-    /// One kernel instance (the body of Listing 4).
-    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
-        let ascending = ascending_for(ctx.instance_index(), self.instances_per_tree);
-        let (p_idx, q_idx) = self.pq_read.pair(ctx);
-        let mut p = self.gather.gather(ctx, p_idx as usize);
-        let mut q = self.gather.gather(ctx, q_idx as usize);
-        if out_of_order(ctx, &p.value, &q.value, ascending) {
-            std::mem::swap(&mut p.value, &mut q.value);
-            std::mem::swap(&mut p.left, &mut q.left);
-            self.pq_write.pair(ctx, p.right, q.right);
-            let (np, nq) = self.index_generator.pair(ctx);
-            p.right = np;
-            q.right = nq;
-        } else {
-            self.pq_write.pair(ctx, p.left, q.left);
-            let (np, nq) = self.index_generator.pair(ctx);
-            p.left = np;
-            q.left = nq;
+    let root_in = Input::new(trees_in, len, len)?;
+    let spare_in = Input::new(trees_in, 0, len)?;
+    let node_out = trees_out.block_mut(0, 2 * len)?;
+    let pq = pq_out.block_mut(pq_out_offset, 2 * len)?;
+    let shape = LaunchShape::new(len)
+        .reads::<Node>(2)
+        .writes::<u32>(2)
+        .writes::<Node>(2)
+        .comparisons(1);
+    proc.launch_wide(PHASE0, shape, |ctx| {
+        for i in 0..ctx.instances() {
+            let ascending = ascending_for(i, instances_per_tree);
+            let mut root = ctx.read(&root_in, i, 1)[0];
+            let mut spare_value = ctx.read(&spare_in, i, 1)[0].value;
+            if out_of_order(&root.value, &spare_value, ascending) {
+                std::mem::swap(&mut root.value, &mut spare_value);
+                std::mem::swap(&mut root.left, &mut root.right);
+            }
+            pq[2 * i..2 * i + 2].copy_from_slice(&[root.left, root.right]);
+            node_out[2 * i..2 * i + 2]
+                .copy_from_slice(&[Node::leaf(root.value), Node::leaf(spare_value)]);
         }
-        self.node_out.pair(ctx, p, q);
-    }
+    })
 }
 
 /// The phase `i > 0` kernel (Listing 4): one instance per `(p, q)` node
@@ -314,7 +179,8 @@ impl PhaseIBound<'_> {
 /// nodes, performs one phase of the simplified adaptive min/max
 /// determination, updates the child pointers that will be replaced in the
 /// next phase using the iterator stream, and writes the modified node pair
-/// linearly to its Table-1 output block.
+/// linearly to its Table-1 output block, which must hold the `2·len`
+/// nodes.
 #[allow(clippy::too_many_arguments)]
 pub fn phase_i(
     proc: &mut StreamProcessor,
@@ -329,20 +195,55 @@ pub fn phase_i(
     len: usize,
     instances_per_tree: usize,
 ) -> Result<()> {
-    let mut b = bind_phase_i(
-        proc,
-        trees_in,
-        trees_out,
-        pq_in,
-        pq_in_offset,
-        pq_out,
-        pq_out_offset,
-        out_block,
-        next_block_start,
-        len,
-        instances_per_tree,
+    assert!(instances_per_tree.is_power_of_two());
+    proc.check_distinct_io(
+        &[(trees_in.id(), trees_in.name()), (pq_in.id(), pq_in.name())],
+        &[
+            (trees_out.id(), trees_out.name()),
+            (pq_out.id(), pq_out.name()),
+        ],
     )?;
-    proc.launch(PhaseIBound::NAME, b.instances(), |ctx| b.run(ctx))
+    let pq_read = Input::new(pq_in, pq_in_offset, 2 * len)?;
+    let gather = GatherView::new(trees_in);
+    let node_out = trees_out.block_mut(out_block.0, out_block.1)?;
+    let node_out = node_out
+        .get_mut(..2 * len)
+        .ok_or(StreamError::OutputOverflow {
+            capacity: out_block.1,
+            required: 2 * len,
+        })?;
+    let pq_write = pq_out.block_mut(pq_out_offset, 2 * len)?;
+    let shape = LaunchShape::new(len)
+        .reads::<u32>(2)
+        .writes::<u32>(2)
+        .iter_reads(2)
+        .writes::<Node>(2)
+        .comparisons(1);
+    proc.launch_wide(PHASE_I, shape, |ctx| {
+        ctx.for_each_instance(|ctx, i| {
+            let ascending = ascending_for(i, instances_per_tree);
+            let pq = ctx.read(&pq_read, 2 * i, 2);
+            let mut p = ctx.gather(&gather, pq[0] as usize);
+            let mut q = ctx.gather(&gather, pq[1] as usize);
+            // The iterator stream yields the element indices the *next*
+            // phase will write to (Section 5.2), so child pointers can be
+            // redirected there.
+            let next = (next_block_start + 2 * i) as u32;
+            let replaced = if out_of_order(&p.value, &q.value, ascending) {
+                std::mem::swap(&mut p.value, &mut q.value);
+                std::mem::swap(&mut p.left, &mut q.left);
+                let replaced = [p.right, q.right];
+                (p.right, q.right) = (next, next + 1);
+                replaced
+            } else {
+                let replaced = [p.left, q.left];
+                (p.left, q.left) = (next, next + 1);
+                replaced
+            };
+            pq_write[2 * i..2 * i + 2].copy_from_slice(&replaced);
+            node_out[2 * i..2 * i + 2].copy_from_slice(&[p, q]);
+        });
+    })
 }
 
 /// Copy the node pairs just written to the output stream back to the
@@ -356,132 +257,29 @@ pub fn copy_back(
     block: (usize, usize),
 ) -> Result<()> {
     debug_assert_eq!(block.1 % 2, 0);
-    proc.check_distinct_io(
-        &[(trees_out.id(), trees_out.name())],
-        &[(trees_in.id(), trees_in.name())],
-    )?;
-    // A pure block forward: the executor's vectorized copy launch charges
-    // it wholesale, exactly as the per-element copy kernel would be.
-    proc.launch_copy("copy-back", trees_out, trees_in, block, 2)
-}
-
-/// Bound form of [`commit_level`].
-pub(super) struct CommitLevelBound<'a> {
-    src: ReadView<'a, Node>,
-    dst: WriteView<'a, Node>,
-    n: usize,
-}
-
-/// Validate and bind [`commit_level`] without launching.
-fn bind_commit_level<'a>(
-    proc: &StreamProcessor,
-    trees_in: &'a Stream<Node>,
-    trees_out: &'a mut Stream<Node>,
-    n: usize,
-) -> Result<CommitLevelBound<'a>> {
-    proc.check_distinct_io(
-        &[(trees_in.id(), trees_in.name())],
-        &[(trees_out.id(), trees_out.name())],
-    )?;
-    let src = ReadView::contiguous(trees_in, 0, n, 2)?;
-    let dst = WriteView::contiguous(trees_out, n, n, 2)?;
-    Ok(CommitLevelBound { src, dst, n })
-}
-
-impl CommitLevelBound<'_> {
-    /// The launch name of this kernel.
-    pub(super) const NAME: &'static str = "commit-level";
-
-    /// Number of kernel instances the launch covers.
-    fn instances(&self) -> usize {
-        self.n / 2
-    }
-
-    /// One kernel instance: re-tree two in-order values.
-    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
-        let (a, b) = self.src.pair(ctx);
-        let base = ctx.instance_index() * 2;
-        self.dst.write_all(
-            ctx,
-            &[
-                in_order_node(a.value, self.n, base),
-                in_order_node(b.value, self.n, base + 1),
-            ],
-        );
-    }
+    check_distinct(proc, trees_out, trees_in)?;
+    proc.launch_copy(COPY_BACK, trees_out, trees_in, block, 2)
 }
 
 /// End-of-level commit (Listing 2): reinterpret the in-order value sequence
 /// produced by the final merge stage (elements `[0, n)` of the node stream)
 /// as the input bitonic trees of the next recursion level by writing the
 /// values into the second half `[n, 2n)` with the fixed in-order child
-/// indices.
+/// indices. Each instance re-trees two values.
 pub fn commit_level(
     proc: &mut StreamProcessor,
     trees_in: &Stream<Node>,
     trees_out: &mut Stream<Node>,
     n: usize,
 ) -> Result<()> {
-    let mut b = bind_commit_level(proc, trees_in, trees_out, n)?;
-    proc.launch(CommitLevelBound::NAME, b.instances(), |ctx| b.run(ctx))
-}
-
-/// Bound form of [`local_sort8`].
-pub(super) struct LocalSort8Bound<'a> {
-    src: ReadView<'a, Value>,
-    dst: WriteView<'a, Value>,
-    n: usize,
-}
-
-/// Validate and bind [`local_sort8`] without launching.
-fn bind_local_sort8<'a>(
-    proc: &StreamProcessor,
-    source: &'a Stream<Value>,
-    sorted: &'a mut Stream<Value>,
-    n: usize,
-) -> Result<LocalSort8Bound<'a>> {
-    assert!(
-        n.is_multiple_of(8),
-        "local sort requires a multiple of 8 elements"
-    );
-    proc.check_distinct_io(
-        &[(source.id(), source.name())],
-        &[(sorted.id(), sorted.name())],
-    )?;
-    let src = ReadView::contiguous(source, 0, n, 8)?;
-    let dst = WriteView::contiguous(sorted, 0, n, 8)?;
-    Ok(LocalSort8Bound { src, dst, n })
-}
-
-impl LocalSort8Bound<'_> {
-    /// The launch name of this kernel.
-    pub(super) const NAME: &'static str = "local-sort-8";
-
-    /// Number of kernel instances the launch covers.
-    fn instances(&self) -> usize {
-        self.n / 8
-    }
-
-    /// One kernel instance: odd-even transition sort of 8 pairs.
-    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
-        let ascending = ctx.instance_index().is_multiple_of(2);
-        let mut v = [Value::default(); 8];
-        self.src.read_into(ctx, &mut v);
-        // Odd-even transition sort: 8 passes of alternating adjacent
-        // compare-exchanges (the comparison order that "allows for better
-        // SIMD optimizations", Section 7.1).
-        for pass in 0..8 {
-            let start = pass % 2;
-            let mut i = start;
-            while i + 1 < 8 {
-                if out_of_order(ctx, &v[i], &v[i + 1], ascending) {
-                    v.swap(i, i + 1);
-                }
-                i += 2;
-            }
-        }
-        self.dst.write_all(ctx, &v);
-    }
+    check_distinct(proc, trees_in, trees_out)?;
+    let src = Input::new(trees_in, 0, n)?;
+    let dst = trees_out.block_mut(n, n)?;
+    let shape = LaunchShape::new(n / 2).reads::<Node>(2).writes::<Node>(2);
+    proc.launch_wide(COMMIT_LEVEL, shape, |ctx| {
+        let nodes = ctx.read(&src, 0, 2 * ctx.instances());
+        write_in_order(dst, nodes.iter().map(|node| node.value), n);
+    })
 }
 
 /// The Section 7.1 local sort: each instance reads 8 value/pointer pairs
@@ -497,57 +295,43 @@ pub fn local_sort8(
     sorted: &mut Stream<Value>,
     n: usize,
 ) -> Result<()> {
-    let mut b = bind_local_sort8(proc, source, sorted, n)?;
-    proc.launch(LocalSort8Bound::NAME, b.instances(), |ctx| b.run(ctx))
-}
-
-/// Bound form of [`build_trees16`].
-pub(super) struct BuildTrees16Bound<'a> {
-    src: ReadView<'a, Value>,
-    dst: WriteView<'a, Node>,
-    n: usize,
-}
-
-/// Validate and bind [`build_trees16`] without launching.
-fn bind_build_trees16<'a>(
-    proc: &StreamProcessor,
-    values: &'a Stream<Value>,
-    trees_out: &'a mut Stream<Node>,
-    n: usize,
-) -> Result<BuildTrees16Bound<'a>> {
     assert!(
-        n.is_multiple_of(4),
-        "tree building requires a multiple of 4 elements"
+        n.is_multiple_of(8),
+        "local sort requires a multiple of 8 elements"
     );
-    proc.check_distinct_io(
-        &[(values.id(), values.name())],
-        &[(trees_out.id(), trees_out.name())],
-    )?;
-    let src = ReadView::contiguous(values, 0, n, 4)?;
-    let dst = WriteView::contiguous(trees_out, n, n, 4)?;
-    Ok(BuildTrees16Bound { src, dst, n })
-}
-
-impl BuildTrees16Bound<'_> {
-    /// The launch name of this kernel.
-    pub(super) const NAME: &'static str = "build-trees-16";
-
-    /// Number of kernel instances the launch covers.
-    fn instances(&self) -> usize {
-        self.n / 4
-    }
-
-    /// One kernel instance: emit 4 in-order tree nodes.
-    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
-        let base = ctx.instance_index() * 4;
-        let mut values = [Value::default(); 4];
-        self.src.read_into(ctx, &mut values);
-        let mut nodes = [Node::default(); 4];
-        for (slot, value) in values.into_iter().enumerate() {
-            nodes[slot] = in_order_node(value, self.n, base + slot);
+    check_distinct(proc, source, sorted)?;
+    let src = Input::new(source, 0, n)?;
+    let dst = sorted.block_mut(0, n)?;
+    // 8 passes of alternately 4 and 3 compare-exchanges.
+    let shape = LaunchShape::new(n / 8)
+        .reads::<Value>(8)
+        .writes::<Value>(8)
+        .comparisons(28);
+    proc.launch_wide(LOCAL_SORT8, shape, |ctx| {
+        let values = ctx.read(&src, 0, 8 * ctx.instances());
+        for (i, (block, out)) in values
+            .chunks_exact(8)
+            .zip(dst.chunks_exact_mut(8))
+            .enumerate()
+        {
+            let ascending = i.is_multiple_of(2);
+            let mut keys = [0u64; 8];
+            for (key, value) in keys.iter_mut().zip(block) {
+                *key = value.order_key();
+            }
+            // Odd-even transition sort: 8 passes of alternating adjacent
+            // compare-exchanges (the comparison order that "allows for
+            // better SIMD optimizations", Section 7.1).
+            for pass in 0..8 {
+                for k in (pass % 2..7).step_by(2) {
+                    compare_exchange(&mut keys, k, k + 1, ascending);
+                }
+            }
+            for (out, &key) in out.iter_mut().zip(&keys) {
+                *out = Value::from_order_key(key);
+            }
         }
-        self.dst.write_all(ctx, &nodes);
-    }
+    })
 }
 
 /// Convert sorted/merged 16-value blocks into in-order-stored bitonic trees
@@ -560,8 +344,18 @@ pub fn build_trees16(
     trees_out: &mut Stream<Node>,
     n: usize,
 ) -> Result<()> {
-    let mut b = bind_build_trees16(proc, values, trees_out, n)?;
-    proc.launch(BuildTrees16Bound::NAME, b.instances(), |ctx| b.run(ctx))
+    assert!(
+        n.is_multiple_of(4),
+        "tree building requires a multiple of 4 elements"
+    );
+    check_distinct(proc, values, trees_out)?;
+    let src = Input::new(values, 0, n)?;
+    let dst = trees_out.block_mut(n, n)?;
+    let shape = LaunchShape::new(n / 4).reads::<Value>(4).writes::<Node>(4);
+    proc.launch_wide(BUILD_TREES16, shape, |ctx| {
+        let values = ctx.read(&src, 0, 4 * ctx.instances());
+        write_in_order(dst, values.iter().copied(), n);
+    })
 }
 
 /// Where the 16-element groups of the Section 7.2 fixed merge find their
@@ -607,14 +401,14 @@ impl GroupSource {
 /// In-order traversal of a subtree of the given height (≤ 3 here),
 /// collecting values through gather reads only.
 fn in_order_collect(
-    ctx: &mut KernelCtx<'_>,
+    ctx: &mut LaunchCtx<'_>,
     gather: &GatherView<'_, Node>,
     node_idx: usize,
     height: u32,
-    out: &mut [Value; 8],
+    out: &mut [Value],
     pos: &mut usize,
 ) {
-    let node = gather.gather(ctx, node_idx);
+    let node = ctx.gather(gather, node_idx);
     if height > 1 {
         in_order_collect(ctx, gather, node.left as usize, height - 1, out, pos);
     }
@@ -622,77 +416,6 @@ fn in_order_collect(
     *pos += 1;
     if height > 1 {
         in_order_collect(ctx, gather, node.right as usize, height - 1, out, pos);
-    }
-}
-
-/// Bound form of [`traverse16`].
-pub(super) struct Traverse16Bound<'a> {
-    gather: GatherView<'a, Node>,
-    dst: WriteView<'a, Value>,
-    groups: usize,
-    source: GroupSource,
-}
-
-/// Validate and bind [`traverse16`] without launching.
-fn bind_traverse16<'a>(
-    proc: &StreamProcessor,
-    trees_in: &'a Stream<Node>,
-    values_out: &'a mut Stream<Value>,
-    groups: usize,
-    source: GroupSource,
-) -> Result<Traverse16Bound<'a>> {
-    proc.check_distinct_io(
-        &[(trees_in.id(), trees_in.name())],
-        &[(values_out.id(), values_out.name())],
-    )?;
-    let gather = GatherView::new(trees_in);
-    let dst = WriteView::contiguous(values_out, 0, groups * 16, 8)?;
-    Ok(Traverse16Bound {
-        gather,
-        dst,
-        groups,
-        source,
-    })
-}
-
-impl Traverse16Bound<'_> {
-    /// The launch name of this kernel.
-    pub(super) const NAME: &'static str = "traverse-16";
-
-    /// Number of kernel instances the launch covers.
-    fn instances(&self) -> usize {
-        self.groups * 2
-    }
-
-    /// One kernel instance: extract half of a 16-value bitonic sequence.
-    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
-        let group = ctx.instance_index() / 2;
-        let upper_half = ctx.instance_index() % 2 == 1;
-        let root = self.gather.gather(ctx, self.source.root_index(group));
-        let mut out = [Value::default(); 8];
-        let mut pos = 0;
-        if !upper_half {
-            // Lower half: in-order of the root's left subtree, then the
-            // root value itself.
-            in_order_collect(ctx, &self.gather, root.left as usize, 3, &mut out, &mut pos);
-            out[7] = root.value;
-        } else {
-            // Upper half: in-order of the root's right subtree, then the
-            // spare value.
-            in_order_collect(
-                ctx,
-                &self.gather,
-                root.right as usize,
-                3,
-                &mut out,
-                &mut pos,
-            );
-            out[7] = self
-                .gather
-                .gather(ctx, self.source.spare_index(group))
-                .value;
-        }
-        self.dst.write_all(ctx, &out);
     }
 }
 
@@ -708,82 +431,29 @@ pub fn traverse16(
     groups: usize,
     source: GroupSource,
 ) -> Result<()> {
-    let mut b = bind_traverse16(proc, trees_in, values_out, groups, source)?;
-    proc.launch(Traverse16Bound::NAME, b.instances(), |ctx| b.run(ctx))
-}
-
-/// Bound form of [`fixed_merge16`].
-pub(super) struct FixedMerge16Bound<'a> {
-    gather: GatherView<'a, Value>,
-    dst: WriteView<'a, Value>,
-    groups: usize,
-    groups_per_tree: usize,
-}
-
-/// Validate and bind [`fixed_merge16`] without launching.
-fn bind_fixed_merge16<'a>(
-    proc: &StreamProcessor,
-    values_in: &'a Stream<Value>,
-    values_out: &'a mut Stream<Value>,
-    groups: usize,
-    groups_per_tree: usize,
-) -> Result<FixedMerge16Bound<'a>> {
-    proc.check_distinct_io(
-        &[(values_in.id(), values_in.name())],
-        &[(values_out.id(), values_out.name())],
-    )?;
-    let gather = GatherView::new(values_in);
-    let dst = WriteView::contiguous(values_out, 0, groups * 16, 8)?;
-    Ok(FixedMerge16Bound {
-        gather,
-        dst,
-        groups,
-        groups_per_tree,
+    check_distinct(proc, trees_in, values_out)?;
+    let gather = GatherView::new(trees_in);
+    let dst = values_out.block_mut(0, groups * 16)?;
+    let shape = LaunchShape::new(groups * 2).writes::<Value>(8);
+    proc.launch_wide(TRAVERSE16, shape, |ctx| {
+        ctx.for_each_instance(|ctx, i| {
+            let group = i / 2;
+            let out = &mut dst[8 * i..8 * i + 8];
+            let root = ctx.gather(&gather, source.root_index(group));
+            let mut pos = 0;
+            if i % 2 == 0 {
+                // Lower half: in-order of the root's left subtree, then
+                // the root value itself.
+                in_order_collect(ctx, &gather, root.left as usize, 3, out, &mut pos);
+                out[7] = root.value;
+            } else {
+                // Upper half: in-order of the root's right subtree, then
+                // the spare value.
+                in_order_collect(ctx, &gather, root.right as usize, 3, out, &mut pos);
+                out[7] = ctx.gather(&gather, source.spare_index(group)).value;
+            }
+        });
     })
-}
-
-impl FixedMerge16Bound<'_> {
-    /// The launch name of this kernel.
-    pub(super) const NAME: &'static str = "fixed-merge-16";
-
-    /// Number of kernel instances the launch covers.
-    fn instances(&self) -> usize {
-        self.groups * 2
-    }
-
-    /// One kernel instance: merge half of a 16-value bitonic sequence.
-    fn run(&mut self, ctx: &mut KernelCtx<'_>) {
-        let group = ctx.instance_index() / 2;
-        let upper_half = ctx.instance_index() % 2 == 1;
-        let ascending = (group / self.groups_per_tree).is_multiple_of(2);
-
-        // Load the whole 16-value bitonic sequence.
-        let mut v = [Value::default(); 16];
-        self.gather.gather_range(ctx, group * 16, &mut v);
-        // First compare-exchange distance 8; afterwards the lower and upper
-        // halves are independent, so the instance keeps only its half.
-        for i in 0..8 {
-            if out_of_order(ctx, &v[i], &v[i + 8], ascending) {
-                v.swap(i, i + 8);
-            }
-        }
-        let mut h = [Value::default(); 8];
-        let offset = if upper_half { 8 } else { 0 };
-        h.copy_from_slice(&v[offset..offset + 8]);
-        // Remaining bitonic merge network on 8 values: distances 4, 2, 1.
-        for step in [4usize, 2, 1] {
-            let mut block = 0;
-            while block < 8 {
-                for i in block..block + step {
-                    if out_of_order(ctx, &h[i], &h[i + step], ascending) {
-                        h.swap(i, i + step);
-                    }
-                }
-                block += 2 * step;
-            }
-        }
-        self.dst.write_all(ctx, &h);
-    }
 }
 
 /// The Section 7.2 non-adaptive bitonic merge of 16-value bitonic
@@ -798,8 +468,53 @@ pub fn fixed_merge16(
     groups: usize,
     groups_per_tree: usize,
 ) -> Result<()> {
-    let mut b = bind_fixed_merge16(proc, values_in, values_out, groups, groups_per_tree)?;
-    proc.launch(FixedMerge16Bound::NAME, b.instances(), |ctx| b.run(ctx))
+    assert!(groups_per_tree.is_power_of_two());
+    check_distinct(proc, values_in, values_out)?;
+    let gather = GatherView::new(values_in);
+    let dst = values_out.block_mut(0, groups * 16)?;
+    // 8 compare-exchanges at distance 8, then 4 each at distances 4, 2, 1.
+    let shape = LaunchShape::new(groups * 2)
+        .writes::<Value>(8)
+        .comparisons(20);
+    proc.launch_wide(FIXED_MERGE16, shape, |ctx| {
+        ctx.for_each_instance(|ctx, i| {
+            let group = i / 2;
+            let ascending = ascending_for(group, groups_per_tree);
+            // Load the whole 16-value bitonic sequence.
+            let mut v = [Value::default(); 16];
+            ctx.gather_range(&gather, group * 16, &mut v);
+            // First compare-exchange distance 8; afterwards the lower and
+            // upper halves are independent, so the instance keeps only its
+            // half: the smaller or the larger key of every pair.
+            let keep_larger = (i % 2 == 1) == ascending;
+            let mut half = [0u64; 8];
+            for (k, key) in half.iter_mut().enumerate() {
+                let (a, b) = (v[k].order_key(), v[k + 8].order_key());
+                *key = if keep_larger { a.max(b) } else { a.min(b) };
+            }
+            // Remaining bitonic merge network on 8 values: distances 4, 2,
+            // 1.
+            for step in [4usize, 2, 1] {
+                for block in (0..8).step_by(2 * step) {
+                    for k in block..block + step {
+                        compare_exchange(&mut half, k, k + step, ascending);
+                    }
+                }
+            }
+            for (out, key) in dst[8 * i..8 * i + 8].iter_mut().zip(half) {
+                *out = Value::from_order_key(key);
+            }
+        });
+    })
+}
+
+/// Write `values` to `dst` as the in-order-stored nodes of the input half
+/// `[n, 2n)`, from its first position on.
+#[inline]
+fn write_in_order(dst: &mut [Node], values: impl Iterator<Item = Value>, n: usize) {
+    for (local, (out, value)) in dst.iter_mut().zip(values).enumerate() {
+        *out = in_order_node(value, n, local);
+    }
 }
 
 /// The node stored at local in-order position `local` of the input half
@@ -836,14 +551,10 @@ pub fn read_back_values(trees: &Stream<Node>, n: usize) -> Vec<Value> {
     trees.range(n, n).iter().map(|node| node.value).collect()
 }
 
-/// The `NULL_INDEX` sentinel re-exported for tests that inspect kernels'
-/// node output.
-pub const LEAF_SENTINEL: u32 = NULL_INDEX;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stream_arch::{GpuProfile, Layout};
+    use stream_arch::{GpuProfile, Layout, NULL_INDEX};
 
     fn processor() -> StreamProcessor {
         StreamProcessor::new(GpuProfile::geforce_6800())

@@ -193,15 +193,15 @@ impl Op {
     /// The launch name of this node's kernel.
     pub fn name(&self) -> &'static str {
         match self {
-            Op::LocalSort8 { .. } => kernels::LocalSort8Bound::NAME,
-            Op::BuildTrees16 { .. } => kernels::BuildTrees16Bound::NAME,
-            Op::ExtractRootsSpares { .. } => kernels::ExtractRootsSparesBound::NAME,
-            Op::Phase0 { .. } => kernels::Phase0Bound::NAME,
-            Op::PhaseI { .. } => kernels::PhaseIBound::NAME,
-            Op::CopyBack { .. } => "copy-back",
-            Op::CommitLevel { .. } => kernels::CommitLevelBound::NAME,
-            Op::Traverse16 { .. } => kernels::Traverse16Bound::NAME,
-            Op::FixedMerge16 { .. } => kernels::FixedMerge16Bound::NAME,
+            Op::LocalSort8 { .. } => kernels::LOCAL_SORT8,
+            Op::BuildTrees16 { .. } => kernels::BUILD_TREES16,
+            Op::ExtractRootsSpares { .. } => kernels::EXTRACT_ROOTS_SPARES,
+            Op::Phase0 { .. } => kernels::PHASE0,
+            Op::PhaseI { .. } => kernels::PHASE_I,
+            Op::CopyBack { .. } => kernels::COPY_BACK,
+            Op::CommitLevel { .. } => kernels::COMMIT_LEVEL,
+            Op::Traverse16 { .. } => kernels::TRAVERSE16,
+            Op::FixedMerge16 { .. } => kernels::FIXED_MERGE16,
         }
     }
 

@@ -70,29 +70,24 @@ fn main() {
         sort_all(&mut proc);
     }
     sink.set_enabled(false);
-    let mut rows: BTreeMap<String, Row> = BTreeMap::new();
+    let (mut rows, mut total) = (BTreeMap::<String, Row>::new(), Row::default());
     for event in sink.take_events().into_iter().filter(|e| e.cat == "launch") {
-        let row = rows.entry(event.name).or_default();
-        row.launches += 1;
-        row.dur_us += event.dur_us;
-        row.instances += event
-            .args
-            .iter()
-            .find(|(key, _)| *key == "instances")
-            .map_or(0.0, |&(_, v)| v);
+        let instances = event.args.iter().find(|(key, _)| *key == "instances");
+        for row in [rows.entry(event.name).or_default(), &mut total] {
+            row.launches += 1;
+            row.dur_us += event.dur_us;
+            row.instances += instances.map_or(0.0, |&(_, v)| v);
+        }
     }
 
     let runs = passes * inputs.len();
     println!("{runs} warm sorts of n={n} (one per engine-large distribution)");
-    let sorts = runs as f64;
     println!(
         "{:<22} {:>10} {:>14} {:>12} {:>11}",
         "launch", "launches", "instances", "ns/instance", "ms/sort"
     );
-    let (mut total_instances, mut total_us) = (0.0, 0.0);
-    for (name, row) in &rows {
-        total_instances += row.instances;
-        total_us += row.dur_us;
+    let sorts = runs as f64;
+    for (name, row) in rows.iter().chain([(&"all launches".to_string(), &total)]) {
         println!(
             "{name:<22} {:>10.0} {:>14.0} {:>12.1} {:>11.2}",
             row.launches as f64 / sorts,
@@ -101,12 +96,4 @@ fn main() {
             row.dur_us / 1e3 / sorts,
         );
     }
-    println!(
-        "{:<22} {:>10} {:>14.0} {:>12.1} {:>11.2}",
-        "all launches",
-        "",
-        total_instances / sorts,
-        total_us * 1e3 / total_instances.max(1.0),
-        total_us / 1e3 / sorts,
-    );
 }

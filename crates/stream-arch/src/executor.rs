@@ -11,12 +11,20 @@
 //!   see [`crate::accounting`]),
 //! * and a [`StreamArena`] recycling stream backing buffers across runs.
 //!
-//! [`StreamProcessor::launch`] executes one *stream operation*: it runs the
-//! kernel closure once per instance, in instance order, on the calling
-//! thread. The profile's `p` units are a property of the cost model — the
+//! A launch executes one *stream operation* on the calling thread, in one
+//! of two forms (see [`crate::kernel`]):
+//!
+//! * [`StreamProcessor::launch`] runs the kernel closure once per
+//!   instance, in instance order, charging every access as it happens;
+//! * [`StreamProcessor::launch_wide`] runs one body for all instances over
+//!   plain slices, and charges what bind time fixes — the reads, writes
+//!   and comparisons of every instance — once per launch. GPU-ABiSort's
+//!   kernels and [`StreamProcessor::launch_copy`] take this form.
+//!
+//! The profile's `p` units are a property of the cost model — the
 //! simulated time divides the per-instance work over them — not of host
 //! execution, so a run is deterministic and its counters, cache statistics
-//! and simulated time do not depend on the host.
+//! and simulated time do not depend on the host or the launch form.
 //!
 //! The kernels' cached fetches are replayed into the texture cache either
 //! on the calling thread or on a helper thread the processor keeps, in
@@ -30,10 +38,10 @@
 //! [`StreamProcessor::check_distinct_io`]) distinctness of input and output
 //! streams.
 
-use crate::accounting::{FetchLog, FetchObserver, FetchStream, InLaunch};
+use crate::accounting::{FetchLog, FetchObserver, InLaunch};
 use crate::arena::StreamArena;
 use crate::error::{Result, StreamError};
-use crate::kernel::KernelCtx;
+use crate::kernel::{Input, KernelCtx, LaunchCtx, LaunchShape};
 use crate::metrics::{Counters, SimTime};
 use crate::profile::GpuProfile;
 use crate::stream::Stream;
@@ -189,12 +197,12 @@ impl StreamProcessor {
     ///
     /// This is the shape of GPU-ABiSort's copy-back (Section 6.1), which
     /// follows every phase and carries roughly half of all simulated
-    /// traffic. The whole operation is vectorized: it is charged as one
-    /// block (reads, writes and one logged fetch — the same charges as the
-    /// per-element kernel) and the data moves in one `memcpy`.
+    /// traffic. It is a launch-wide kernel: the whole block is fetched as
+    /// one range and moves in one `memcpy`, with the same charges as the
+    /// per-element copy kernel.
     pub fn launch_copy<T: StreamElement>(
         &mut self,
-        _name: &str,
+        name: &str,
         src: &Stream<T>,
         dst: &mut Stream<T>,
         block: (usize, usize),
@@ -206,39 +214,69 @@ impl StreamProcessor {
             per_instance > 0 && block.1.is_multiple_of(per_instance),
             "copy block length must be a multiple of per_instance"
         );
-        let blocks = crate::stream::BlockSet::contiguous(block.0, block.1);
-        let instances = block.1 / per_instance;
+        let input = Input::new(src, block.0, block.1)?;
+        let output = dst.block_mut(block.0, block.1)?;
+        let shape = LaunchShape::new(block.1 / per_instance)
+            .reads::<T>(per_instance)
+            .writes::<T>(per_instance);
+        self.launch_wide(name, shape, |ctx| {
+            let copied = ctx.instances() * per_instance;
+            output[..copied].copy_from_slice(ctx.read(&input, 0, copied));
+        })
+    }
 
-        src.check_blocks(&blocks)?;
-        dst.check_blocks(&blocks)?;
+    /// Execute one stream operation as a *launch-wide* kernel: `body` runs
+    /// once, for all of `shape`'s instances, over plain slices, instead of
+    /// once per instance.
+    ///
+    /// This is for kernels whose per-instance reads, writes, iterator
+    /// reads and comparisons are fixed when their streams are bound (the
+    /// stream model of Section 3.2). The launch charges them from `shape`;
+    /// the body hands each cached fetch to the recorder through its
+    /// [`LaunchCtx`], in instance order, so counters, cache statistics and
+    /// simulated time are those of the per-instance kernel. Gathers keep
+    /// their per-access semantics, and the launch aborts as a per-instance
+    /// launch would:
+    ///
+    /// * a gather past the end stops the body after the failing instance
+    ///   ([`LaunchCtx::for_each_instance`]); that instance and its
+    ///   predecessors are charged, and the first error is returned;
+    /// * an instance output above the profile's budget runs only the first
+    ///   instance, charges it, and returns
+    ///   [`StreamError::KernelOutputTooLarge`].
+    ///
+    /// A panicking body unwinds to the caller with only its cached fetches
+    /// charged.
+    pub fn launch_wide<F>(&mut self, name: &str, shape: LaunchShape, body: F) -> Result<()>
+    where
+        F: FnOnce(&mut LaunchCtx<'_>),
+    {
+        let started = telemetry::enabled().then(std::time::Instant::now);
         let _in_launch = InLaunch::enter();
         self.counters.launches += 1;
-        self.counters.kernel_instances += instances as u64;
-        if instances == 0 {
-            return Ok(());
-        }
-        // The per-instance output budget check of the per-element kernel,
-        // which aborts after the first instance exceeded it (with that
-        // instance's charges recorded, and its elements written).
-        let max_output_bytes = self.profile.max_kernel_output_bytes;
-        let budget_error = per_instance * T::BYTES > max_output_bytes;
-        let copied = if budget_error {
-            per_instance
+        self.counters.kernel_instances += shape.instances as u64;
+        let max_bytes = self.profile.max_kernel_output_bytes;
+        let over_budget = shape.output_bytes > max_bytes;
+        let run = if over_budget {
+            shape.instances.min(1)
         } else {
-            instances * per_instance
+            shape.instances
         };
-        let mut ctx = KernelCtx::new(&mut self.counters, &mut self.log);
-        ctx.charge_reads(FetchStream::of(src), block.0, copied);
-        ctx.charge_writes(copied, T::BYTES);
-        dst.as_mut_slice()[block.0..block.0 + copied]
-            .copy_from_slice(&src.as_slice()[block.0..block.0 + copied]);
-        if budget_error {
+        let mut ctx = LaunchCtx::new(&mut self.counters, &mut self.log, run);
+        body(&mut ctx);
+        let (ran, error) = ctx.finish();
+        shape.charge(&mut self.counters, ran);
+        if let Some(started) = started {
+            let args = [("instances", shape.instances as f64)];
+            telemetry::record_host_span("launch", name, started, &args);
+        }
+        if over_budget && ran > 0 {
             return Err(StreamError::KernelOutputTooLarge {
-                bytes: per_instance * T::BYTES,
-                max_bytes: max_output_bytes,
+                bytes: shape.output_bytes,
+                max_bytes,
             });
         }
-        Ok(())
+        error.map_or(Ok(()), Err)
     }
 
     /// Execute one stream operation: run `kernel` for `instances` kernel
@@ -305,7 +343,7 @@ impl StreamProcessor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{GatherView, ReadView, WriteView};
+    use crate::kernel::{GatherView, Input, LaunchShape, ReadView, WriteView};
     use crate::layout::Layout;
     use crate::per_access;
     use crate::stream::{BlockSet, Stream};
@@ -590,6 +628,66 @@ mod tests {
         // after it.
         assert_eq!(&copy.0[..2], &[1, 2]);
         assert!(copy.0[2..].iter().all(|&v| v == 0));
+    }
+
+    /// One kernel both ways — per instance through views, and launch-wide
+    /// over slices. Each instance streams one element, gathers one (past
+    /// the end at instance `bad`), compares once and writes two.
+    fn both_launch_forms(profile: &GpuProfile, n: usize, bad: Option<usize>) -> [Outcome; 2] {
+        let input = Stream::from_vec("in", (0..n as u32).collect(), Layout::ZOrder);
+        let lut = Stream::from_vec("lut", (0u32..512).rev().collect(), Layout::ZOrder);
+        let gather = GatherView::new(&lut);
+        let index = |i| if bad == Some(i) { 515 } else { i * 7919 % 512 };
+        let outcome = |mut p: StreamProcessor, out: Stream<u32>, r: Result<()>| Outcome {
+            output: out.as_slice().to_vec(),
+            counters: p.counters(),
+            sim_time: p.simulated_time(),
+            errors: vec![format!("{r:?}")],
+        };
+        let mut p = StreamProcessor::new(profile.clone());
+        let mut out = Stream::new("out", 2 * n, Layout::ZOrder);
+        let read = ReadView::contiguous(&input, 0, n, 1).unwrap();
+        let mut write = WriteView::contiguous(&mut out, 0, 2 * n, 2).unwrap();
+        let r = p.launch("both", n, |ctx| {
+            let v = read.get(ctx, 0);
+            let g = gather.gather(ctx, index(ctx.instance_index()));
+            ctx.count_comparisons(1);
+            write.set(ctx, 0, v + g);
+            write.set(ctx, 1, v.max(g));
+        });
+        let per_instance = outcome(p, out, r);
+
+        let mut p = StreamProcessor::new(profile.clone());
+        let mut out = Stream::new("out", 2 * n, Layout::ZOrder);
+        let read = Input::new(&input, 0, n).unwrap();
+        let write = out.block_mut(0, 2 * n).unwrap();
+        let shape = LaunchShape::new(n).reads::<u32>(1).comparisons(1);
+        let r = p.launch_wide("both", shape.writes::<u32>(2), |ctx| {
+            ctx.for_each_instance(|ctx, i| {
+                let v = ctx.read(&read, i, 1)[0];
+                let g = ctx.gather(&gather, index(i));
+                write[2 * i..2 * i + 2].copy_from_slice(&[v + g, v.max(g)]);
+            });
+        });
+        [per_instance, outcome(p, out, r)]
+    }
+
+    #[test]
+    fn a_launch_wide_kernel_charges_and_aborts_as_per_instance_launches_do() {
+        let mut tight = GpuProfile::geforce_6800();
+        tight.max_kernel_output_bytes = 4;
+        let full = GpuProfile::geforce_6800();
+        for (profile, n, bad, aborts) in [
+            (&full, 700, None, false),
+            (&full, 0, None, false),
+            (&full, 700, Some(333), true),
+            (&tight, 700, None, true),
+            (&tight, 700, Some(0), true),
+        ] {
+            let [per_instance, launch_wide] = both_launch_forms(profile, n, bad);
+            assert_eq!(launch_wide, per_instance, "{n} instances, bad {bad:?}");
+            assert_eq!(launch_wide.errors[0].starts_with("Err"), aborts);
+        }
     }
 
     #[test]

@@ -1,47 +1,48 @@
-//! Kernel-side stream access: the per-instance context and the typed views
-//! a kernel uses to touch stream memory.
+//! Kernel-side stream access: the contexts and typed views a kernel uses
+//! to touch stream memory, in the two launch forms of
+//! [`crate::StreamProcessor`].
 //!
 //! The access types mirror the paper's pseudo code (Appendix A):
 //!
-//! | paper construct                    | this module            |
-//! |------------------------------------|------------------------|
-//! | `in stream<T>` + `read_from_stream`| [`ReadView`]           |
-//! | `out stream<T>` + `push_onto_stream`| [`WriteView`]         |
-//! | `gather stream<T>` + `s[i]`        | [`GatherView`]         |
-//! | `iter_stream<index_t>`             | [`IterStream`]         |
-//! | `instance_index`                   | [`KernelCtx::instance_index`] |
+//! | paper construct                     | per instance   | launch-wide         |
+//! |-------------------------------------|----------------|---------------------|
+//! | `in stream<T>` + `read_from_stream` | [`ReadView`]   | [`Input`]           |
+//! | `out stream<T>` + `push_onto_stream`| [`WriteView`]  | a `&mut [T]` block  |
+//! | `gather stream<T>` + `s[i]`         | [`GatherView`] | [`GatherView`]      |
+//! | `instance_index`                    | [`KernelCtx::instance_index`] | the body's loop index |
 //!
-//! Linear (`in`/`out`) access is positional: kernel instance `i` owns the
+//! A **per-instance** kernel ([`crate::StreamProcessor::launch`]) runs once
+//! per instance. Its linear access is positional: instance `i` owns the
 //! logical positions `i·r .. (i+1)·r` of the substream, where `r` is the
-//! fixed per-instance element count declared when the view is created. The
-//! kernel addresses them by *slot* (`0..r`), which is equivalent to the
-//! paper's sequence of `read_from_stream` / `push_onto_stream` calls but
-//! keeps the views free of per-instance cursor state. Because positions are
-//! derived from the instance index alone, distinct instances never write the
-//! same location.
+//! fixed per-instance element count declared when the view is created,
+//! and addresses them by *slot* (`0..r`) — the paper's sequence of
+//! `read_from_stream` / `push_onto_stream` calls without per-instance
+//! cursor state. Every access is charged as it happens, through the
+//! [`KernelCtx`].
 //!
-//! The views are plain borrows of their streams: a [`ReadView`] or
-//! [`GatherView`] holds `&[T]`, a [`WriteView`] holds `&mut [T]`. So the
-//! borrow checker, not a runtime check, guarantees that no stream is read
-//! and written by the same launch.
+//! A **launch-wide** kernel ([`crate::StreamProcessor::launch_wide`]) runs
+//! once for all instances over plain slices. Its [`LaunchShape`] states
+//! what each instance streams, writes and compares, which the stream model
+//! fixes at bind time (Section 3.2), and the launch charges that once.
+//! Iterator streams (the hardware's index generator) are the body's own
+//! index arithmetic, counted in the shape.
 //!
-//! Scatter (random-access writes) is simply not expressible: [`WriteView`]
-//! has no indexed write method. This is the architectural restriction the
-//! whole paper is designed around (Section 3.2).
+//! Either way, views and blocks are plain borrows of their streams, so
+//! the borrow checker, not a runtime check, guarantees that no stream is
+//! read and written by the same launch. Scatter (random-access writes) is
+//! the architectural restriction the whole paper is designed around
+//! (Section 3.2): a [`WriteView`] has no indexed write, and a launch-wide
+//! body writes instance `i`'s positions `i·r .. (i+1)·r` of its blocks,
+//! as the per-instance form would.
 //!
-//! Every access is charged as it happens, through the [`KernelCtx`]: plain
-//! event counts go into the processor's [`Counters`], and each cached
-//! fetch (a streaming read or a gather) goes to the processor's recorder,
-//! which feeds it to the one cost model of [`crate::accounting`] — at
-//! once on the engine thread, or through the fetch log a helper thread
-//! replays. The texture-cache statistics are therefore complete only at a
-//! drain point ([`crate::StreamProcessor::counters`] and its siblings),
-//! not inside a launch. The views' block accessors ([`ReadView::read_into`],
-//! [`GatherView::gather_range`], [`WriteView::write_all`],
-//! [`IterStream::pair`]) charge a whole contiguous range at once; their
-//! per-element fallbacks (multi-block substreams, ranges that run past
-//! the end) charge element by element, so the result is the same either
-//! way.
+//! Plain event counts go into the processor's [`Counters`], and each
+//! cached fetch (a streaming read or a gather) goes to the processor's
+//! recorder in instance order, which feeds it to the one cost model of
+//! [`crate::accounting`] — at once on the engine thread, or through the
+//! fetch log a helper thread replays. The texture-cache statistics are
+//! therefore complete only at a drain point
+//! ([`crate::StreamProcessor::counters`] and its siblings), not inside a
+//! launch.
 
 use crate::accounting::{FetchLog, FetchStream};
 use crate::error::{Result, StreamError};
@@ -125,7 +126,7 @@ impl<'a> KernelCtx<'a> {
     /// Charge `count` streaming reads of the consecutive elements from
     /// `first`.
     #[inline]
-    pub(crate) fn charge_reads(&mut self, stream: FetchStream, first: usize, count: usize) {
+    fn charge_reads(&mut self, stream: FetchStream, first: usize, count: usize) {
         self.counters.stream_reads += count as u64 * words(stream.bytes as usize);
         self.log.record(stream, first, count);
     }
@@ -140,16 +141,10 @@ impl<'a> KernelCtx<'a> {
     /// Charge `count` linear writes of `bytes`-byte elements (writes
     /// bypass the texture cache, so this is pure arithmetic).
     #[inline]
-    pub(crate) fn charge_writes(&mut self, count: usize, bytes: usize) {
+    fn charge_writes(&mut self, count: usize, bytes: usize) {
         self.counters.stream_writes += count as u64 * words(bytes);
         self.counters.bytes_written += (count * bytes) as u64;
         self.bytes_pushed += count * bytes;
-    }
-
-    /// Charge `count` iterator-stream reads.
-    #[inline]
-    fn charge_iter(&mut self, count: usize) {
-        self.counters.iter_reads += count as u64;
     }
 }
 
@@ -184,16 +179,6 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
         Self::new(stream, BlockSet::contiguous(start, len), per_instance)
     }
 
-    /// Total number of elements in the bound substream.
-    pub fn capacity(&self) -> usize {
-        self.blocks.total()
-    }
-
-    /// Elements read by each kernel instance.
-    pub fn per_instance(&self) -> usize {
-        self.per_instance
-    }
-
     /// Read slot `slot` (0-based) of this instance's elements.
     #[inline]
     pub fn get(&self, ctx: &mut KernelCtx<'_>, slot: usize) -> T {
@@ -209,39 +194,6 @@ impl<'a, T: StreamElement> ReadView<'a, T> {
         let global = self.blocks.locate(pos);
         ctx.charge_reads(self.stream, global, 1);
         self.data[global]
-    }
-
-    /// Read the first two slots as a pair (`read_from_stream` twice).
-    #[inline]
-    pub fn pair(&self, ctx: &mut KernelCtx<'_>) -> (T, T) {
-        let mut buf = [T::default(); 2];
-        self.read_into(ctx, &mut buf);
-        (buf[0], buf[1])
-    }
-
-    /// Read slots `0..out.len()` of this instance's elements into `out` —
-    /// semantically identical to calling [`ReadView::get`] per slot
-    /// (including the error and partial-charge behaviour on underflow),
-    /// but located, bounds-checked and cost-charged as one block. This is
-    /// the vectorized read path the GPU-ABiSort kernels use.
-    #[inline]
-    pub fn read_into(&self, ctx: &mut KernelCtx<'_>, out: &mut [T]) {
-        debug_assert!(out.len() <= self.per_instance, "slot out of range");
-        if let Some(start) = self.blocks.contiguous_start() {
-            let pos0 = ctx.instance * self.per_instance;
-            if pos0 + out.len() <= self.blocks.total() {
-                let g0 = start + pos0;
-                ctx.charge_reads(self.stream, g0, out.len());
-                out.copy_from_slice(&self.data[g0..g0 + out.len()]);
-                return;
-            }
-        }
-        // Multi-block substreams and underflowing reads (which must error
-        // after charging the slots before the failing one) go slot by
-        // slot.
-        for (slot, v) in out.iter_mut().enumerate() {
-            *v = self.get(ctx, slot);
-        }
     }
 }
 
@@ -260,16 +212,6 @@ impl<'a, T: StreamElement> GatherView<'a, T> {
         }
     }
 
-    /// Length of the gather stream.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the gather stream is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Random read of element `index` (the paper's `bitonicTrees[pidx]`).
     #[inline]
     pub fn gather(&self, ctx: &mut KernelCtx<'_>, index: usize) -> T {
@@ -282,22 +224,6 @@ impl<'a, T: StreamElement> GatherView<'a, T> {
         };
         ctx.charge_gathers(self.stream, index, 1);
         v
-    }
-
-    /// Gather the consecutive elements `[start, start + out.len())` into
-    /// `out` — semantically identical to one [`GatherView::gather`] per
-    /// element (including the error behaviour past the end), but charged
-    /// as one block.
-    #[inline]
-    pub fn gather_range(&self, ctx: &mut KernelCtx<'_>, start: usize, out: &mut [T]) {
-        if let Some(src) = self.data.get(start..start.saturating_add(out.len())) {
-            ctx.charge_gathers(self.stream, start, out.len());
-            out.copy_from_slice(src);
-            return;
-        }
-        for (i, v) in out.iter_mut().enumerate() {
-            *v = self.gather(ctx, start.saturating_add(i));
-        }
     }
 }
 
@@ -328,7 +254,6 @@ impl<'a, T: StreamElement> GatherView<'a, T> {
 /// ```
 pub struct WriteView<'a, T> {
     data: &'a mut [T],
-    stream_id: u64,
     blocks: BlockSet,
     per_instance: usize,
 }
@@ -339,7 +264,6 @@ impl<'a, T: StreamElement> WriteView<'a, T> {
     pub fn new(stream: &'a mut Stream<T>, blocks: BlockSet, per_instance: usize) -> Result<Self> {
         stream.check_blocks(&blocks)?;
         Ok(WriteView {
-            stream_id: stream.id(),
             data: stream.as_mut_slice(),
             blocks,
             per_instance,
@@ -354,29 +278,6 @@ impl<'a, T: StreamElement> WriteView<'a, T> {
         per_instance: usize,
     ) -> Result<Self> {
         Self::new(stream, BlockSet::contiguous(start, len), per_instance)
-    }
-
-    /// Total number of elements the bound substream can hold.
-    pub fn capacity(&self) -> usize {
-        self.blocks.total()
-    }
-
-    /// Elements written by each kernel instance.
-    pub fn per_instance(&self) -> usize {
-        self.per_instance
-    }
-
-    /// The global element index that slot `slot` of instance `instance`
-    /// will be written to. This is what the paper's *iterator streams*
-    /// expose to the previous phase so it can fix up child pointers; see
-    /// [`IterStream::for_write_view`].
-    pub fn destination_index(&self, instance: usize, slot: usize) -> usize {
-        self.blocks.locate(instance * self.per_instance + slot)
-    }
-
-    /// The block set this view writes to.
-    pub fn blocks(&self) -> &BlockSet {
-        &self.blocks
     }
 
     /// Write `value` into slot `slot` of this instance's output positions
@@ -397,116 +298,183 @@ impl<'a, T: StreamElement> WriteView<'a, T> {
         ctx.charge_writes(1, T::BYTES);
         self.data[global] = value;
     }
+}
 
-    /// Write a pair into slots 0 and 1.
-    #[inline]
-    pub fn pair(&mut self, ctx: &mut KernelCtx<'_>, first: T, second: T) {
-        self.write_all(ctx, &[first, second]);
+/// What every instance of a launch-wide kernel streams, writes, iterates
+/// and compares (see [`crate::StreamProcessor::launch_wide`]). Bind time
+/// fixes all of it, so the launch charges it once, for all the instances
+/// it ran.
+///
+/// Gathers are not part of the shape: whether one succeeds depends on
+/// the data, so [`LaunchCtx::gather`] charges each as it happens.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct LaunchShape {
+    pub(crate) instances: usize,
+    read_words: u64,
+    write_words: u64,
+    pub(crate) output_bytes: usize,
+    iter_reads: u64,
+    comparisons: u64,
+}
+
+impl LaunchShape {
+    /// A launch of `instances` kernel instances that touch nothing yet.
+    pub fn new(instances: usize) -> Self {
+        LaunchShape {
+            instances,
+            ..LaunchShape::default()
+        }
     }
 
-    /// Write `values` into slots `0..values.len()` of this instance's
-    /// output positions — semantically identical to calling
-    /// [`WriteView::set`] per slot (including the error and partial-charge
-    /// behaviour on overflow), but located, budget-charged and stored as
-    /// one block. This is the vectorized write path the GPU-ABiSort
-    /// kernels use.
+    /// Each instance streaming-reads `count` elements of type `T`.
+    pub fn reads<T: StreamElement>(mut self, count: usize) -> Self {
+        self.read_words += count as u64 * words(T::BYTES);
+        self
+    }
+
+    /// Each instance writes `count` elements of type `T`; they count
+    /// against its output budget.
+    pub fn writes<T: StreamElement>(mut self, count: usize) -> Self {
+        self.write_words += count as u64 * words(T::BYTES);
+        self.output_bytes += count * T::BYTES;
+        self
+    }
+
+    /// Each instance reads `count` indices from an iterator stream (the
+    /// hardware's index generator, which costs no memory traffic).
+    pub fn iter_reads(mut self, count: u64) -> Self {
+        self.iter_reads += count;
+        self
+    }
+
+    /// Each instance makes `count` key comparisons.
+    pub fn comparisons(mut self, count: u64) -> Self {
+        self.comparisons += count;
+        self
+    }
+
+    /// Charge the fixed counts of `instances` instances.
+    pub(crate) fn charge(&self, counters: &mut Counters, instances: usize) {
+        let n = instances as u64;
+        counters.stream_reads += n * self.read_words;
+        counters.stream_writes += n * self.write_words;
+        counters.bytes_written += n * self.output_bytes as u64;
+        counters.iter_reads += n * self.iter_reads;
+        counters.comparisons += n * self.comparisons;
+    }
+}
+
+/// A contiguous input substream bound for a launch-wide kernel: the
+/// paper's `in stream<T>`, read by [`LaunchCtx::read`] as a plain slice.
+pub struct Input<'a, T> {
+    data: &'a [T],
+    start: usize,
+    stream: FetchStream,
+}
+
+impl<'a, T: StreamElement> Input<'a, T> {
+    /// Bind elements `[start, start + len)` of `stream`.
+    pub fn new(stream: &'a Stream<T>, start: usize, len: usize) -> Result<Self> {
+        stream.check_blocks(&BlockSet::contiguous(start, len))?;
+        Ok(Input {
+            data: &stream.as_slice()[start..start + len],
+            start,
+            stream: FetchStream::of(stream),
+        })
+    }
+}
+
+/// The context of a launch-wide kernel body, which runs once for all the
+/// instances of a launch (see [`crate::StreamProcessor::launch_wide`]).
+///
+/// The body writes plain slices and reads through the context, which
+/// hands every cached fetch to the processor's recorder in the order the
+/// body makes it. The counts the [`LaunchShape`] fixes are charged by the
+/// launch, not here.
+pub struct LaunchCtx<'a> {
+    ctx: KernelCtx<'a>,
+    instances: usize,
+    ran: usize,
+}
+
+impl<'a> LaunchCtx<'a> {
+    pub(crate) fn new(counters: &'a mut Counters, log: &'a mut FetchLog, instances: usize) -> Self {
+        LaunchCtx {
+            ctx: KernelCtx::new(counters, log),
+            instances,
+            ran: instances,
+        }
+    }
+
+    /// The instances the body runs, `0..instances()`: all of the launch's,
+    /// or only the first when its output exceeds the per-instance budget.
     #[inline]
-    pub fn write_all(&mut self, ctx: &mut KernelCtx<'_>, values: &[T]) {
-        debug_assert!(values.len() <= self.per_instance, "slot out of range");
-        if let Some(start) = self.blocks.contiguous_start() {
-            let pos0 = ctx.instance * self.per_instance;
-            if pos0 + values.len() <= self.blocks.total() {
-                let g0 = start + pos0;
-                ctx.charge_writes(values.len(), T::BYTES);
-                self.data[g0..g0 + values.len()].copy_from_slice(values);
+    pub fn instances(&self) -> usize {
+        self.instances
+    }
+
+    /// Streaming-read elements `[pos, pos + count)` of `input`'s block:
+    /// the cached fetch goes to the recorder, and the elements come back
+    /// as a slice.
+    #[inline]
+    pub fn read<'s, T: StreamElement>(
+        &mut self,
+        input: &Input<'s, T>,
+        pos: usize,
+        count: usize,
+    ) -> &'s [T] {
+        let elements = &input.data[pos..pos + count];
+        self.ctx.log.record(input.stream, input.start + pos, count);
+        elements
+    }
+
+    /// Gather element `index` of `view`, exactly as [`GatherView::gather`]
+    /// does in a per-instance launch: bounds-checked and charged on
+    /// success; past the end it records the first error of the launch and
+    /// returns the default value.
+    #[inline]
+    pub fn gather<T: StreamElement>(&mut self, view: &GatherView<'_, T>, index: usize) -> T {
+        view.gather(&mut self.ctx, index)
+    }
+
+    /// Gather the consecutive elements `[start, start + out.len())` of
+    /// `view` into `out`: one [`LaunchCtx::gather`] per element, charged
+    /// as one block when the whole range is in bounds.
+    #[inline]
+    pub fn gather_range<T: StreamElement>(
+        &mut self,
+        view: &GatherView<'_, T>,
+        start: usize,
+        out: &mut [T],
+    ) {
+        if let Some(src) = view.data.get(start..start.saturating_add(out.len())) {
+            self.ctx.charge_gathers(view.stream, start, out.len());
+            out.copy_from_slice(src);
+            return;
+        }
+        for (i, v) in out.iter_mut().enumerate() {
+            *v = view.gather(&mut self.ctx, start.saturating_add(i));
+        }
+    }
+
+    /// Run `instance` for every instance `0..instances()` in order, and
+    /// stop after the first one in which a gather failed: the abort of a
+    /// per-instance launch, which charges the failing instance and its
+    /// predecessors. A body that gathers runs its instances through here.
+    #[inline]
+    pub fn for_each_instance(&mut self, mut instance: impl FnMut(&mut Self, usize)) {
+        for i in 0..self.instances {
+            instance(self, i);
+            if self.ctx.failed() {
+                self.ran = i + 1;
                 return;
             }
         }
-        // Multi-block substreams and overflowing writes (which must error
-        // after charging the slots before the failing one) go slot by
-        // slot.
-        for (slot, v) in values.iter().enumerate() {
-            self.set(ctx, slot, *v);
-        }
     }
 
-    /// The stream this view writes into (for aliasing validation).
-    pub fn stream_id(&self) -> u64 {
-        self.stream_id
-    }
-}
-
-/// An iterator stream: a read-only stream containing a linear ascending
-/// sequence of indices, realised by the hardware's iterator unit without
-/// memory lookups (paper, Section "Phase i > 0 kernel").
-///
-/// In this simulator an iterator stream yields, for each logical position,
-/// the *global element index* of a target block set — exactly the
-/// destination addresses the next phase's [`WriteView`] will write to.
-pub struct IterStream {
-    blocks: BlockSet,
-    per_instance: usize,
-}
-
-impl IterStream {
-    /// An iterator stream over an explicit block set.
-    pub fn new(blocks: BlockSet, per_instance: usize) -> Self {
-        IterStream {
-            blocks,
-            per_instance,
-        }
-    }
-
-    /// An iterator stream over a contiguous index range
-    /// (`iter_stream<index_t>(a .. b)` in the paper's pseudo code).
-    pub fn range(start: usize, len: usize, per_instance: usize) -> Self {
-        Self::new(BlockSet::contiguous(start, len), per_instance)
-    }
-
-    /// An iterator stream that yields the destination indices of an output
-    /// view that will be used in a later phase, so the current phase can
-    /// update child pointers to point at those future locations
-    /// (Section 5.2).
-    pub fn for_write_view<T: StreamElement>(view: &WriteView<'_, T>) -> Self {
-        IterStream {
-            blocks: view.blocks().clone(),
-            per_instance: view.per_instance(),
-        }
-    }
-
-    /// Number of indices available.
-    pub fn capacity(&self) -> usize {
-        self.blocks.total()
-    }
-
-    /// Read slot `slot` of this instance's indices.
-    #[inline]
-    pub fn get(&self, ctx: &mut KernelCtx<'_>, slot: usize) -> u32 {
-        debug_assert!(slot < self.per_instance, "slot out of range");
-        let pos = ctx.instance * self.per_instance + slot;
-        if pos >= self.blocks.total() {
-            ctx.record_error(StreamError::InputUnderflow {
-                capacity: self.blocks.total(),
-                required: pos + 1,
-            });
-            return 0;
-        }
-        ctx.charge_iter(1);
-        self.blocks.locate(pos) as u32
-    }
-
-    /// Read the first two slots as a pair.
-    #[inline]
-    pub fn pair(&self, ctx: &mut KernelCtx<'_>) -> (u32, u32) {
-        if let Some(start) = self.blocks.contiguous_start() {
-            let pos0 = ctx.instance * self.per_instance;
-            if pos0 + 2 <= self.blocks.total() {
-                ctx.charge_iter(2);
-                let g0 = (start + pos0) as u32;
-                return (g0, g0 + 1);
-            }
-        }
-        (self.get(ctx, 0), self.get(ctx, 1))
+    /// The instances that ran and the launch's first error.
+    pub(crate) fn finish(self) -> (usize, Option<StreamError>) {
+        (self.ran, self.ctx.error)
     }
 }
 
@@ -539,9 +507,7 @@ mod tests {
         let mut c = Counters::new();
         let mut log = test_log();
         let mut ctx = test_ctx(1, &mut c, &mut log);
-        assert_eq!(view.pair(&mut ctx), (6, 7));
-        assert_eq!(view.capacity(), 8);
-        assert_eq!(view.per_instance(), 2);
+        assert_eq!((view.get(&mut ctx, 0), view.get(&mut ctx, 1)), (6, 7));
         assert_eq!(c.stream_reads, 2);
         let model = log.drain();
         assert_eq!(model.stats().accesses, 2);
@@ -572,8 +538,6 @@ mod tests {
         {
             let mut ctx = test_ctx(0, &mut c, &mut log);
             assert_eq!(view.gather(&mut ctx, 5), 5);
-            assert_eq!(view.len(), 8);
-            assert!(!view.is_empty());
             let _ = view.gather(&mut ctx, 100);
             assert!(matches!(
                 ctx.error,
@@ -593,7 +557,8 @@ mod tests {
             let mut log = test_log();
             for instance in 0..4 {
                 let mut ctx = test_ctx(instance, &mut c, &mut log);
-                view.pair(&mut ctx, instance as u32 * 10, instance as u32 * 10 + 1);
+                view.set(&mut ctx, 0, instance as u32 * 10);
+                view.set(&mut ctx, 1, instance as u32 * 10 + 1);
             }
             assert_eq!(c.stream_writes, 8);
             assert_eq!(c.bytes_written, 8 * 4);
@@ -607,15 +572,12 @@ mod tests {
         let blocks = BlockSet::multi(vec![(8, 2), (0, 4)]).unwrap();
         {
             let mut view = WriteView::new(&mut s, blocks, 2).unwrap();
-            assert_eq!(view.destination_index(0, 0), 8);
-            assert_eq!(view.destination_index(0, 1), 9);
-            assert_eq!(view.destination_index(1, 0), 0);
-            assert_eq!(view.destination_index(2, 1), 3);
             let mut c = Counters::new();
             let mut log = test_log();
             for instance in 0..3 {
                 let mut ctx = test_ctx(instance, &mut c, &mut log);
-                view.pair(&mut ctx, 100 + instance as u32, 200 + instance as u32);
+                view.set(&mut ctx, 0, 100 + instance as u32);
+                view.set(&mut ctx, 1, 200 + instance as u32);
             }
         }
         assert_eq!(&s.as_slice()[8..10], &[100, 200]);
@@ -637,37 +599,9 @@ mod tests {
     }
 
     #[test]
-    fn iter_stream_yields_destination_indices() {
-        let mut s: Stream<u32> = Stream::new("out", 16, Layout::Linear);
-        let next_phase_out = WriteView::contiguous(&mut s, 8, 8, 2).unwrap();
-        let iter = IterStream::for_write_view(&next_phase_out);
-        let mut c = Counters::new();
-        let mut log = test_log();
-        let mut ctx = test_ctx(1, &mut c, &mut log);
-        assert_eq!(iter.pair(&mut ctx), (10, 11));
-        assert_eq!(c.iter_reads, 2);
-        // Iterator reads cost no memory traffic.
-        let model = log.drain();
-        assert_eq!(model.bytes_read(), 0);
-        assert_eq!(model.stats().accesses, 0);
-        assert_eq!(iter.capacity(), 8);
-    }
-
-    #[test]
-    fn iter_stream_range_matches_paper_pseudocode() {
-        // iter_stream(2*nextStart .. 2*(nextStart+len)-1) with per-instance 2
-        let iter = IterStream::range(6, 8, 2);
-        let mut c = Counters::new();
-        let mut log = test_log();
-        let mut ctx = test_ctx(0, &mut c, &mut log);
-        assert_eq!(iter.pair(&mut ctx), (6, 7));
-        let mut ctx = test_ctx(3, &mut c, &mut log);
-        assert_eq!(iter.pair(&mut ctx), (12, 13));
-    }
-
-    #[test]
     fn coalesced_cost_model_matches_the_per_access_replay_of_its_log() {
-        // An interleaved read/gather/write/iter pattern over two streams:
+        // An interleaved read/gather pattern over two streams, then a
+        // launch-wide gathered range:
         // the cost model's tile runs must give exactly the cache statistics
         // and fill bytes of probing every logged element on its own.
         let nodes = Stream::from_vec(
@@ -685,18 +619,16 @@ mod tests {
         let mut ctx = KernelCtx::new(&mut c, &mut log);
         let read = ReadView::contiguous(&nodes, 0, 512, 4).unwrap();
         let gather = GatherView::new(&idxs);
-        let iter = IterStream::range(0, 512, 4);
         for instance in 0..128usize {
             ctx.begin_instance(instance);
             for slot in 0..4 {
                 let v = read.get(&mut ctx, slot) as usize;
                 let g = gather.gather(&mut ctx, (v * 7) % 512);
-                let _ = iter.get(&mut ctx, slot);
                 ctx.count_comparisons(u64::from(g % 3));
             }
         }
         let mut grouped = [0u32; 16];
-        gather.gather_range(&mut ctx, 100, &mut grouped);
+        LaunchCtx::new(&mut c, &mut log, 1).gather_range(&gather, 100, &mut grouped);
         let model = log.drain();
         let reference = reference.lock().unwrap();
         let counters = Counters {

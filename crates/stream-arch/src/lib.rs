@@ -10,7 +10,7 @@
 //!   (GPU texture) through a configurable 1D→2D mapping
 //!   ([`layout::RowMajor2D`] or [`layout::ZOrder2D`]).
 //! * **Substreams** are contiguous ranges — or, for hardware that supports
-//!   it, sets of disjoint ranges — of a stream ([`stream::SubStream`]).
+//!   it, sets of disjoint ranges — of a stream ([`stream::BlockSet`]).
 //! * **Kernels** are per-element programs. A kernel instance may
 //!   - read a fixed number of elements *linearly* from each input stream
 //!     (streaming read),
@@ -61,11 +61,11 @@ pub use arena::{ArenaStats, StreamArena};
 pub use cache::{CacheConfig, CacheSim, CacheStats};
 pub use error::{Result, StreamError};
 pub use executor::StreamProcessor;
-pub use kernel::{GatherView, IterStream, KernelCtx, ReadView, WriteView};
+pub use kernel::{GatherView, Input, KernelCtx, LaunchCtx, LaunchShape, ReadView, WriteView};
 pub use layout::{Addr2D, Layout, Mapping1Dto2D, RowMajor2D, ZOrder2D};
 pub use metrics::{CostBreakdown, Counters, SimTime};
 pub use profile::GpuProfile;
-pub use stream::{BlockSet, Stream, SubStream};
+pub use stream::{BlockSet, Stream};
 pub use telemetry::{HistogramSummary, LogHistogram, TraceEvent, TraceSink};
 pub use transfer::{BusKind, DeviceLink, TransferModel};
 pub use value::{Node, StreamElement, Value, NULL_INDEX};

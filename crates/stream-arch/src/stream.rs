@@ -101,13 +101,6 @@ impl<T: StreamElement> Stream<T> {
         self.layout
     }
 
-    /// Change the layout (e.g. to compare row-wise vs Z-order on the same
-    /// data). This only affects how accesses are charged, not the logical
-    /// contents.
-    pub fn set_layout(&mut self, layout: Layout) {
-        self.layout = layout;
-    }
-
     /// Host-side read of the whole stream (not charged; corresponds to
     /// reading back the texture for verification).
     pub fn as_slice(&self) -> &[T] {
@@ -130,11 +123,6 @@ impl<T: StreamElement> Stream<T> {
         self.data[index] = value;
     }
 
-    /// Host-side copy of a slice into the stream at `offset`.
-    pub fn write_at(&mut self, offset: usize, values: &[T]) {
-        self.data[offset..offset + values.len()].copy_from_slice(values);
-    }
-
     /// Borrowed host-side read of a contiguous range. This is the
     /// zero-copy readback path: callers that only need to *look at* stream
     /// contents (verification, value extraction) borrow instead of paying
@@ -143,24 +131,18 @@ impl<T: StreamElement> Stream<T> {
         &self.data[start..start + len]
     }
 
-    /// Host-side copy of a contiguous range. Use [`Stream::range`] when a
-    /// borrowed read suffices.
-    pub fn read_range(&self, start: usize, len: usize) -> Vec<T> {
-        self.range(start, len).to_vec()
-    }
-
     /// Consume the stream and return its backing buffer (the recycle hook
     /// used by [`crate::StreamArena`]).
     pub fn into_data(self) -> Vec<T> {
         self.data
     }
 
-    /// A read-only host view of a substream.
-    pub fn view(&self, blocks: &BlockSet) -> SubStream<'_, T> {
-        SubStream {
-            stream: self,
-            blocks: blocks.clone(),
-        }
+    /// Elements `[start, start + len)` as a mutable slice, for a
+    /// launch-wide kernel to write; the block is checked as a view's is
+    /// ([`Stream::check_blocks`]).
+    pub fn block_mut(&mut self, start: usize, len: usize) -> Result<&mut [T]> {
+        self.check_blocks(&BlockSet::contiguous(start, len))?;
+        Ok(&mut self.data[start..start + len])
     }
 
     /// Validate that a block set lies within this stream. A block whose
@@ -180,41 +162,6 @@ impl<T: StreamElement> Stream<T> {
             }
         }
         Ok(())
-    }
-}
-
-/// A read-only host-side view of a substream (used to set up inputs and to
-/// read results back for verification; kernel-side access goes through the
-/// views in [`crate::kernel`]).
-#[derive(Debug)]
-pub struct SubStream<'a, T> {
-    stream: &'a Stream<T>,
-    blocks: BlockSet,
-}
-
-impl<'a, T: StreamElement> SubStream<'a, T> {
-    /// Number of elements in the substream.
-    pub fn len(&self) -> usize {
-        self.blocks.total()
-    }
-
-    /// Whether the substream is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Collect the substream contents in logical order.
-    pub fn to_vec(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len());
-        for &(start, len) in self.blocks.blocks() {
-            out.extend_from_slice(&self.stream.as_slice()[start..start + len]);
-        }
-        out
-    }
-
-    /// Element at logical position `pos`.
-    pub fn get(&self, pos: usize) -> T {
-        self.stream.get(self.blocks.locate(pos))
     }
 }
 
@@ -307,17 +254,6 @@ impl BlockSet {
         self.blocks().len()
     }
 
-    /// `Some(start)` when the set is a single contiguous range (the shape
-    /// every sort driver builds; the views' block accessors use it to
-    /// locate a whole per-instance range with one addition).
-    #[inline]
-    pub fn contiguous_start(&self) -> Option<usize> {
-        match self.repr {
-            Blocks::Single([(start, _)]) => Some(start),
-            Blocks::Multi { .. } => None,
-        }
-    }
-
     /// The raw blocks.
     #[inline]
     pub fn blocks(&self) -> &[(usize, usize)] {
@@ -352,13 +288,6 @@ impl BlockSet {
         }
     }
 
-    /// True if the given global element index is covered by this block set.
-    pub fn contains_index(&self, index: usize) -> bool {
-        self.blocks()
-            .iter()
-            .any(|&(start, len)| index >= start && index - start < len)
-    }
-
     /// True if any block of `self` overlaps any block of `other`.
     pub fn overlaps(&self, other: &BlockSet) -> bool {
         self.blocks()
@@ -384,11 +313,6 @@ mod tests {
         let mut s: Stream<Value> = Stream::new("s", 8, Layout::Linear);
         s.set(3, Value::new(7.5, 1));
         assert_eq!(s.get(3), Value::new(7.5, 1));
-        s.write_at(4, &[Value::new(1.0, 2), Value::new(2.0, 3)]);
-        assert_eq!(
-            s.read_range(4, 2),
-            vec![Value::new(1.0, 2), Value::new(2.0, 3)]
-        );
         assert_eq!(s.len(), 8);
         assert!(!s.is_empty());
     }
@@ -399,8 +323,6 @@ mod tests {
         assert_eq!(b.total(), 5);
         assert_eq!(b.locate(0), 10);
         assert_eq!(b.locate(4), 14);
-        assert!(b.contains_index(12));
-        assert!(!b.contains_index(15));
     }
 
     #[test]
@@ -432,19 +354,6 @@ mod tests {
         assert!(!a.overlaps(&b));
         assert!(a.overlaps(&c));
         assert!(!b.overlaps(&c));
-    }
-
-    #[test]
-    fn substream_view_reads_in_logical_order() {
-        let data: Vec<u32> = (0..10).collect();
-        let s = Stream::from_vec("s", data, Layout::Linear);
-        let b = BlockSet::multi(vec![(6, 2), (0, 3)]).unwrap();
-        let v = s.view(&b);
-        assert_eq!(v.len(), 5);
-        assert_eq!(v.to_vec(), vec![6, 7, 0, 1, 2]);
-        assert_eq!(v.get(1), 7);
-        assert_eq!(v.get(2), 0);
-        assert!(!v.is_empty());
     }
 
     #[test]
@@ -488,8 +397,6 @@ mod tests {
         let top = BlockSet::contiguous(usize::MAX - 1, 9);
         assert!(top.overlaps(&BlockSet::contiguous(usize::MAX, 1)));
         assert!(!top.overlaps(&BlockSet::contiguous(0, usize::MAX - 1)));
-        assert!(top.contains_index(usize::MAX));
-        assert!(!top.contains_index(0));
     }
 
     #[test]
@@ -500,7 +407,6 @@ mod tests {
         let b = BlockSet::contiguous(usize::MAX, 1);
         assert_eq!(b.blocks(), &[(usize::MAX, 1)]);
         assert_eq!(b.num_blocks(), 1);
-        assert_eq!(b.contiguous_start(), Some(usize::MAX));
         assert_eq!(b.locate(0), usize::MAX);
         let s: Stream<u32> = Stream::new("s", 8, Layout::Linear);
         assert!(matches!(

@@ -78,6 +78,27 @@ impl Value {
         self.total_cmp(other) == Ordering::Less
     }
 
+    /// The value as a `u64` whose unsigned order is [`Value::total_cmp`]:
+    /// the key's `total_cmp` bits above the id. Sorting networks compare
+    /// and exchange these branch-free; [`Value::from_order_key`] inverts
+    /// it.
+    #[inline]
+    pub fn order_key(&self) -> u64 {
+        let bits = self.key.to_bits();
+        // Negative keys flip their magnitude bits (as `f32::total_cmp`
+        // does), then the sign bit flips to order signed as unsigned.
+        let ordered = bits ^ (((bits as i32 >> 31) as u32) >> 1) ^ 0x8000_0000;
+        u64::from(ordered) << 32 | u64::from(self.id)
+    }
+
+    /// The value whose [`Value::order_key`] is `key`.
+    #[inline]
+    pub fn from_order_key(key: u64) -> Self {
+        let ordered = (key >> 32) as u32 ^ 0x8000_0000;
+        let bits = ordered ^ (((ordered as i32 >> 31) as u32) >> 1);
+        Value::new(f32::from_bits(bits), key as u32)
+    }
+
     /// The `index`-th padding sentinel used when a sorter pads its input to
     /// a power-of-two length (Section 4: "this can be achieved by padding
     /// the input sequence").
@@ -240,6 +261,7 @@ mod tests {
             0.0,
             f32::INFINITY,
             f32::NEG_INFINITY,
+            -1.5,
             1.5,
         ];
         let mut values: Vec<Value> = keys
@@ -248,8 +270,11 @@ mod tests {
             .collect();
         values.extend((0..3).map(Value::padding_sentinel));
         for a in &values {
+            let back = Value::from_order_key(a.order_key());
+            assert_eq!((back.key.to_bits(), back.id), (a.key.to_bits(), a.id));
             for b in &values {
                 assert_eq!(a == b, a.cmp(b) == Ordering::Equal, "{a:?} vs {b:?}");
+                assert_eq!(a.order_key().cmp(&b.order_key()), a.cmp(b));
                 let (na, nb) = (Node::leaf(*a), Node::leaf(*b));
                 assert_eq!(na == nb, a.cmp(b) == Ordering::Equal, "{na:?} vs {nb:?}");
             }

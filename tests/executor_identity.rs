@@ -170,9 +170,8 @@ proptest! {
     }
 }
 
-/// Sort-level accounting identity: full GPU-ABiSort runs (which exercise
-/// the bulk view accessors, the vectorized copy launch and the gather
-/// paths) charged by the per-access reference model, replayed from their
+/// Sort-level accounting identity: full GPU-ABiSort runs (whose kernels
+/// and copy-backs all run launch-wide, gathers included) charged by the per-access reference model, replayed from their
 /// fetch logs, reproduce the committed fingerprints, under arena and
 /// plan-cache reuse.
 #[test]

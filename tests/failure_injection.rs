@@ -116,8 +116,9 @@ fn input_underflow_and_output_overflow_abort_launches() {
         // 4 instances × 2 reads = 8 reads from a 4-element substream.
         let err = proc
             .launch("underflow", 4, |ctx| {
-                let (a, b) = read.pair(ctx);
-                write.pair(ctx, a, b);
+                let (a, b) = (read.get(ctx, 0), read.get(ctx, 1));
+                write.set(ctx, 0, a);
+                write.set(ctx, 1, b);
             })
             .unwrap_err();
         assert!(matches!(
