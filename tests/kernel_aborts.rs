@@ -1,17 +1,24 @@
 //! Aborted launches of GPU-ABiSort's kernels, pinned.
 //!
-//! Every kernel runs once under a profile whose per-instance output
-//! budget (8 bytes) is below that kernel's per-instance output, and the
-//! two kernels that follow child pointers (`phaseI` and `traverse-16`)
-//! also run with one corrupted pointer. Each case pins, as one literal,
-//! the error, the full counters of the aborted launch (cache statistics
-//! and block-fill `bytes_read` included) and a hash of what the launch
-//! left in its output streams: the first instance's charges and writes on
-//! a budget abort, the failing instance's and its predecessors' on a bad
-//! gather.
+//! Every kernel and the copy-back run once under a profile whose
+//! per-instance output budget (8 bytes) is below that kernel's
+//! per-instance output, and the two kernels that follow child pointers
+//! (`phaseI` and `traverse-16`) also run with one corrupted pointer. Each
+//! case pins, as one literal, the error, the full counters of the aborted
+//! launch (cache statistics and block-fill `bytes_read` included) and a
+//! hash of what the launch left in its output streams: the first
+//! instance's charges and writes on a budget abort, the failing
+//! instance's and its predecessors' on a bad gather.
+//!
+//! The comparator networks' `network-pass` aborts the same two ways,
+//! through `run_network`: under a 4-byte budget (below the 8-byte
+//! [`Value`] each instance writes), and with one out-of-range partner.
+//! `run_network` keeps its streams to itself, so those cases pin the
+//! error and the counters.
 
 use abisort::stream_sort::kernels::{self, GroupSource};
 use abisort::stream_sort::layout_plan::table1_element_block;
+use baselines::network::{run_network, Role};
 use stream_arch::{
     Counters, GpuProfile, Layout, Node, Result, Stream, StreamElement, StreamProcessor, Value,
 };
@@ -184,10 +191,40 @@ fn fixed_merge16(tight: bool) -> Outcome {
     })
 }
 
+fn copy_back(tight: bool) -> Outcome {
+    let a = input_trees();
+    run(tight, |proc| {
+        let mut out = Stream::new("trees-b", 2 * N, Layout::ZOrder);
+        let r = kernels::copy_back(proc, &a, &mut out, (N, N));
+        (r, hash(&out))
+    })
+}
+
+/// One pass of adjacent compare-exchanges over `N` uniform values, with
+/// a 4-byte output budget when `tight` and a partner past the end at
+/// instance `bad`: the error and counters it left.
+fn network_pass(tight: bool, bad: Option<usize>) -> (Result<()>, Counters) {
+    let mut profile = GpuProfile::geforce_7800();
+    if tight {
+        profile.max_kernel_output_bytes = 4;
+    }
+    let mut proc = StreamProcessor::new(profile);
+    let role = |_, i: usize| match i {
+        _ if bad == Some(i) => Role::KeepMax {
+            partner: BAD as usize,
+        },
+        _ if i.is_multiple_of(2) => Role::KeepMin { partner: i + 1 },
+        _ => Role::KeepMax { partner: i - 1 },
+    };
+    let values = workloads::uniform(N, 13);
+    let r = run_network(&mut proc, &values, Layout::ZOrder, 1, role).map(drop);
+    (r, proc.counters())
+}
+
 /// Check every case: its name, what it left, and the `{:?}` rendering of
 /// what it must leave — the error, every field of the counters, and the
 /// output hash.
-fn check(cases: &[(&str, Outcome, &str)]) {
+fn check<T: std::fmt::Debug>(cases: &[(&str, T, &str)]) {
     for (name, actual, expected) in cases {
         assert_eq!(format!("{actual:?}"), *expected, "{name}");
     }
@@ -236,13 +273,24 @@ fn a_budget_abort_charges_and_writes_only_the_first_instance() {
             fixed_merge16(true),
             "(Err(KernelOutputTooLarge { bytes: 64, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 32, stream_reads: 0, stream_writes: 16, gathers: 32, iter_reads: 0, comparisons: 20, bytes_written: 64, bytes_read: 128, cache: CacheStats { accesses: 16, hits: 15, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 17003587236054371063)",
         ),
+        (
+            "copy-back",
+            copy_back(true),
+            "(Err(KernelOutputTooLarge { bytes: 32, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 128, stream_reads: 8, stream_writes: 8, gathers: 0, iter_reads: 0, comparisons: 0, bytes_written: 32, bytes_read: 256, cache: CacheStats { accesses: 2, hits: 1, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 3253014833357044845)",
+        ),
     ]);
+    check(&[(
+        "network-pass",
+        network_pass(true, None),
+        "(Err(KernelOutputTooLarge { bytes: 8, max_bytes: 4 }), Counters { launches: 1, steps: 0, kernel_instances: 256, stream_reads: 2, stream_writes: 2, gathers: 2, iter_reads: 0, comparisons: 1, bytes_written: 8, bytes_read: 128, cache: CacheStats { accesses: 2, hits: 1, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 })",
+    )]);
 }
 
 #[test]
 fn a_corrupted_child_pointer_aborts_after_the_failing_instance() {
-    // phaseI's instance 40 and traverse-16's instance 10 (the lower half
-    // of group 5) gather past the end: 41 and 11 instances are charged.
+    // phaseI's instance 40, traverse-16's instance 10 (the lower half of
+    // group 5) and network-pass's instance 40 gather past the end: 41, 11
+    // and 41 instances are charged.
     check(&[
         (
             "phaseI",
@@ -255,4 +303,9 @@ fn a_corrupted_child_pointer_aborts_after_the_failing_instance() {
             "(Err(GatherOutOfBounds { stream_len: 512, index: 100000 }), Counters { launches: 1, steps: 0, kernel_instances: 32, stream_reads: 0, stream_writes: 176, gathers: 368, iter_reads: 0, comparisons: 0, bytes_written: 704, bytes_read: 1792, cache: CacheStats { accesses: 92, hits: 85, misses: 7, fill_bytes: 1792 }, transfer_bytes: 0 }, 7981126068922646143)",
         ),
     ]);
+    check(&[(
+        "network-pass",
+        network_pass(false, Some(40)),
+        "(Err(GatherOutOfBounds { stream_len: 256, index: 100000 }), Counters { launches: 1, steps: 0, kernel_instances: 256, stream_reads: 82, stream_writes: 82, gathers: 80, iter_reads: 0, comparisons: 41, bytes_written: 328, bytes_read: 384, cache: CacheStats { accesses: 81, hits: 78, misses: 3, fill_bytes: 768 }, transfer_bytes: 0 })",
+    )]);
 }
