@@ -4,9 +4,10 @@
 //! A comparator network is executed as one stream operation per network
 //! *step* (the way every GPU sorting-network implementation the paper cites
 //! works, e.g. Purcell et al. 2003, Kipfer et al. 2004, Govindaraju et al.
-//! 2005): each kernel instance owns one output element, reads its own
-//! element linearly, gathers its comparator partner, and writes the minimum
-//! or maximum depending on its role in the compare-exchange. The element
+//! 2005), as a launch-wide kernel: each kernel instance owns one output
+//! element, reads its own element linearly, gathers its comparator
+//! partner, and writes the minimum or maximum depending on its role in the
+//! compare-exchange. The element
 //! streams are ping-ponged because input and output must be distinct
 //! (Section 6.1).
 //!
@@ -23,8 +24,8 @@
 
 use stream_arch::padding;
 use stream_arch::{
-    Counters, GatherView, GpuProfile, Layout, ReadView, Result, SimTime, Stream, StreamProcessor,
-    Value, WriteView,
+    Counters, GatherView, GpuProfile, Input, LaunchShape, Layout, Result, SimTime, Stream,
+    StreamProcessor, Value,
 };
 
 /// The role of one element in one network step.
@@ -88,22 +89,24 @@ where
     let mut next: Stream<Value> = Stream::new("network-b", n, layout);
 
     for pass in 0..passes {
-        {
-            proc.check_distinct_io(
-                &[(current.id(), current.name())],
-                &[(next.id(), next.name())],
-            )?;
-            let own = ReadView::contiguous(&current, 0, n, 1)?;
-            let gather = GatherView::new(&current);
-            let mut out = WriteView::contiguous(&mut next, 0, n, 1)?;
-            let role = &role;
-            proc.launch("network-pass", n, |ctx| {
-                let i = ctx.instance_index();
-                let mine = own.get(ctx, 0);
-                let result = match role(pass, i) {
+        proc.check_distinct_io(
+            &[(current.id(), current.name())],
+            &[(next.id(), next.name())],
+        )?;
+        let own = Input::new(&current, 0, n)?;
+        let gather = GatherView::new(&current);
+        let out = next.block_mut(0, n)?;
+        let role = &role;
+        let shape = LaunchShape::new(n).reads::<Value>(1).writes::<Value>(1);
+        proc.launch_wide("network-pass", shape, |ctx| {
+            // Each instance reads its own element and then gathers its
+            // partner, so the fetches reach the cache in per-instance order.
+            ctx.for_each_instance(|ctx, i| {
+                let mine = ctx.read(&own, i, 1)[0];
+                out[i] = match role(pass, i) {
                     Role::Copy => mine,
                     Role::KeepMin { partner } => {
-                        let other = gather.gather(ctx, partner);
+                        let other = ctx.gather(&gather, partner);
                         ctx.count_comparisons(1);
                         if other < mine {
                             other
@@ -112,7 +115,7 @@ where
                         }
                     }
                     Role::KeepMax { partner } => {
-                        let other = gather.gather(ctx, partner);
+                        let other = ctx.gather(&gather, partner);
                         ctx.count_comparisons(1);
                         if other > mine {
                             other
@@ -121,9 +124,8 @@ where
                         }
                     }
                 };
-                out.set(ctx, 0, result);
-            })?;
-        }
+            });
+        })?;
         proc.record_step();
         std::mem::swap(&mut current, &mut next);
     }

@@ -1,7 +1,7 @@
 //! Tracing-overhead acceptance: with the sink disabled, the instrumented
-//! [`StreamProcessor::launch`] must cost within 5% of its hook-free twin
-//! [`StreamProcessor::launch_untraced`] (the compiled-out control) on a
-//! launch-overhead-dominated workload — i.e. disabled tracing is one
+//! [`StreamProcessor::launch_wide`] must cost within 5% of its hook-free
+//! twin [`StreamProcessor::launch_wide_untraced`] (the compiled-out
+//! control) on a launch-overhead-dominated workload — i.e. disabled tracing is one
 //! atomic branch, not a tax. With the sink enabled, the cost must stay
 //! within a loose constant factor.
 //!
@@ -9,7 +9,9 @@
 //! explicitly with `--release --ignored` (see the `obs` job).
 
 use std::time::Instant;
-use stream_arch::{GpuProfile, Layout, ReadView, Stream, StreamProcessor, TraceSink, WriteView};
+use stream_arch::{
+    GpuProfile, Input, LaunchCtx, LaunchShape, Layout, Stream, StreamProcessor, TraceSink,
+};
 
 /// Launches per timed trial. Small kernels, many launches: the regime
 /// where per-launch overhead (and therefore the telemetry hook) is the
@@ -18,23 +20,28 @@ const LAUNCHES: usize = 3000;
 const INSTANCES: usize = 64;
 const TRIALS: usize = 21;
 
-/// One timed trial: `LAUNCHES` small kernel launches through `launch`
-/// (`traced = true`) or `launch_untraced`.
+/// One timed trial: `LAUNCHES` small kernel launches through
+/// `launch_wide` (`traced = true`) or `launch_wide_untraced`. Each
+/// instance streams one element and writes one.
 fn trial(proc_: &mut StreamProcessor, input: &Stream<u32>, traced: bool) -> f64 {
     let n = INSTANCES;
     let mut output: Stream<u32> = Stream::new("out", n, Layout::Linear);
     let started = Instant::now();
     for _ in 0..LAUNCHES {
-        let read = ReadView::contiguous(input, 0, n, 1).unwrap();
-        let mut write = WriteView::contiguous(&mut output, 0, n, 1).unwrap();
-        let kernel = |ctx: &mut stream_arch::KernelCtx<'_>| {
-            let v = read.get(ctx, 0);
-            write.set(ctx, 0, v.wrapping_mul(3).wrapping_add(1));
+        let read = Input::new(input, 0, n).unwrap();
+        let write = output.block_mut(0, n).unwrap();
+        let shape = LaunchShape::new(n).reads::<u32>(1).writes::<u32>(1);
+        let kernel = |ctx: &mut LaunchCtx<'_>| {
+            ctx.for_each_instance(|ctx, i| {
+                write[i] = ctx.read(&read, i, 1)[0].wrapping_mul(3).wrapping_add(1);
+            });
         };
         if traced {
-            proc_.launch("overhead-probe", n, kernel).unwrap();
+            proc_.launch_wide("overhead-probe", shape, kernel).unwrap();
         } else {
-            proc_.launch_untraced("overhead-probe", n, kernel).unwrap();
+            proc_
+                .launch_wide_untraced("overhead-probe", shape, kernel)
+                .unwrap();
         }
     }
     started.elapsed().as_secs_f64()

@@ -23,27 +23,12 @@ pub enum StreamError {
         /// Offending range end (exclusive element index).
         end: usize,
     },
-    /// Two blocks of a multi-block substream overlap, which the hardware
-    /// does not allow for output substreams.
-    OverlappingBlocks {
-        /// First block (start, end).
-        first: (usize, usize),
-        /// Second block (start, end).
-        second: (usize, usize),
-    },
     /// The stream operation's output substream cannot hold the data the
     /// kernel instances push onto it.
     OutputOverflow {
         /// Capacity of the output substream in elements.
         capacity: usize,
         /// Number of elements the launch would write.
-        required: usize,
-    },
-    /// A kernel instance tried to read past the end of an input substream.
-    InputUnderflow {
-        /// Capacity of the input substream in elements.
-        capacity: usize,
-        /// Number of elements the launch would read.
         required: usize,
     },
     /// A gather access used an index outside the gather stream.
@@ -68,15 +53,6 @@ pub enum StreamError {
         /// Maximum number of elements the profile supports.
         max_elements: usize,
     },
-    /// An algorithm that requires a power-of-two length was given something
-    /// else.
-    NotPowerOfTwo {
-        /// The offending length.
-        len: usize,
-    },
-    /// A multi-block substream was used on a hardware profile that only
-    /// supports single contiguous ranges.
-    MultiBlockUnsupported,
     /// The per-instance output size exceeds the hardware's kernel output
     /// limit (Section 7.1: 16 x 32 bit on the paper's GPUs).
     KernelOutputTooLarge {
@@ -105,24 +81,12 @@ impl fmt::Display for StreamError {
                 f,
                 "substream [{start}, {end}) out of bounds for stream of length {stream_len}"
             ),
-            StreamError::OverlappingBlocks { first, second } => write!(
-                f,
-                "substream blocks [{}, {}) and [{}, {}) overlap",
-                first.0, first.1, second.0, second.1
-            ),
             StreamError::OutputOverflow {
                 capacity,
                 required,
             } => write!(
                 f,
                 "stream operation writes {required} elements into an output substream of capacity {capacity}"
-            ),
-            StreamError::InputUnderflow {
-                capacity,
-                required,
-            } => write!(
-                f,
-                "stream operation reads {required} elements from an input substream of capacity {capacity}"
             ),
             StreamError::GatherOutOfBounds { stream_len, index } => write!(
                 f,
@@ -139,13 +103,6 @@ impl fmt::Display for StreamError {
             } => write!(
                 f,
                 "stream of {elements} elements exceeds the maximum stream size of {max_elements} elements"
-            ),
-            StreamError::NotPowerOfTwo { len } => {
-                write!(f, "length {len} is not a power of two")
-            }
-            StreamError::MultiBlockUnsupported => write!(
-                f,
-                "multi-block substreams are not supported by this hardware profile"
             ),
             StreamError::KernelOutputTooLarge { bytes, max_bytes } => write!(
                 f,
@@ -178,19 +135,20 @@ mod tests {
         };
         assert!(e.to_string().contains("trees"));
 
-        let e = StreamError::NotPowerOfTwo { len: 3 };
-        assert!(e.to_string().contains('3'));
+        let e = StreamError::OutputOverflow {
+            capacity: 3,
+            required: 4,
+        };
+        assert!(e.to_string().contains("capacity 3"));
     }
 
     #[test]
     fn errors_are_comparable() {
-        assert_eq!(
-            StreamError::MultiBlockUnsupported,
-            StreamError::MultiBlockUnsupported
-        );
-        assert_ne!(
-            StreamError::NotPowerOfTwo { len: 3 },
-            StreamError::NotPowerOfTwo { len: 5 }
-        );
+        let gather = |index| StreamError::GatherOutOfBounds {
+            stream_len: 8,
+            index,
+        };
+        assert_eq!(gather(9), gather(9));
+        assert_ne!(gather(9), gather(10));
     }
 }

@@ -11,20 +11,18 @@
 //!   see [`crate::accounting`]),
 //! * and a [`StreamArena`] recycling stream backing buffers across runs.
 //!
-//! A launch executes one *stream operation* on the calling thread, in one
-//! of two forms (see [`crate::kernel`]):
-//!
-//! * [`StreamProcessor::launch`] runs the kernel closure once per
-//!   instance, in instance order, charging every access as it happens;
-//! * [`StreamProcessor::launch_wide`] runs one body for all instances over
-//!   plain slices, and charges what bind time fixes — the reads, writes
-//!   and comparisons of every instance — once per launch. GPU-ABiSort's
-//!   kernels and [`StreamProcessor::launch_copy`] take this form.
+//! A launch executes one *stream operation* on the calling thread:
+//! [`StreamProcessor::launch_wide`] runs one kernel body for all instances
+//! over plain slices (see [`crate::kernel`]), and charges what bind time
+//! fixes — the reads, writes and comparisons of every instance — once per
+//! launch, and each gather as it happens. GPU-ABiSort's kernels, the
+//! comparator networks' passes and [`StreamProcessor::launch_copy`] all
+//! take this one form.
 //!
 //! The profile's `p` units are a property of the cost model — the
 //! simulated time divides the per-instance work over them — not of host
 //! execution, so a run is deterministic and its counters, cache statistics
-//! and simulated time do not depend on the host or the launch form.
+//! and simulated time do not depend on the host.
 //!
 //! The kernels' cached fetches are replayed into the texture cache either
 //! on the calling thread or on a helper thread the processor keeps, in
@@ -41,7 +39,7 @@
 use crate::accounting::{FetchLog, FetchObserver, InLaunch};
 use crate::arena::StreamArena;
 use crate::error::{Result, StreamError};
-use crate::kernel::{Input, KernelCtx, LaunchCtx, LaunchShape};
+use crate::kernel::{Input, LaunchCtx, LaunchShape};
 use crate::metrics::{Counters, SimTime};
 use crate::profile::GpuProfile;
 use crate::stream::Stream;
@@ -182,15 +180,6 @@ impl StreamProcessor {
         Ok(())
     }
 
-    /// Validate that multi-block substreams are supported before using one
-    /// (Section 5.4).
-    pub fn check_multi_block(&self, num_blocks: usize) -> Result<()> {
-        if num_blocks > 1 && !self.profile.multi_block_substreams {
-            return Err(StreamError::MultiBlockUnsupported);
-        }
-        Ok(())
-    }
-
     /// Execute a pure copy stream operation: `block.1 / per_instance`
     /// kernel instances each forward `per_instance` elements of
     /// `block` from `src` to the same positions of `dst`.
@@ -198,8 +187,7 @@ impl StreamProcessor {
     /// This is the shape of GPU-ABiSort's copy-back (Section 6.1), which
     /// follows every phase and carries roughly half of all simulated
     /// traffic. It is a launch-wide kernel: the whole block is fetched as
-    /// one range and moves in one `memcpy`, with the same charges as the
-    /// per-element copy kernel.
+    /// one range and moves in one `memcpy`.
     pub fn launch_copy<T: StreamElement>(
         &mut self,
         name: &str,
@@ -226,17 +214,14 @@ impl StreamProcessor {
     }
 
     /// Execute one stream operation as a *launch-wide* kernel: `body` runs
-    /// once, for all of `shape`'s instances, over plain slices, instead of
-    /// once per instance.
+    /// once, for all of `shape`'s instances, over plain slices.
     ///
-    /// This is for kernels whose per-instance reads, writes, iterator
-    /// reads and comparisons are fixed when their streams are bound (the
-    /// stream model of Section 3.2). The launch charges them from `shape`;
-    /// the body hands each cached fetch to the recorder through its
-    /// [`LaunchCtx`], in instance order, so counters, cache statistics and
-    /// simulated time are those of the per-instance kernel. Gathers keep
-    /// their per-access semantics, and the launch aborts as a per-instance
-    /// launch would:
+    /// Every kernel's per-instance reads, writes, iterator reads and
+    /// fixed comparisons are set when its streams are bound (the stream
+    /// model of Section 3.2). The launch charges them from `shape`; the
+    /// body hands each cached fetch to the recorder through its
+    /// [`LaunchCtx`], in instance order, and charges each gather as it
+    /// happens. The launch aborts after a failing instance:
     ///
     /// * a gather past the end stops the body after the failing instance
     ///   ([`LaunchCtx::for_each_instance`]); that instance and its
@@ -246,12 +231,39 @@ impl StreamProcessor {
     ///   [`StreamError::KernelOutputTooLarge`].
     ///
     /// A panicking body unwinds to the caller with only its cached fetches
-    /// charged.
+    /// and gathers charged.
     pub fn launch_wide<F>(&mut self, name: &str, shape: LaunchShape, body: F) -> Result<()>
     where
         F: FnOnce(&mut LaunchCtx<'_>),
     {
+        // Telemetry gate: one relaxed atomic load when tracing is off.
         let started = telemetry::enabled().then(std::time::Instant::now);
+        let result = self.launch_wide_untraced(name, shape, body);
+        if let Some(started) = started {
+            let args = [("instances", shape.instances as f64)];
+            telemetry::record_host_span("launch", name, started, &args);
+        }
+        result
+    }
+
+    /// [`StreamProcessor::launch_wide`] minus the telemetry hook:
+    /// semantically identical (same counters, same results, same errors),
+    /// never recorded in a trace even when the sink is enabled.
+    ///
+    /// This exists as the compiled-out control for the tracing-overhead
+    /// acceptance test; production callers use
+    /// [`StreamProcessor::launch_wide`].
+    #[doc(hidden)]
+    #[inline]
+    pub fn launch_wide_untraced<F>(
+        &mut self,
+        _name: &str,
+        shape: LaunchShape,
+        body: F,
+    ) -> Result<()>
+    where
+        F: FnOnce(&mut LaunchCtx<'_>),
+    {
         let _in_launch = InLaunch::enter();
         self.counters.launches += 1;
         self.counters.kernel_instances += shape.instances as u64;
@@ -266,10 +278,6 @@ impl StreamProcessor {
         body(&mut ctx);
         let (ran, error) = ctx.finish();
         shape.charge(&mut self.counters, ran);
-        if let Some(started) = started {
-            let args = [("instances", shape.instances as f64)];
-            telemetry::record_host_span("launch", name, started, &args);
-        }
         if over_budget && ran > 0 {
             return Err(StreamError::KernelOutputTooLarge {
                 bytes: shape.output_bytes,
@@ -278,86 +286,28 @@ impl StreamProcessor {
         }
         error.map_or(Ok(()), Err)
     }
-
-    /// Execute one stream operation: run `kernel` for `instances` kernel
-    /// instances, in instance order, on the calling thread.
-    ///
-    /// The kernel closure receives a [`KernelCtx`] carrying the instance
-    /// index; stream access goes through the views of [`crate::kernel`]
-    /// captured in the closure's environment. Constraint violations
-    /// detected during execution (gather out of bounds, output overflow,
-    /// per-instance output budget exceeded, …) abort the launch after the
-    /// failing instance and are returned as errors; everything that
-    /// instance and its predecessors touched stays charged. A panicking
-    /// kernel unwinds to the caller.
-    pub fn launch<F>(&mut self, name: &str, instances: usize, kernel: F) -> Result<()>
-    where
-        F: FnMut(&mut KernelCtx<'_>),
-    {
-        // Telemetry gate: one relaxed atomic load when tracing is off.
-        if !telemetry::enabled() {
-            return self.launch_untraced(name, instances, kernel);
-        }
-        let started = std::time::Instant::now();
-        let result = self.launch_untraced(name, instances, kernel);
-        telemetry::record_host_span("launch", name, started, &[("instances", instances as f64)]);
-        result
-    }
-
-    /// [`StreamProcessor::launch`] minus the telemetry hook: semantically
-    /// identical (same counters, same results, same errors), never
-    /// recorded in a trace even when the sink is enabled.
-    ///
-    /// This exists as the compiled-out control for the tracing-overhead
-    /// acceptance test; production callers use [`StreamProcessor::launch`].
-    ///
-    /// One [`KernelCtx`] serves the whole launch; `begin_instance` resets
-    /// its per-instance state. Accesses are charged as they happen, so an
-    /// aborted launch keeps everything the failing instance touched.
-    pub fn launch_untraced<F>(&mut self, _name: &str, instances: usize, mut kernel: F) -> Result<()>
-    where
-        F: FnMut(&mut KernelCtx<'_>),
-    {
-        let _in_launch = InLaunch::enter();
-        self.counters.launches += 1;
-        self.counters.kernel_instances += instances as u64;
-        let max_output_bytes = self.profile.max_kernel_output_bytes;
-        let mut ctx = KernelCtx::new(&mut self.counters, &mut self.log);
-        for instance in 0..instances {
-            ctx.begin_instance(instance);
-            kernel(&mut ctx);
-            if ctx.bytes_pushed > max_output_bytes {
-                return Err(StreamError::KernelOutputTooLarge {
-                    bytes: ctx.bytes_pushed,
-                    max_bytes: max_output_bytes,
-                });
-            }
-            if let Some(e) = ctx.error.take() {
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{GatherView, Input, LaunchShape, ReadView, WriteView};
+    use crate::kernel::GatherView;
     use crate::layout::Layout;
     use crate::per_access;
-    use crate::stream::{BlockSet, Stream};
     use crate::value::Value;
     use proptest::prelude::*;
 
     fn doubling_op(proc_: &mut StreamProcessor, input: &Stream<u32>, output: &mut Stream<u32>) {
         let n = input.len();
-        let read = ReadView::contiguous(input, 0, n, 1).unwrap();
-        let mut write = WriteView::contiguous(output, 0, n, 1).unwrap();
+        let read = Input::new(input, 0, n).unwrap();
+        let write = output.block_mut(0, n).unwrap();
+        let shape = LaunchShape::new(n).reads::<u32>(1).writes::<u32>(1);
         proc_
-            .launch("double", n, |ctx| {
-                let v = read.get(ctx, 0);
-                write.set(ctx, 0, v * 2);
+            .launch_wide("double", shape, |ctx| {
+                let values = ctx.read(&read, 0, ctx.instances());
+                for (out, v) in write.iter_mut().zip(values) {
+                    *out = v * 2;
+                }
             })
             .unwrap();
     }
@@ -379,17 +329,19 @@ mod tests {
 
     #[test]
     fn kernel_panic_reaches_the_caller_and_the_processor_stays_usable() {
-        // A panicking kernel unwinds out of `launch`; the processor holds
-        // no state the panic could leave half-updated beyond the charges
-        // of the aborted launch, so the next launch on the same processor
-        // is correct.
+        // A panicking body unwinds out of `launch_wide`; the processor
+        // holds no state the panic could leave half-updated beyond the
+        // charges of the aborted launch, so the next launch on the same
+        // processor is correct.
         let n = 1024;
         let mut p = StreamProcessor::new(GpuProfile::idealized(4));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = p.launch("boom", n, |ctx| {
-                if ctx.instance_index() == n / 2 {
-                    panic!("kernel bug");
-                }
+            let _ = p.launch_wide("boom", LaunchShape::new(n), |ctx| {
+                ctx.for_each_instance(|_, i| {
+                    if i == n / 2 {
+                        panic!("kernel bug");
+                    }
+                });
             });
         }));
         assert!(caught.is_err(), "the kernel panic must reach the caller");
@@ -417,20 +369,25 @@ mod tests {
         assert_eq!(p.simulated_time(), fresh.simulated_time());
     }
 
+    /// Launch `instances` instances that each write `per_instance` values.
+    fn write_values(p: &mut StreamProcessor, instances: usize, per_instance: usize) -> Result<()> {
+        let mut out: Stream<Value> = Stream::new("out", 16, Layout::Linear);
+        let write = out.block_mut(0, instances * per_instance)?;
+        let shape = LaunchShape::new(instances).writes::<Value>(per_instance);
+        p.launch_wide("write-values", shape, |ctx| {
+            let written = &mut write[..ctx.instances() * per_instance];
+            for (i, v) in written.iter_mut().enumerate() {
+                *v = Value::new(i as f32, (i / per_instance) as u32);
+            }
+        })
+    }
+
     #[test]
     fn output_budget_enforced() {
         // The GeForce profiles allow 16 x 32 bit = 64 bytes per instance;
         // pushing 9 Values (72 bytes) must fail.
         let mut p = StreamProcessor::new(GpuProfile::geforce_6800());
-        let mut out: Stream<Value> = Stream::new("out", 16, Layout::Linear);
-        let mut write = WriteView::contiguous(&mut out, 0, 16, 9).unwrap();
-        let err = p
-            .launch("too-big", 1, |ctx| {
-                for slot in 0..9 {
-                    write.set(ctx, slot, Value::new(slot as f32, 0));
-                }
-            })
-            .unwrap_err();
+        let err = write_values(&mut p, 1, 9).unwrap_err();
         assert!(matches!(err, StreamError::KernelOutputTooLarge { .. }));
     }
 
@@ -438,18 +395,23 @@ mod tests {
     fn output_budget_allows_eight_pairs() {
         // 8 value/pointer pairs = 64 bytes = exactly the limit (Section 7.1).
         let mut p = StreamProcessor::new(GpuProfile::geforce_6800());
-        let mut out: Stream<Value> = Stream::new("out", 16, Layout::Linear);
-        let mut write = WriteView::contiguous(&mut out, 0, 16, 8).unwrap();
-        p.launch("local-sort", 2, |ctx| {
-            for slot in 0..8 {
-                write.set(
-                    ctx,
-                    slot,
-                    Value::new(slot as f32, ctx.instance_index() as u32),
-                );
-            }
+        write_values(&mut p, 2, 8).unwrap();
+    }
+
+    /// Launch `instances` instances that each gather `index(i)` from
+    /// `small` and write the value plus one.
+    fn gather_plus_one(
+        p: &mut StreamProcessor,
+        small: &Stream<u32>,
+        out: &mut Stream<u32>,
+        index: impl Fn(usize) -> usize,
+    ) -> Result<()> {
+        let gather = GatherView::new(small);
+        let write = out.block_mut(0, out.len())?;
+        let shape = LaunchShape::new(write.len()).writes::<u32>(1);
+        p.launch_wide("gather", shape, |ctx| {
+            ctx.for_each_instance(|ctx, i| write[i] = ctx.gather(&gather, index(i)) + 1);
         })
-        .unwrap();
     }
 
     #[test]
@@ -457,14 +419,7 @@ mod tests {
         let mut p = StreamProcessor::new(GpuProfile::idealized(1));
         let small = Stream::from_vec("small", vec![1u32, 2], Layout::Linear);
         let mut out: Stream<u32> = Stream::new("out", 4, Layout::Linear);
-        let gather = crate::kernel::GatherView::new(&small);
-        let mut write = WriteView::contiguous(&mut out, 0, 4, 1).unwrap();
-        let err = p
-            .launch("oob", 4, |ctx| {
-                let v = gather.gather(ctx, 10 + ctx.instance_index());
-                write.set(ctx, 0, v);
-            })
-            .unwrap_err();
+        let err = gather_plus_one(&mut p, &small, &mut out, |i| 10 + i).unwrap_err();
         assert!(matches!(err, StreamError::GatherOutOfBounds { .. }));
     }
 
@@ -476,14 +431,7 @@ mod tests {
         let small = Stream::from_vec("small", (0..ok as u32).collect(), Layout::Linear);
         let mut p = StreamProcessor::new(GpuProfile::idealized(4));
         let mut out: Stream<u32> = Stream::new("out", instances, Layout::Linear);
-        let gather = crate::kernel::GatherView::new(&small);
-        let mut write = WriteView::contiguous(&mut out, 0, instances, 1).unwrap();
-        let err = p
-            .launch("oob-tail", instances, |ctx| {
-                let v = gather.gather(ctx, ctx.instance_index());
-                write.set(ctx, 0, v + 1);
-            })
-            .unwrap_err();
+        let err = gather_plus_one(&mut p, &small, &mut out, |i| i).unwrap_err();
         assert_eq!(
             err,
             StreamError::GatherOutOfBounds {
@@ -527,18 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_block_support_check() {
-        let multi = StreamProcessor::new(GpuProfile::geforce_6800());
-        assert!(multi.check_multi_block(4).is_ok());
-        let single = StreamProcessor::new(GpuProfile::geforce_6800().with_multi_block(false));
-        assert!(single.check_multi_block(1).is_ok());
-        assert_eq!(
-            single.check_multi_block(2).unwrap_err(),
-            StreamError::MultiBlockUnsupported
-        );
-    }
-
-    #[test]
     fn steps_and_reset() {
         let mut p = StreamProcessor::new(GpuProfile::idealized(1));
         let input = Stream::from_vec("in", (0u32..4).collect(), Layout::Linear);
@@ -555,146 +491,29 @@ mod tests {
     }
 
     #[test]
-    fn multi_block_write_through_launch() {
-        let mut p = StreamProcessor::new(GpuProfile::idealized(1));
-        let mut out: Stream<u32> = Stream::new("out", 8, Layout::Linear);
-        let blocks = BlockSet::multi(vec![(4, 2), (0, 2)]).unwrap();
-        let mut write = WriteView::new(&mut out, blocks, 1).unwrap();
-        p.launch("scatter-free", 4, |ctx| {
-            write.set(ctx, 0, ctx.instance_index() as u32 + 1);
-        })
-        .unwrap();
-        assert_eq!(out.as_slice(), &[3, 4, 0, 0, 1, 2, 0, 0]);
-    }
-
-    /// `launch_copy` next to the per-element copy kernel it vectorizes.
-    fn copy_both_ways(
-        profile: &GpuProfile,
-        src: &Stream<u32>,
-        block: (usize, usize),
-        per_instance: usize,
-    ) -> [(Vec<u32>, Counters, SimTime, Result<()>); 2] {
-        let vectorized = {
-            let mut p = StreamProcessor::new(profile.clone());
-            let mut dst: Stream<u32> = Stream::new("dst", src.len(), src.layout());
-            let r = p.launch_copy("copy", src, &mut dst, block, per_instance);
-            (dst.as_slice().to_vec(), p.counters(), p.simulated_time(), r)
-        };
-        let per_element = {
-            let mut p = StreamProcessor::new(profile.clone());
-            let mut dst: Stream<u32> = Stream::new("dst", src.len(), src.layout());
-            let blocks = BlockSet::contiguous(block.0, block.1);
-            let read = ReadView::new(src, blocks.clone(), per_instance).unwrap();
-            let mut write = WriteView::new(&mut dst, blocks, per_instance).unwrap();
-            let r = p.launch("copy", block.1 / per_instance, |ctx| {
-                for slot in 0..per_instance {
-                    let v = read.get(ctx, slot);
-                    write.set(ctx, slot, v);
-                }
-            });
-            drop(write);
-            (dst.as_slice().to_vec(), p.counters(), p.simulated_time(), r)
-        };
-        [vectorized, per_element]
-    }
-
-    #[test]
-    fn launch_copy_matches_the_per_element_copy_kernel() {
+    fn launch_copy_copies_its_block_and_charges_every_instance() {
         let src = Stream::from_vec("src", (0u32..512).collect(), Layout::ZOrder);
-        let [copy, kernel] = copy_both_ways(&GpuProfile::geforce_6800(), &src, (32, 256), 2);
-        assert_eq!(copy, kernel);
-        assert!(copy.1.cache.accesses > 0);
+        let mut dst: Stream<u32> = Stream::new("dst", 512, Layout::ZOrder);
+        let mut p = StreamProcessor::new(GpuProfile::geforce_6800());
+        p.launch_copy("copy", &src, &mut dst, (32, 256), 2).unwrap();
         // The copied block landed; everything else stayed default.
-        assert_eq!(&copy.0[32..288], src.range(32, 256));
-        assert!(copy.0[..32].iter().all(|&v| v == 0));
-    }
-
-    #[test]
-    fn launch_copy_budget_error_matches_the_per_element_copy_kernel() {
-        // A per-instance element count whose bytes exceed the output
-        // budget: the launch errors, but the first instance still ran (and
-        // wrote) under the per-element kernel — the vectorized copy must
-        // reproduce the partial write, the charges and the error exactly.
-        let mut profile = GpuProfile::geforce_6800();
-        profile.max_kernel_output_bytes = 4; // one u32
-        let src = Stream::from_vec("src", (1u32..=64).collect(), Layout::Linear);
-        let [copy, kernel] = copy_both_ways(&profile, &src, (0, 64), 2);
-        assert_eq!(copy, kernel);
-        assert!(matches!(
-            copy.3,
-            Err(StreamError::KernelOutputTooLarge { bytes: 8, .. })
-        ));
-        // The first instance's pair was written before the abort; nothing
-        // after it.
-        assert_eq!(&copy.0[..2], &[1, 2]);
-        assert!(copy.0[2..].iter().all(|&v| v == 0));
-    }
-
-    /// One kernel both ways — per instance through views, and launch-wide
-    /// over slices. Each instance streams one element, gathers one (past
-    /// the end at instance `bad`), compares once and writes two.
-    fn both_launch_forms(profile: &GpuProfile, n: usize, bad: Option<usize>) -> [Outcome; 2] {
-        let input = Stream::from_vec("in", (0..n as u32).collect(), Layout::ZOrder);
-        let lut = Stream::from_vec("lut", (0u32..512).rev().collect(), Layout::ZOrder);
-        let gather = GatherView::new(&lut);
-        let index = |i| if bad == Some(i) { 515 } else { i * 7919 % 512 };
-        let outcome = |mut p: StreamProcessor, out: Stream<u32>, r: Result<()>| Outcome {
-            output: out.as_slice().to_vec(),
-            counters: p.counters(),
-            sim_time: p.simulated_time(),
-            errors: vec![format!("{r:?}")],
-        };
-        let mut p = StreamProcessor::new(profile.clone());
-        let mut out = Stream::new("out", 2 * n, Layout::ZOrder);
-        let read = ReadView::contiguous(&input, 0, n, 1).unwrap();
-        let mut write = WriteView::contiguous(&mut out, 0, 2 * n, 2).unwrap();
-        let r = p.launch("both", n, |ctx| {
-            let v = read.get(ctx, 0);
-            let g = gather.gather(ctx, index(ctx.instance_index()));
-            ctx.count_comparisons(1);
-            write.set(ctx, 0, v + g);
-            write.set(ctx, 1, v.max(g));
-        });
-        let per_instance = outcome(p, out, r);
-
-        let mut p = StreamProcessor::new(profile.clone());
-        let mut out = Stream::new("out", 2 * n, Layout::ZOrder);
-        let read = Input::new(&input, 0, n).unwrap();
-        let write = out.block_mut(0, 2 * n).unwrap();
-        let shape = LaunchShape::new(n).reads::<u32>(1).comparisons(1);
-        let r = p.launch_wide("both", shape.writes::<u32>(2), |ctx| {
-            ctx.for_each_instance(|ctx, i| {
-                let v = ctx.read(&read, i, 1)[0];
-                let g = ctx.gather(&gather, index(i));
-                write[2 * i..2 * i + 2].copy_from_slice(&[v + g, v.max(g)]);
-            });
-        });
-        [per_instance, outcome(p, out, r)]
-    }
-
-    #[test]
-    fn a_launch_wide_kernel_charges_and_aborts_as_per_instance_launches_do() {
-        let mut tight = GpuProfile::geforce_6800();
-        tight.max_kernel_output_bytes = 4;
-        let full = GpuProfile::geforce_6800();
-        for (profile, n, bad, aborts) in [
-            (&full, 700, None, false),
-            (&full, 0, None, false),
-            (&full, 700, Some(333), true),
-            (&tight, 700, None, true),
-            (&tight, 700, Some(0), true),
-        ] {
-            let [per_instance, launch_wide] = both_launch_forms(profile, n, bad);
-            assert_eq!(launch_wide, per_instance, "{n} instances, bad {bad:?}");
-            assert_eq!(launch_wide.errors[0].starts_with("Err"), aborts);
-        }
+        assert_eq!(&dst.as_slice()[32..288], src.range(32, 256));
+        assert!(dst.as_slice()[..32].iter().all(|&v| v == 0));
+        assert!(dst.as_slice()[288..].iter().all(|&v| v == 0));
+        let c = p.counters();
+        let charged = (c.kernel_instances, c.stream_reads, c.stream_writes);
+        assert_eq!(
+            (c.launches, charged, c.bytes_written),
+            (1, (128, 256, 256), 1024)
+        );
+        assert_eq!(c.cache.accesses, 256);
     }
 
     #[test]
     fn block_ranges_past_usize_max_are_typed_errors() {
         // `start + len` wraps around for this block; it must be rejected
-        // when the view is bound (or the copy validated), never reach the
-        // stream memory.
+        // when the input or output block is bound (or the copy validated),
+        // never reach the stream memory.
         let expected = StreamError::SubStreamOutOfBounds {
             stream_len: 8,
             start: usize::MAX - 2,
@@ -704,11 +523,11 @@ mod tests {
         let mut p = StreamProcessor::new(GpuProfile::geforce_6800());
         let mut dst: Stream<u32> = Stream::new("dst", 8, Layout::Linear);
         assert_eq!(
-            ReadView::contiguous(&src, usize::MAX - 2, 8, 1).err(),
+            Input::new(&src, usize::MAX - 2, 8).err(),
             Some(expected.clone())
         );
         assert_eq!(
-            WriteView::contiguous(&mut dst, usize::MAX - 2, 8, 1).err(),
+            dst.block_mut(usize::MAX - 2, 8).err(),
             Some(expected.clone())
         );
         assert_eq!(
@@ -822,28 +641,32 @@ mod tests {
         let mut out: Stream<u32> = Stream::new("out", n, Layout::ZOrder);
         let mut errors = Vec::new();
         for _ in 0..shape.launches {
-            let read = ReadView::contiguous(&input, 0, n, 1).unwrap();
+            let read = Input::new(&input, 0, n).unwrap();
             let gather = GatherView::new(&lookup);
-            let mut write = WriteView::contiguous(&mut out, 0, n, 1).unwrap();
+            let write = out.block_mut(0, n).unwrap();
             let (fail_at, panic_at) = (shape.fail_at, shape.panic_at);
             let lut_len = lookup.len();
+            let launch = LaunchShape::new(n)
+                .reads::<u32>(1)
+                .writes::<u32>(1)
+                .comparisons(1);
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                proc.launch("shape", n, |ctx| {
-                    let i = ctx.instance_index();
-                    let v = read.get(ctx, 0);
-                    // A scattered, data-dependent gather: every fetch is an
-                    // entry of its own, so large shapes fill chunks.
-                    let idx = if fail_at == Some(i) {
-                        lut_len + 7
-                    } else {
-                        (i * 7919) % lut_len
-                    };
-                    let g = gather.gather(ctx, idx);
-                    if panic_at == Some(i) {
-                        panic!("kernel bug");
-                    }
-                    ctx.count_comparisons(1);
-                    write.set(ctx, 0, v.wrapping_mul(3).wrapping_add(g));
+                proc.launch_wide("shape", launch, |ctx| {
+                    ctx.for_each_instance(|ctx, i| {
+                        let v = ctx.read(&read, i, 1)[0];
+                        // A scattered, data-dependent gather: every fetch is
+                        // an entry of its own, so large shapes fill chunks.
+                        let idx = if fail_at == Some(i) {
+                            lut_len + 7
+                        } else {
+                            (i * 7919) % lut_len
+                        };
+                        let g = ctx.gather(&gather, idx);
+                        if panic_at == Some(i) {
+                            panic!("kernel bug");
+                        }
+                        write[i] = v.wrapping_mul(3).wrapping_add(g);
+                    });
                 })
             }));
             errors.push(match result {
@@ -889,9 +712,10 @@ mod tests {
     /// per instance.
     fn scattered_gathers(proc: &mut StreamProcessor, lookup: &Stream<u32>, instances: usize) {
         let gather = GatherView::new(lookup);
-        proc.launch("scatter", instances, |ctx| {
-            let i = ctx.instance_index();
-            gather.gather(ctx, (i * 7919) % lookup.len());
+        proc.launch_wide("scatter", LaunchShape::new(instances), |ctx| {
+            ctx.for_each_instance(|ctx, i| {
+                ctx.gather(&gather, (i * 7919) % lookup.len());
+            });
         })
         .unwrap();
     }

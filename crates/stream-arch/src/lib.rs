@@ -9,8 +9,11 @@
 //!   Logically they are 1D; physically they are laid out in a 2D grid
 //!   (GPU texture) through a configurable 1D→2D mapping
 //!   ([`layout::RowMajor2D`] or [`layout::ZOrder2D`]).
-//! * **Substreams** are contiguous ranges — or, for hardware that supports
-//!   it, sets of disjoint ranges — of a stream ([`stream::BlockSet`]).
+//! * **Substreams** are contiguous ranges of a stream
+//!   ([`stream::Stream::check_range`]). Hardware that takes sets of
+//!   disjoint ranges as one substream runs several launches as one
+//!   stream operation (Section 5.4), which the cost model charges per
+//!   recorded step ([`executor::StreamProcessor::record_step`]).
 //! * **Kernels** are per-element programs. A kernel instance may
 //!   - read a fixed number of elements *linearly* from each input stream
 //!     (streaming read),
@@ -23,7 +26,11 @@
 //!     the restriction the paper designs around.
 //! * **Stream operations** launch a kernel over every element of a
 //!   substream. Each operation carries a fixed launch overhead; the work of
-//!   all kernel instances is distributed over `p` processor units.
+//!   all kernel instances is distributed over `p` processor units. The
+//!   simulator runs every launch in one form,
+//!   [`executor::StreamProcessor::launch_wide`]: one body for all
+//!   instances over plain slices, charged from the per-instance shape
+//!   that bind time fixes ([`kernel::LaunchShape`]).
 //!
 //! On top of the functional simulation the crate keeps a detailed
 //! [`metrics::Counters`] record (stream operations, kernel instances,
@@ -61,11 +68,11 @@ pub use arena::{ArenaStats, StreamArena};
 pub use cache::{CacheConfig, CacheSim, CacheStats};
 pub use error::{Result, StreamError};
 pub use executor::StreamProcessor;
-pub use kernel::{GatherView, Input, KernelCtx, LaunchCtx, LaunchShape, ReadView, WriteView};
+pub use kernel::{GatherView, Input, LaunchCtx, LaunchShape};
 pub use layout::{Addr2D, Layout, Mapping1Dto2D, RowMajor2D, ZOrder2D};
 pub use metrics::{CostBreakdown, Counters, SimTime};
 pub use profile::GpuProfile;
-pub use stream::{BlockSet, Stream};
+pub use stream::Stream;
 pub use telemetry::{HistogramSummary, LogHistogram, TraceEvent, TraceSink};
 pub use transfer::{BusKind, DeviceLink, TransferModel};
 pub use value::{Node, StreamElement, Value, NULL_INDEX};

@@ -25,7 +25,7 @@ use std::ops::AddAssign;
 /// Event counters accumulated during simulation.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Counters {
-    /// Kernel launches (one per `StreamProcessor::launch` call).
+    /// Kernel launches (one per `StreamProcessor::launch_wide` call).
     pub launches: u64,
     /// Stream operations after merging the launches that share a step on
     /// hardware with multi-block substreams (Section 5.4). Algorithms call

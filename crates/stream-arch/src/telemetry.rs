@@ -6,7 +6,7 @@
 //! * **Tracing** — a process-wide [`TraceSink`] collecting [`TraceEvent`]
 //!   spans from per-thread buffers. Recording is gated on one relaxed
 //!   [`AtomicBool`] load ([`enabled`]); with the sink disabled the hot
-//!   paths (notably [`crate::StreamProcessor::launch`]) pay exactly that
+//!   paths (notably [`crate::StreamProcessor::launch_wide`]) pay exactly that
 //!   one branch and allocate nothing. Collected spans export as Chrome
 //!   `trace_event` JSON ([`chrome_trace_json`]) loadable in Perfetto or
 //!   `chrome://tracing`.

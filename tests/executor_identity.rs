@@ -20,7 +20,7 @@ use fingerprints::per_access;
 use abisort::{GpuAbiSorter, SortConfig};
 use proptest::prelude::*;
 use stream_arch::{
-    Counters, GatherView, GpuProfile, Layout, ReadView, SimTime, Stream, StreamProcessor, WriteView,
+    Counters, GatherView, GpuProfile, Input, LaunchShape, Layout, SimTime, Stream, StreamProcessor,
 };
 
 /// A launch shape: how many instances, over how many simulated units, and
@@ -99,28 +99,32 @@ fn run_shape(shape: &Shape) -> (Outcome, Outcome) {
     let mut out: Stream<u32> = Stream::new("out", n, Layout::ZOrder);
     let mut errors = Vec::new();
     for _ in 0..shape.launches {
-        let read = ReadView::contiguous(&input, 0, n, 1).unwrap();
+        let read = Input::new(&input, 0, n).unwrap();
         let gather = GatherView::new(&lookup);
-        let mut write = WriteView::contiguous(&mut out, 0, n, 1).unwrap();
+        let write = out.block_mut(0, n).unwrap();
         let (fail_at, panic_at) = (shape.fail_at, shape.panic_at);
         let lut_len = lookup.len();
+        let launch = LaunchShape::new(n)
+            .reads::<u32>(1)
+            .writes::<u32>(1)
+            .comparisons(1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            proc.launch("shape", n, |ctx| {
-                let i = ctx.instance_index();
-                let v = read.get(ctx, 0);
-                // A poisoned instance gathers past the end; everything
-                // else does a legal data-dependent gather.
-                let idx = if fail_at == Some(i) {
-                    lut_len + 7
-                } else {
-                    (i * 7919) % lut_len
-                };
-                let g = gather.gather(ctx, idx);
-                if panic_at == Some(i) {
-                    panic!("kernel bug");
-                }
-                ctx.count_comparisons(1);
-                write.set(ctx, 0, v.wrapping_mul(3).wrapping_add(g));
+            proc.launch_wide("shape", launch, |ctx| {
+                ctx.for_each_instance(|ctx, i| {
+                    let v = ctx.read(&read, i, 1)[0];
+                    // A poisoned instance gathers past the end; everything
+                    // else does a legal data-dependent gather.
+                    let idx = if fail_at == Some(i) {
+                        lut_len + 7
+                    } else {
+                        (i * 7919) % lut_len
+                    };
+                    let g = ctx.gather(&gather, idx);
+                    if panic_at == Some(i) {
+                        panic!("kernel bug");
+                    }
+                    write[i] = v.wrapping_mul(3).wrapping_add(g);
+                });
             })
         }));
         errors.push(match result {

@@ -3,7 +3,7 @@
 //! instead of silently producing wrong results.
 
 use gpu_abisort::prelude::*;
-use stream_arch::{BlockSet, GatherView, ReadView, Stream, StreamError, WriteView};
+use stream_arch::{GatherView, Input, LaunchShape, Stream, StreamError};
 
 #[test]
 fn oversized_streams_are_rejected() {
@@ -31,11 +31,12 @@ fn per_instance_output_budget_is_enforced() {
     // Section 7.1 (which is why the paper's local sort stops at 8 pairs).
     let mut proc = StreamProcessor::new(GpuProfile::geforce_6800());
     let mut out: Stream<Value> = Stream::new("out", 32, Layout::Linear);
-    let mut write = WriteView::contiguous(&mut out, 0, 32, 9).unwrap();
+    let write = out.block_mut(0, 9).unwrap();
+    let shape = LaunchShape::new(1).writes::<Value>(9);
     let err = proc
-        .launch("too-much-output", 1, |ctx| {
-            for slot in 0..9 {
-                write.set(ctx, slot, Value::new(slot as f32, 0));
+        .launch_wide("too-much-output", shape, |ctx| {
+            for (slot, v) in write[..9 * ctx.instances()].iter_mut().enumerate() {
+                *v = Value::new(slot as f32, 0);
             }
         })
         .unwrap_err();
@@ -48,12 +49,14 @@ fn gather_out_of_bounds_aborts_the_launch() {
     let trees: Stream<Node> = Stream::new("trees", 8, Layout::ZOrder);
     let mut out: Stream<Node> = Stream::new("out", 8, Layout::ZOrder);
     let gather = GatherView::new(&trees);
-    let mut write = WriteView::contiguous(&mut out, 0, 8, 1).unwrap();
+    let write = out.block_mut(0, 8).unwrap();
+    let shape = LaunchShape::new(8).writes::<Node>(1);
     let err = proc
-        .launch("bad-gather", 8, |ctx| {
-            // A corrupted child pointer: gather far past the stream end.
-            let node = gather.gather(ctx, 1_000_000 + ctx.instance_index());
-            write.set(ctx, 0, node);
+        .launch_wide("bad-gather", shape, |ctx| {
+            ctx.for_each_instance(|ctx, i| {
+                // A corrupted child pointer: gather far past the stream end.
+                write[i] = ctx.gather(&gather, 1_000_000 + i);
+            });
         })
         .unwrap_err();
     assert!(matches!(err, StreamError::GatherOutOfBounds { .. }));
@@ -74,58 +77,56 @@ fn input_output_aliasing_is_rejected_on_gpu_profiles_only() {
 }
 
 #[test]
-fn multi_block_substreams_require_hardware_support() {
-    let no_multi = StreamProcessor::new(GpuProfile::geforce_6800().with_multi_block(false));
-    assert!(no_multi.check_multi_block(1).is_ok());
-    assert_eq!(
-        no_multi.check_multi_block(3).unwrap_err(),
-        StreamError::MultiBlockUnsupported
-    );
-}
-
-#[test]
-fn overlapping_output_blocks_are_rejected() {
-    let err = BlockSet::multi(vec![(0, 8), (4, 8)]).unwrap_err();
-    assert!(matches!(err, StreamError::OverlappingBlocks { .. }));
-}
-
-#[test]
 fn substreams_must_stay_within_their_stream() {
     let s: Stream<Value> = Stream::new("values", 16, Layout::Linear);
-    let err = match ReadView::contiguous(&s, 8, 16, 1) {
+    let err = match Input::new(&s, 8, 16) {
         Err(e) => e,
-        Ok(_) => panic!("out-of-bounds read view was accepted"),
+        Ok(_) => panic!("out-of-bounds input was accepted"),
     };
     assert!(matches!(err, StreamError::SubStreamOutOfBounds { .. }));
     let mut s2: Stream<Value> = Stream::new("values2", 16, Layout::Linear);
-    let err = match WriteView::contiguous(&mut s2, 12, 8, 1) {
+    let err = match s2.block_mut(12, 8) {
         Err(e) => e,
-        Ok(_) => panic!("out-of-bounds write view was accepted"),
+        Ok(_) => panic!("out-of-bounds output block was accepted"),
     };
     assert!(matches!(err, StreamError::SubStreamOutOfBounds { .. }));
 }
 
 #[test]
 fn input_underflow_and_output_overflow_abort_launches() {
+    // A body that reads past its bound input is a bug in the kernel, not
+    // a charge: it panics out of the launch, and the processor stays
+    // usable.
     let mut proc = StreamProcessor::new(GpuProfile::geforce_7800());
-    let input: Stream<Value> = Stream::new("in", 4, Layout::Linear);
+    let input = Stream::from_vec("in", workloads::uniform(4, 1), Layout::Linear);
     let mut output: Stream<Value> = Stream::new("out", 4, Layout::Linear);
-    {
-        let read = ReadView::contiguous(&input, 0, 4, 2).unwrap();
-        let mut write = WriteView::contiguous(&mut output, 0, 4, 2).unwrap();
-        // 4 instances × 2 reads = 8 reads from a 4-element substream.
-        let err = proc
-            .launch("underflow", 4, |ctx| {
-                let (a, b) = (read.get(ctx, 0), read.get(ctx, 1));
-                write.set(ctx, 0, a);
-                write.set(ctx, 1, b);
-            })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            StreamError::InputUnderflow { .. } | StreamError::OutputOverflow { .. }
-        ));
-    }
+    let read = Input::new(&input, 0, 4).unwrap();
+    // 4 instances × 2 reads = 8 reads from a 4-element substream.
+    let shape = LaunchShape::new(4).reads::<Value>(2).writes::<Value>(2);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        proc.launch_wide("underflow", shape, |ctx| {
+            for i in 0..ctx.instances() {
+                let _ = ctx.read(&read, 2 * i, 2);
+            }
+        })
+    }));
+    assert!(
+        caught.is_err(),
+        "reading past the input must reach the caller"
+    );
+
+    proc.take_counters();
+    proc.launch_copy("copy", &input, &mut output, (0, 4), 2)
+        .unwrap();
+    assert_eq!(output.as_slice(), input.as_slice());
+    let counters = proc.counters();
+    assert_eq!((counters.launches, counters.kernel_instances), (1, 2));
+    // The output side of the same bug cannot be written: a launch-wide
+    // body's output is a slice of exactly its block.
+    assert!(matches!(
+        output.block_mut(0, 8),
+        Err(StreamError::SubStreamOutOfBounds { .. })
+    ));
 }
 
 #[test]
