@@ -221,7 +221,8 @@ impl StreamProcessor {
     /// model of Section 3.2). The launch charges them from `shape`; the
     /// body hands each cached fetch to the recorder through its
     /// [`LaunchCtx`], in instance order, and charges each gather as it
-    /// happens. The launch aborts after a failing instance:
+    /// happens. Only the instances that ran count as `kernel_instances`,
+    /// and the launch aborts after a failing instance:
     ///
     /// * a gather past the end stops the body after the failing instance
     ///   ([`LaunchCtx::for_each_instance`]); that instance and its
@@ -230,8 +231,8 @@ impl StreamProcessor {
     ///   instance, charges it, and returns
     ///   [`StreamError::KernelOutputTooLarge`].
     ///
-    /// A panicking body unwinds to the caller with only its cached fetches
-    /// and gathers charged.
+    /// A panicking body unwinds to the caller with only the launch, its
+    /// cached fetches, gathers and counted comparisons charged.
     pub fn launch_wide<F>(&mut self, name: &str, shape: LaunchShape, body: F) -> Result<()>
     where
         F: FnOnce(&mut LaunchCtx<'_>),
@@ -266,7 +267,6 @@ impl StreamProcessor {
     {
         let _in_launch = InLaunch::enter();
         self.counters.launches += 1;
-        self.counters.kernel_instances += shape.instances as u64;
         let max_bytes = self.profile.max_kernel_output_bytes;
         let over_budget = shape.output_bytes > max_bytes;
         let run = if over_budget {

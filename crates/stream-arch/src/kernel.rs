@@ -134,9 +134,10 @@ impl LaunchShape {
         self
     }
 
-    /// Charge the fixed counts of `instances` instances.
+    /// Charge `instances` instances and their fixed counts.
     pub(crate) fn charge(&self, counters: &mut Counters, instances: usize) {
         let n = instances as u64;
+        counters.kernel_instances += n;
         counters.stream_reads += n * self.read_words;
         counters.stream_writes += n * self.write_words;
         counters.bytes_written += n * self.output_bytes as u64;

@@ -236,53 +236,53 @@ fn a_budget_abort_charges_and_writes_only_the_first_instance() {
         (
             "extract-roots-spares",
             extract_roots_spares(true),
-            "(Err(KernelOutputTooLarge { bytes: 16, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 32, stream_reads: 0, stream_writes: 4, gathers: 4, iter_reads: 0, comparisons: 0, bytes_written: 16, bytes_read: 256, cache: CacheStats { accesses: 1, hits: 0, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 4368737693617163143)",
+            "(Err(KernelOutputTooLarge { bytes: 16, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 1, stream_reads: 0, stream_writes: 4, gathers: 4, iter_reads: 0, comparisons: 0, bytes_written: 16, bytes_read: 256, cache: CacheStats { accesses: 1, hits: 0, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 4368737693617163143)",
         ),
         (
             "phase0",
             phase0(true),
-            "(Err(KernelOutputTooLarge { bytes: 40, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 64, stream_reads: 8, stream_writes: 10, gathers: 0, iter_reads: 0, comparisons: 1, bytes_written: 40, bytes_read: 512, cache: CacheStats { accesses: 2, hits: 0, misses: 2, fill_bytes: 512 }, transfer_bytes: 0 }, 2900959879848980269)",
+            "(Err(KernelOutputTooLarge { bytes: 40, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 1, stream_reads: 8, stream_writes: 10, gathers: 0, iter_reads: 0, comparisons: 1, bytes_written: 40, bytes_read: 512, cache: CacheStats { accesses: 2, hits: 0, misses: 2, fill_bytes: 512 }, transfer_bytes: 0 }, 2900959879848980269)",
         ),
         (
             "phaseI",
             phase_i(true, None),
-            "(Err(KernelOutputTooLarge { bytes: 40, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 64, stream_reads: 2, stream_writes: 10, gathers: 8, iter_reads: 2, comparisons: 1, bytes_written: 40, bytes_read: 320, cache: CacheStats { accesses: 4, hits: 2, misses: 2, fill_bytes: 512 }, transfer_bytes: 0 }, 15060107637291379742)",
+            "(Err(KernelOutputTooLarge { bytes: 40, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 1, stream_reads: 2, stream_writes: 10, gathers: 8, iter_reads: 2, comparisons: 1, bytes_written: 40, bytes_read: 320, cache: CacheStats { accesses: 4, hits: 2, misses: 2, fill_bytes: 512 }, transfer_bytes: 0 }, 15060107637291379742)",
         ),
         (
             "commit-level",
             commit_level(true),
-            "(Err(KernelOutputTooLarge { bytes: 32, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 128, stream_reads: 8, stream_writes: 8, gathers: 0, iter_reads: 0, comparisons: 0, bytes_written: 32, bytes_read: 256, cache: CacheStats { accesses: 2, hits: 1, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 1009670116601542779)",
+            "(Err(KernelOutputTooLarge { bytes: 32, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 1, stream_reads: 8, stream_writes: 8, gathers: 0, iter_reads: 0, comparisons: 0, bytes_written: 32, bytes_read: 256, cache: CacheStats { accesses: 2, hits: 1, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 1009670116601542779)",
         ),
         (
             "local-sort-8",
             local_sort8(true),
-            "(Err(KernelOutputTooLarge { bytes: 64, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 32, stream_reads: 16, stream_writes: 16, gathers: 0, iter_reads: 0, comparisons: 28, bytes_written: 64, bytes_read: 128, cache: CacheStats { accesses: 8, hits: 7, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 9985929944911366254)",
+            "(Err(KernelOutputTooLarge { bytes: 64, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 1, stream_reads: 16, stream_writes: 16, gathers: 0, iter_reads: 0, comparisons: 28, bytes_written: 64, bytes_read: 128, cache: CacheStats { accesses: 8, hits: 7, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 9985929944911366254)",
         ),
         (
             "build-trees-16",
             build_trees16(true),
-            "(Err(KernelOutputTooLarge { bytes: 64, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 64, stream_reads: 8, stream_writes: 16, gathers: 0, iter_reads: 0, comparisons: 0, bytes_written: 64, bytes_read: 128, cache: CacheStats { accesses: 4, hits: 3, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 728958275463351905)",
+            "(Err(KernelOutputTooLarge { bytes: 64, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 1, stream_reads: 8, stream_writes: 16, gathers: 0, iter_reads: 0, comparisons: 0, bytes_written: 64, bytes_read: 128, cache: CacheStats { accesses: 4, hits: 3, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 728958275463351905)",
         ),
         (
             "traverse-16",
             traverse16(true, None),
-            "(Err(KernelOutputTooLarge { bytes: 64, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 32, stream_reads: 0, stream_writes: 16, gathers: 32, iter_reads: 0, comparisons: 0, bytes_written: 64, bytes_read: 256, cache: CacheStats { accesses: 8, hits: 7, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 5716512454890076068)",
+            "(Err(KernelOutputTooLarge { bytes: 64, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 1, stream_reads: 0, stream_writes: 16, gathers: 32, iter_reads: 0, comparisons: 0, bytes_written: 64, bytes_read: 256, cache: CacheStats { accesses: 8, hits: 7, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 5716512454890076068)",
         ),
         (
             "fixed-merge-16",
             fixed_merge16(true),
-            "(Err(KernelOutputTooLarge { bytes: 64, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 32, stream_reads: 0, stream_writes: 16, gathers: 32, iter_reads: 0, comparisons: 20, bytes_written: 64, bytes_read: 128, cache: CacheStats { accesses: 16, hits: 15, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 17003587236054371063)",
+            "(Err(KernelOutputTooLarge { bytes: 64, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 1, stream_reads: 0, stream_writes: 16, gathers: 32, iter_reads: 0, comparisons: 20, bytes_written: 64, bytes_read: 128, cache: CacheStats { accesses: 16, hits: 15, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 17003587236054371063)",
         ),
         (
             "copy-back",
             copy_back(true),
-            "(Err(KernelOutputTooLarge { bytes: 32, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 128, stream_reads: 8, stream_writes: 8, gathers: 0, iter_reads: 0, comparisons: 0, bytes_written: 32, bytes_read: 256, cache: CacheStats { accesses: 2, hits: 1, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 3253014833357044845)",
+            "(Err(KernelOutputTooLarge { bytes: 32, max_bytes: 8 }), Counters { launches: 1, steps: 0, kernel_instances: 1, stream_reads: 8, stream_writes: 8, gathers: 0, iter_reads: 0, comparisons: 0, bytes_written: 32, bytes_read: 256, cache: CacheStats { accesses: 2, hits: 1, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 }, 3253014833357044845)",
         ),
     ]);
     check(&[(
         "network-pass",
         network_pass(true, None),
-        "(Err(KernelOutputTooLarge { bytes: 8, max_bytes: 4 }), Counters { launches: 1, steps: 0, kernel_instances: 256, stream_reads: 2, stream_writes: 2, gathers: 2, iter_reads: 0, comparisons: 1, bytes_written: 8, bytes_read: 128, cache: CacheStats { accesses: 2, hits: 1, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 })",
+        "(Err(KernelOutputTooLarge { bytes: 8, max_bytes: 4 }), Counters { launches: 1, steps: 0, kernel_instances: 1, stream_reads: 2, stream_writes: 2, gathers: 2, iter_reads: 0, comparisons: 1, bytes_written: 8, bytes_read: 128, cache: CacheStats { accesses: 2, hits: 1, misses: 1, fill_bytes: 256 }, transfer_bytes: 0 })",
     )]);
 }
 
@@ -295,17 +295,17 @@ fn a_corrupted_child_pointer_aborts_after_the_failing_instance() {
         (
             "phaseI",
             phase_i(false, Some(40)),
-            "(Err(GatherOutOfBounds { stream_len: 512, index: 100000 }), Counters { launches: 1, steps: 0, kernel_instances: 64, stream_reads: 82, stream_writes: 410, gathers: 324, iter_reads: 82, comparisons: 41, bytes_written: 1640, bytes_read: 3200, cache: CacheStats { accesses: 163, hits: 146, misses: 17, fill_bytes: 4352 }, transfer_bytes: 0 }, 1761333032219350180)",
+            "(Err(GatherOutOfBounds { stream_len: 512, index: 100000 }), Counters { launches: 1, steps: 0, kernel_instances: 41, stream_reads: 82, stream_writes: 410, gathers: 324, iter_reads: 82, comparisons: 41, bytes_written: 1640, bytes_read: 3200, cache: CacheStats { accesses: 163, hits: 146, misses: 17, fill_bytes: 4352 }, transfer_bytes: 0 }, 1761333032219350180)",
         ),
         (
             "traverse-16",
             traverse16(false, Some(5)),
-            "(Err(GatherOutOfBounds { stream_len: 512, index: 100000 }), Counters { launches: 1, steps: 0, kernel_instances: 32, stream_reads: 0, stream_writes: 176, gathers: 368, iter_reads: 0, comparisons: 0, bytes_written: 704, bytes_read: 1792, cache: CacheStats { accesses: 92, hits: 85, misses: 7, fill_bytes: 1792 }, transfer_bytes: 0 }, 7981126068922646143)",
+            "(Err(GatherOutOfBounds { stream_len: 512, index: 100000 }), Counters { launches: 1, steps: 0, kernel_instances: 11, stream_reads: 0, stream_writes: 176, gathers: 368, iter_reads: 0, comparisons: 0, bytes_written: 704, bytes_read: 1792, cache: CacheStats { accesses: 92, hits: 85, misses: 7, fill_bytes: 1792 }, transfer_bytes: 0 }, 7981126068922646143)",
         ),
     ]);
     check(&[(
         "network-pass",
         network_pass(false, Some(40)),
-        "(Err(GatherOutOfBounds { stream_len: 256, index: 100000 }), Counters { launches: 1, steps: 0, kernel_instances: 256, stream_reads: 82, stream_writes: 82, gathers: 80, iter_reads: 0, comparisons: 41, bytes_written: 328, bytes_read: 384, cache: CacheStats { accesses: 81, hits: 78, misses: 3, fill_bytes: 768 }, transfer_bytes: 0 })",
+        "(Err(GatherOutOfBounds { stream_len: 256, index: 100000 }), Counters { launches: 1, steps: 0, kernel_instances: 41, stream_reads: 82, stream_writes: 82, gathers: 80, iter_reads: 0, comparisons: 41, bytes_written: 328, bytes_read: 384, cache: CacheStats { accesses: 81, hits: 78, misses: 3, fill_bytes: 768 }, transfer_bytes: 0 })",
     )]);
 }
