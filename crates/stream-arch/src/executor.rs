@@ -255,7 +255,6 @@ impl StreamProcessor {
     /// acceptance test; production callers use
     /// [`StreamProcessor::launch_wide`].
     #[doc(hidden)]
-    #[inline]
     pub fn launch_wide_untraced<F>(
         &mut self,
         _name: &str,
