@@ -1,9 +1,9 @@
 //! Tracing-overhead acceptance: with the sink disabled, the instrumented
 //! [`StreamProcessor::launch_wide`] must cost within 5% of its hook-free
 //! twin [`StreamProcessor::launch_wide_untraced`] (the compiled-out
-//! control) on a launch-overhead-dominated workload — i.e. disabled tracing is one
-//! atomic branch, not a tax. With the sink enabled, the cost must stay
-//! within a loose constant factor.
+//! control) on a launch-overhead-dominated workload — i.e. disabled
+//! tracing is one atomic branch, not a tax. With the sink enabled, the
+//! cost must stay within a loose constant factor.
 //!
 //! Wall-clock and release-grade, so ignored by default; CI runs it
 //! explicitly with `--release --ignored` (see the `obs` job).

@@ -185,7 +185,7 @@ impl<'a, T: StreamElement> Input<'a, T> {
 /// body makes it. The counts the [`LaunchShape`] fixes are charged by the
 /// launch, not here. Gathers and data-dependent comparisons are charged
 /// the moment they happen, so a launch that aborts — on an error or a
-/// panicking body — keeps everything its instances touched.
+/// panicking body — keeps every one its instances made.
 pub struct LaunchCtx<'a> {
     counters: &'a mut Counters,
     log: &'a mut FetchLog,
