@@ -14,23 +14,16 @@
 //! per sort, host ns per instance and host ms per sort. A span covers the
 //! kernel body and its cost accounting, including any wait for the
 //! texture-cache replay helper; for one-CPU figures run it under
-//! `taskset -c 0`.
+//! `taskset -c 0`. An argument that is not a non-negative integer exits
+//! with status 2.
 
 #![forbid(unsafe_code)]
 
 use abisort::{GpuAbiSorter, SortConfig};
+use bench::profiling::{engine_large_inputs, positional_args};
 use std::collections::BTreeMap;
 use stream_arch::telemetry::TraceSink;
 use stream_arch::{GpuProfile, StreamProcessor};
-use workloads::Distribution;
-
-/// The distributions of perfbench's `engine-large` workload.
-const DISTRIBUTIONS: [Distribution; 4] = [
-    Distribution::Uniform,
-    Distribution::Sorted,
-    Distribution::Reverse,
-    Distribution::FewDistinct { distinct: 16 },
-];
 
 /// Totals of one launch name.
 #[derive(Default)]
@@ -41,23 +34,13 @@ struct Row {
 }
 
 fn main() {
-    let arg = |i: usize, default: usize| {
-        std::env::args()
-            .nth(i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
-    let n = arg(1, 1 << 18);
-    let passes = arg(2, 1).max(1);
-    let inputs: Vec<_> = DISTRIBUTIONS
-        .iter()
-        .enumerate()
-        .map(|(d, &dist)| workloads::generate(dist, n, d as u64 + 1))
-        .collect();
+    let [n, passes] = positional_args("kernel_profile [n] [passes]", [1 << 18, 1]);
+    let passes = passes.max(1);
+    let inputs = engine_large_inputs(n);
     let sorter = GpuAbiSorter::new(SortConfig::default());
     let mut proc = StreamProcessor::new(GpuProfile::geforce_7800());
     let sort_all = |proc: &mut StreamProcessor| {
-        for input in &inputs {
+        for (_, input) in &inputs {
             sorter.sort_run(proc, input).expect("sort failed");
         }
     };

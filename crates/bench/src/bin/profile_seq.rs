@@ -9,7 +9,8 @@
 //! ```
 //!
 //! One untimed warm-up pass precedes the measured pass, as in the
-//! accounting acceptance test.
+//! accounting acceptance test. An argument that is not a non-negative
+//! integer exits with status 2.
 
 #![forbid(unsafe_code)]
 
@@ -18,14 +19,7 @@ use std::time::Instant;
 use stream_arch::{GpuProfile, StreamProcessor};
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1024);
-    let jobs: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
+    let [n, jobs] = bench::profiling::positional_args("profile_seq [n] [jobs]", [1024, 200]);
     let sorter = GpuAbiSorter::new(SortConfig::default());
     let inputs: Vec<Vec<stream_arch::Value>> =
         (0..jobs).map(|j| workloads::uniform(n, j as u64)).collect();

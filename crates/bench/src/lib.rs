@@ -37,6 +37,7 @@ pub mod crashsoak;
 pub mod experiments;
 pub mod extended;
 pub mod netsoak;
+pub mod profiling;
 pub mod report;
 pub mod service;
 pub mod sharded;

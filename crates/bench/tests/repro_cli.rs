@@ -1,6 +1,6 @@
-//! The `repro` command line fails loudly: a mistyped experiment name or an
-//! unwritable report path is an error exit, never a silent success or a
-//! panic.
+//! The `repro` command line and the profiling binaries fail loudly: a
+//! mistyped experiment name, a non-numeric size or an unwritable report
+//! path is an error exit, never a silent success or a panic.
 
 use std::process::{Command, Output};
 
@@ -60,5 +60,46 @@ fn failed_report_writes_exit_1_with_the_error() {
         assert!(stderr.contains("failed to write"), "{flag}: {stderr}");
         assert!(stderr.contains(path), "{flag}: {stderr}");
         assert!(!stderr.contains("panicked"), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn profiling_binaries_exit_2_on_bad_arguments_before_running() {
+    for (bin, args, message) in [
+        (
+            env!("CARGO_BIN_EXE_kernel_profile"),
+            &["abc"][..],
+            "\"abc\" is not a non-negative integer",
+        ),
+        (
+            env!("CARGO_BIN_EXE_kernel_profile"),
+            &["4096", "-1"][..],
+            "\"-1\" is not a non-negative integer",
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile_seq"),
+            &["1024", "x"][..],
+            "\"x\" is not a non-negative integer",
+        ),
+        (
+            env!("CARGO_BIN_EXE_profile_seq"),
+            &["64", "1", "1"][..],
+            "\"1\" is one argument too many",
+        ),
+        (
+            env!("CARGO_BIN_EXE_replay_profile"),
+            &["2.5"][..],
+            "\"2.5\" is not a non-negative integer",
+        ),
+    ] {
+        let out = Command::new(bin)
+            .args(args)
+            .output()
+            .expect("failed to start the binary");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains("usage: "), "{bin} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} must run nothing");
     }
 }

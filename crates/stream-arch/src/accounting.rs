@@ -220,6 +220,8 @@ pub(crate) struct CostModel {
     tile_elements: u64,
     run: TileRun,
     bytes_read: u64,
+    /// Cache probes so far (one per tile run).
+    probes: u64,
 }
 
 impl CostModel {
@@ -231,6 +233,7 @@ impl CostModel {
             tile_elements: edge * edge,
             run: NO_RUN,
             bytes_read: 0,
+            probes: 0,
         }
     }
 
@@ -294,6 +297,7 @@ impl CostModel {
             return;
         }
         self.run = NO_RUN;
+        self.probes += 1;
         let (x, y) = run.layout.to_2d(run.first);
         if !self
             .cache
@@ -325,7 +329,36 @@ impl CostModel {
     fn reset(&mut self) {
         self.run = NO_RUN;
         self.bytes_read = 0;
+        self.probes = 0;
         self.cache.reset();
+    }
+}
+
+/// What the cost model charged for a fetch log (see [`replay_log`]).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Replayed {
+    /// Texture-cache statistics.
+    pub cache: CacheStats,
+    /// Block-fill bytes, charged at each missed tile's element size.
+    pub bytes_read: u64,
+    /// Cache probes, one per tile run.
+    pub probes: u64,
+}
+
+/// Charge `chunks`, in order, through a fresh cost model with the texture
+/// cache `config`: what a processor with that cache charged for the fetches
+/// it recorded since its last reset, when `chunks` is the log it handed to
+/// [`crate::StreamProcessor::observe_fetches`] in that time.
+pub fn replay_log(config: CacheConfig, chunks: &[FetchChunk]) -> Replayed {
+    let mut model = CostModel::new(config);
+    for chunk in chunks {
+        model.replay(chunk);
+    }
+    model.settle();
+    Replayed {
+        cache: model.stats(),
+        bytes_read: model.bytes_read,
+        probes: model.probes,
     }
 }
 
