@@ -13,12 +13,39 @@
 //!
 //! One cost model consumes the fetches in record order. It splits each
 //! fetch into the cache tiles it crosses, coalesces consecutive accesses
-//! of one tile into a run, probes the [`CacheSim`] once per run
-//! ([`CacheSim::access_tile_run`]) and charges a block fill to
+//! of one tile into a run, probes the [`CacheSim`] once per run (the probe
+//! of [`CacheSim::access_tile_run`]) and charges a block fill to
 //! `bytes_read` for every miss. A run of `k` accesses leaves the cache
 //! exactly as `k` single accesses would, so the statistics equal those of
 //! probing every element on its own — the per-access reference model,
 //! which the identity tests replay from the same fetches.
+//!
+//! The cache is a set-associative LRU. Every access advances a clock, and
+//! a probe stamps the way it touches with the clock. A miss evicts the
+//! first empty way, else the first way with the oldest stamp. A filled
+//! way's stamp is at least 1 and an empty way's is 0, so the rule is "the
+//! first way with the smallest stamp"; a 4-way set finds it with a
+//! two-level min tree, a smaller one with a loop.
+//!
+//! # One pass per chunk
+//!
+//! A logged chunk is charged in one pass. First a plan is built for each
+//! slot of its stream table: how the stream's indices fall into tiles,
+//! its share of the probe's tag and set hash, its fill bytes, and its
+//! coalescing class — the first slot with the same tag, element size and
+//! kind of tile key. Then one loop walks the fetches. The open run, the
+//! clock, the miss count and `bytes_read` stay in locals until the chunk
+//! is done, and the run still open at its end is probed then (splitting a
+//! run changes nothing: the rest of it hits). A fetch inside one tile —
+//! the common case — takes one pass of the tile loop. A tile is named by
+//! a key (the Morton code of the tile under Z-order, its packed
+//! coordinates otherwise), and a probe derives the tile coordinates from
+//! the key. Keys of one class are comparable, so equal keys name one
+//! tile: a Morton key and a coordinate key never share a run.
+//!
+//! When the engine thread charges and nobody observes the log, each fetch
+//! is charged as it is recorded instead (the *direct path*), through the
+//! same tiling, key-derived coordinates and probe.
 //!
 //! # The fetch log, the replay threads and drain points
 //!
@@ -58,8 +85,8 @@
 //! otherwise. A processor stays on the engine thread until it has charged
 //! 2^22 fetches, so short-lived ones never start a helper.
 
-use crate::cache::{CacheConfig, CacheSim, CacheStats};
-use crate::layout::Layout;
+use crate::cache::{CacheBatch, CacheConfig, CacheSim, CacheStats, StreamKey};
+use crate::layout::{Layout, ZOrder2D};
 use crate::stream::Stream;
 use crate::value::StreamElement;
 use std::collections::VecDeque;
@@ -160,54 +187,162 @@ impl FetchChunk {
     }
 }
 
-/// A pending run of consecutive accesses that all land in the same cache
-/// tile of the same stream; charged by one probe.
+/// How the indices of a stream fall into cache tiles, as comparable tile
+/// keys, and how a key maps back to the tile's coordinates. Two indices of
+/// a stream share a tile iff their keys are equal.
+#[derive(Copy, Clone, Debug)]
+enum Tiling {
+    /// Linear and Z-order layouts: the tiles are the aligned blocks of
+    /// `2^log` consecutive indices, and a block's key is `index >> log`.
+    /// For Z-order (`log = 2·shift`) the key is the tile's Morton code;
+    /// for Linear (`log = shift`) it is the tile's x coordinate.
+    Aligned { log: u32, morton: bool },
+    /// Row-wise layout of width `2^width_log`: a tile is a square of
+    /// `2^shift` rows by `2^shift` columns, keyed `(by << 32) | bx`. A walk
+    /// along the indices leaves it at the next tile column or row end.
+    Rows { width_log: u32, shift: u32 },
+}
+
+impl Tiling {
+    /// The tiling of `layout` for tiles of edge `2^shift`.
+    fn new(layout: Layout, shift: u32) -> Self {
+        match layout {
+            Layout::Linear => Tiling::Aligned {
+                log: shift,
+                morton: false,
+            },
+            Layout::ZOrder => Tiling::Aligned {
+                log: 2 * shift,
+                morton: true,
+            },
+            Layout::RowMajor { width } => Tiling::Rows {
+                width_log: width.trailing_zeros(),
+                shift,
+            },
+        }
+    }
+
+    /// Hand each tile that `count ≥ 1` consecutive indices from `first`
+    /// cross to `f`, in order, as its key and the number of indices in it.
+    /// The common fetch stays inside one tile and makes one pass of the
+    /// loop; `f` has one call site, so it inlines.
+    #[inline(always)]
+    fn for_each_tile(self, first: u64, count: u64, mut f: impl FnMut(u64, u64)) {
+        let end = first + count;
+        let mut idx = first;
+        loop {
+            let (key, next) = match self {
+                Tiling::Aligned { log, .. } => {
+                    let key = idx >> log;
+                    (key, ((key + 1) << log).min(end))
+                }
+                Tiling::Rows { width_log, shift } => {
+                    let width = 1u64 << width_log;
+                    let x = idx & (width - 1);
+                    let y = idx >> width_log;
+                    let next_x_tile = (((x >> shift) + 1) << shift).min(width);
+                    (
+                        ((y >> shift) << 32) | (x >> shift),
+                        (idx + next_x_tile - x).min(end),
+                    )
+                }
+            };
+            f(key, next - idx);
+            if next == end {
+                return;
+            }
+            idx = next;
+        }
+    }
+
+    /// The coordinates `(bx, by)` of the tile with key `key`: the element
+    /// coordinates of [`Layout::to_2d`] divided by the tile edge.
+    #[inline]
+    fn tile_xy(self, key: u64) -> (u32, u32) {
+        match self {
+            // The Morton code of the tile interleaves its coordinates.
+            Tiling::Aligned { morton: true, .. } if key >> 32 == 0 => {
+                // Move the odd bits (by) to the high half, then compact
+                // both halves at once.
+                let mut v = (key & 0x5555_5555) | ((key & 0xAAAA_AAAA) << 31);
+                v = (v | (v >> 1)) & 0x3333_3333_3333_3333;
+                v = (v | (v >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
+                v = (v | (v >> 4)) & 0x00FF_00FF_00FF_00FF;
+                v = (v | (v >> 8)) & 0x0000_FFFF_0000_FFFF;
+                (v as u32, (v >> 32) as u32)
+            }
+            Tiling::Aligned { morton: true, .. } => (
+                ZOrder2D::compact_bits(key),
+                ZOrder2D::compact_bits(key >> 1),
+            ),
+            _ => (key as u32, (key >> 32) as u32),
+        }
+    }
+}
+
+/// What the cost model needs of one stream to charge its fetches; the
+/// chunk replay builds one per stream-table slot, once per chunk.
+#[derive(Copy, Clone, Debug)]
+struct StreamPlan {
+    tiling: Tiling,
+    /// The stream's share of every probe.
+    key: StreamKey,
+    /// `bytes_read` of a missed tile: `block_edge²` elements of this
+    /// stream's size, so that 4-byte index streams are not billed for
+    /// 16-byte node tiles.
+    fill: u64,
+}
+
+impl StreamPlan {
+    fn new(stream: &FetchStream, shift: u32) -> Self {
+        StreamPlan {
+            tiling: Tiling::new(stream.layout, shift),
+            key: StreamKey::new(stream.tag),
+            fill: (1u64 << (2 * shift)) * u64::from(stream.bytes),
+        }
+    }
+
+    /// Charge a run of `count` accesses of the tile `key` with one probe;
+    /// returns the block-fill bytes it costs.
+    #[inline(always)]
+    fn charge(&self, cache: &mut CacheBatch<'_>, key: u64, count: u64) -> u64 {
+        let (bx, by) = self.tiling.tile_xy(key);
+        if cache.probe(self.key, bx, by, count) {
+            0
+        } else {
+            self.fill
+        }
+    }
+}
+
+/// Whether accesses of streams `a` and `b` to tiles with equal keys may
+/// share one probe: same tag (so the same cache tile), same element size
+/// (the fill charge) and comparable keys — a Morton key (Z-order) names
+/// another tile than an equal coordinate key.
+fn same_class(a: &FetchStream, b: &FetchStream) -> bool {
+    a.tag == b.tag
+        && a.bytes == b.bytes
+        && (a.layout == Layout::ZOrder) == (b.layout == Layout::ZOrder)
+}
+
+/// The open run of the direct path: `count` accesses of the tile `key` of
+/// `stream`, not yet probed (`count == 0`: none).
 #[derive(Copy, Clone)]
 struct TileRun {
-    tag: u64,
-    /// Tile identity under the stream's layout (see [`tile_key`]); only
-    /// comparable for the same `tag`.
+    stream: FetchStream,
     key: u64,
-    /// Element index of the first access of the run (tile coordinates are
-    /// computed from it once, when the run is probed).
-    first: usize,
-    layout: Layout,
-    /// Element size, for the miss fill charge.
-    bytes: u32,
-    /// Accesses in the run; 0 means "no pending run".
     count: u64,
 }
 
 const NO_RUN: TileRun = TileRun {
-    tag: 0,
+    stream: FetchStream {
+        tag: 0,
+        layout: Layout::Linear,
+        bytes: 0,
+    },
     key: 0,
-    first: 0,
-    layout: Layout::Linear,
-    bytes: 0,
     count: 0,
 };
-
-/// The identity of the cache tile that element `idx` of a stream with the
-/// given layout falls into, as a single comparable key. `shift` is
-/// `log₂ block_edge`. Two accesses of one stream share a cache tile iff
-/// their keys are equal; the key avoids the full 1D→2D conversion per
-/// access (for Z-order, the tile is just the index shifted by `2·shift`).
-#[inline]
-fn tile_key(layout: Layout, idx: usize, shift: u32) -> u64 {
-    match layout {
-        Layout::Linear => ((idx as u32) >> shift) as u64,
-        Layout::RowMajor { width } => {
-            let w = width.trailing_zeros();
-            let x = (idx as u32) & (width - 1);
-            let y = (idx >> w) as u32;
-            (((y >> shift) as u64) << 32) | ((x >> shift) as u64)
-        }
-        // Consecutive Morton indices interleave x/y bits, so dropping the
-        // low 2·shift bits yields exactly (x >> shift, y >> shift) still
-        // interleaved — a unique tile id.
-        Layout::ZOrder => (idx >> (2 * shift)) as u64,
-    }
-}
 
 /// The one cost model of cached fetches: tile segmentation, same-tile run
 /// coalescing, the texture-cache probe and the miss-fill `bytes_read`
@@ -216,9 +351,11 @@ pub(crate) struct CostModel {
     cache: CacheSim,
     /// `log₂ block_edge`.
     shift: u32,
-    /// `block_edge²`: elements per tile fill.
-    tile_elements: u64,
+    /// The direct path's open run.
     run: TileRun,
+    /// The replayed chunk's plan per stream-table slot, with its
+    /// coalescing class: the first slot of a stream of the same class.
+    plans: Vec<(StreamPlan, u32)>,
     bytes_read: u64,
     /// Cache probes so far (one per tile run).
     probes: u64,
@@ -226,91 +363,104 @@ pub(crate) struct CostModel {
 
 impl CostModel {
     pub(crate) fn new(config: CacheConfig) -> Self {
-        let edge = config.block_edge as u64;
         CostModel {
             cache: CacheSim::new(config),
             shift: config.block_edge.trailing_zeros(),
-            tile_elements: edge * edge,
             run: NO_RUN,
+            plans: Vec::new(),
             bytes_read: 0,
             probes: 0,
         }
     }
 
-    /// Charge every fetch of `chunk`, in order.
+    /// Charge every fetch of `chunk`, in order, in one pass (see the
+    /// module doc): the plans are built once, and the open run, the clock,
+    /// the miss count and the fill bytes stay in locals until the chunk is
+    /// done.
     fn replay(&mut self, chunk: &FetchChunk) {
-        for fetch in &chunk.fetches {
-            let stream = chunk.streams[fetch.slot as usize];
-            self.fetch(stream, fetch.first as usize, fetch.count as usize);
+        self.settle();
+        let shift = self.shift;
+        self.plans.clear();
+        for (slot, stream) in chunk.streams.iter().enumerate() {
+            let class = chunk.streams[..slot]
+                .iter()
+                .position(|earlier| same_class(earlier, stream))
+                .unwrap_or(slot);
+            self.plans
+                .push((StreamPlan::new(stream, shift), class as u32));
         }
+        let plans = &self.plans[..];
+        let Some((first_plan, _)) = plans.first() else {
+            return;
+        };
+        let mut cache = self.cache.batch();
+        let (mut bytes_read, mut probes) = (0u64, 0u64);
+        // The open run: `count` accesses of tile `key` of the streams of
+        // class `class`, probed through `plan`.
+        let (mut plan, mut class, mut key, mut count) = (first_plan, u32::MAX, 0u64, 0u64);
+        for fetch in &chunk.fetches {
+            let (fetch_plan, fetch_class) = &plans[fetch.slot as usize];
+            let (first, n) = (u64::from(fetch.first), u64::from(fetch.count));
+            fetch_plan.tiling.for_each_tile(first, n, |tile, n| {
+                if tile == key && *fetch_class == class {
+                    count += n;
+                    return;
+                }
+                if count > 0 {
+                    bytes_read += plan.charge(&mut cache, key, count);
+                    probes += 1;
+                }
+                (plan, class, key, count) = (fetch_plan, *fetch_class, tile, n);
+            });
+        }
+        if count > 0 {
+            bytes_read += plan.charge(&mut cache, key, count);
+            probes += 1;
+        }
+        drop(cache);
+        self.bytes_read += bytes_read;
+        self.probes += probes;
     }
 
     /// Charge `count` consecutive cached fetches of `stream` from element
-    /// `first`, advancing the tile run tile by tile.
+    /// `first` as they are recorded, advancing the open run tile by tile.
     #[inline]
-    fn fetch(&mut self, stream: FetchStream, first: usize, count: usize) {
-        let shift = self.shift;
-        let layout = stream.layout;
-        let mut idx = first;
-        let end = first + count;
-        while idx < end {
-            let key = tile_key(layout, idx, shift);
-            // The first index past the tile.
-            let tile_end = match layout {
-                // Aligned 2^(2·shift) element blocks are exactly the cache
-                // tiles of the Morton layout.
-                Layout::ZOrder => ((idx >> (2 * shift)) + 1) << (2 * shift),
-                Layout::Linear => ((idx >> shift) + 1) << shift,
-                Layout::RowMajor { width } => {
-                    // The walk leaves the tile at the next x-tile boundary
-                    // or at the end of the row, whichever comes first.
-                    let x = (idx as u32) & (width - 1);
-                    let next_x_tile = (((x >> shift) + 1) << shift).min(width);
-                    idx + (next_x_tile - x) as usize
-                }
-            };
-            let seg_end = tile_end.min(end);
-            let n = (seg_end - idx) as u64;
-            let run = &mut self.run;
-            if run.count > 0 && run.tag == stream.tag && run.key == key && run.bytes == stream.bytes
-            {
-                run.count += n;
-            } else {
-                self.flush_run();
-                self.run = TileRun {
-                    tag: stream.tag,
-                    key,
-                    first: idx,
-                    layout,
-                    bytes: stream.bytes,
-                    count: n,
-                };
-            }
-            idx = seg_end;
+    fn fetch(&mut self, stream: FetchStream, first: u32, count: u32) {
+        if count == 0 {
+            return;
         }
+        let shift = self.shift;
+        Tiling::new(stream.layout, shift).for_each_tile(
+            u64::from(first),
+            u64::from(count),
+            |key, n| {
+                let run = &mut self.run;
+                if run.count > 0 && run.key == key && same_class(&run.stream, &stream) {
+                    run.count += n;
+                } else {
+                    self.flush_run();
+                    self.run = TileRun {
+                        stream,
+                        key,
+                        count: n,
+                    };
+                }
+            },
+        );
     }
 
-    /// Charge the pending tile run with one probe.
+    /// Charge the direct path's open run with one probe.
     fn flush_run(&mut self) {
-        let run = self.run;
+        let run = std::mem::replace(&mut self.run, NO_RUN);
         if run.count == 0 {
             return;
         }
-        self.run = NO_RUN;
+        let plan = StreamPlan::new(&run.stream, self.shift);
+        self.bytes_read += plan.charge(&mut self.cache.batch(), run.key, run.count);
         self.probes += 1;
-        let (x, y) = run.layout.to_2d(run.first);
-        if !self
-            .cache
-            .access_tile_run(run.tag, x >> self.shift, y >> self.shift, run.count)
-        {
-            // One fill per missed tile, charged at the accessed element's
-            // size so that 4-byte index streams are not billed for 16-byte
-            // node tiles.
-            self.bytes_read += self.tile_elements * run.bytes as u64;
-        }
     }
 
-    /// Charge the pending run, so the statistics cover every fetch so far.
+    /// Charge the open run, so the statistics cover every fetch so far.
     /// Splitting a run here changes nothing: the rest of it hits.
     fn settle(&mut self) {
         self.flush_run();
@@ -519,8 +669,9 @@ pub(crate) struct FetchLog {
     /// The live model sits in `shared.model`.
     model_shared: bool,
     chunk: FetchChunk,
-    /// Slot of the stream of the last logged fetch.
-    last_slot: u32,
+    /// Slots of the streams of the last two logged fetches, the last
+    /// first.
+    last_slots: [u32; 2],
     /// Created at the first hand-off to the helper.
     shared: Option<Arc<Shared>>,
     helper: Option<JoinHandle<()>>,
@@ -542,7 +693,7 @@ impl FetchLog {
             // Grown on first use: a processor that never logs never
             // allocates one.
             chunk: FetchChunk::default(),
-            last_slot: 0,
+            last_slots: [0; 2],
             shared: None,
             helper: None,
             charged_before_reset: 0,
@@ -563,6 +714,8 @@ impl FetchLog {
     /// `first`.
     #[inline]
     pub(crate) fn record(&mut self, stream: FetchStream, first: usize, count: usize) {
+        let first = u32::try_from(first).expect("stream index exceeds the fetch log's u32 range");
+        let count = u32::try_from(count).expect("fetch count exceeds the fetch log's u32 range");
         if self.direct {
             self.model.fetch(stream, first, count);
         } else if count > 0 {
@@ -573,9 +726,7 @@ impl FetchLog {
     /// Append a fetch to the current chunk, merging it into the last entry
     /// when it continues it.
     #[inline]
-    fn log(&mut self, stream: FetchStream, first: usize, count: usize) {
-        let first = u32::try_from(first).expect("stream index exceeds the fetch log's u32 range");
-        let count = u32::try_from(count).expect("fetch count exceeds the fetch log's u32 range");
+    fn log(&mut self, stream: FetchStream, first: u32, count: u32) {
         let slot = self.slot(stream);
         if let Some(last) = self.chunk.fetches.last_mut() {
             if last.slot == slot
@@ -597,21 +748,29 @@ impl FetchLog {
     }
 
     /// The slot of `stream` in the current chunk's table, added if new.
+    /// The slots of the last two streams are tried first: a launch that
+    /// alternates a streaming read with a gather (`phaseI` reads its `pq`
+    /// pair and gathers tree nodes) finds both there.
     #[inline]
     fn slot(&mut self, stream: FetchStream) -> u32 {
         let streams = &mut self.chunk.streams;
-        if streams.get(self.last_slot as usize) == Some(&stream) {
-            return self.last_slot;
+        let [last, before] = self.last_slots;
+        if streams.get(last as usize) == Some(&stream) {
+            return last;
         }
-        let slot = match streams.iter().position(|s| *s == stream) {
-            Some(slot) => slot,
-            None => {
-                streams.push(stream);
-                streams.len() - 1
+        let slot = if streams.get(before as usize) == Some(&stream) {
+            before
+        } else {
+            match streams.iter().position(|s| *s == stream) {
+                Some(slot) => slot as u32,
+                None => {
+                    streams.push(stream);
+                    streams.len() as u32 - 1
+                }
             }
         };
-        self.last_slot = slot as u32;
-        self.last_slot
+        self.last_slots = [slot, last];
+        slot
     }
 
     /// Hand the current chunk on — to the observer, then to the engine
@@ -623,7 +782,7 @@ impl FetchLog {
         if let Some(observer) = &mut self.observer {
             observer(&self.chunk);
         }
-        self.last_slot = 0;
+        self.last_slots = [0; 2];
         if !self.offload {
             self.model.replay(&self.chunk);
             self.chunk.clear();
@@ -759,31 +918,55 @@ impl Drop for FetchLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::per_access::PerAccess;
+    use proptest::prelude::*;
+
+    /// The key of the one tile that index `idx` falls into.
+    fn key_of(tiling: Tiling, idx: u64) -> u64 {
+        let mut keys = Vec::new();
+        tiling.for_each_tile(idx, 1, |key, n| keys.push((key, n)));
+        assert_eq!(keys.len(), 1);
+        keys[0].0
+    }
 
     #[test]
-    fn tile_key_matches_the_layout_tiling() {
-        // Two indices share a tile key iff their 2D coordinates fall into
-        // the same block_edge × block_edge cache tile — for every layout.
+    fn tile_keys_name_the_layouts_tiles() {
+        // A key maps back to the tile of `to_2d`, two indices share a key
+        // iff they share a tile, and a multi-tile walk hands over every
+        // index under its own tile's key — for every layout.
         for layout in [
             Layout::Linear,
             Layout::RowMajor { width: 32 },
+            Layout::RowMajor { width: 2 },
             Layout::ZOrder,
         ] {
-            for shift in [1u32, 2, 3] {
-                for idx in 0..2048usize {
+            for shift in [0u32, 1, 2, 3] {
+                let tiling = Tiling::new(layout, shift);
+                let tile = |idx: usize| {
                     let (x, y) = layout.to_2d(idx);
-                    let expected = (((y >> shift) as u64) << 32) | ((x >> shift) as u64);
-                    let key = tile_key(layout, idx, shift);
+                    (x >> shift, y >> shift)
+                };
+                for idx in 0..2048usize {
+                    let key = key_of(tiling, idx as u64);
+                    assert_eq!(tiling.tile_xy(key), tile(idx), "{layout:?} {shift} {idx}");
                     for other in idx.saturating_sub(40)..idx {
-                        let (ox, oy) = layout.to_2d(other);
-                        let other_expected =
-                            (((oy >> shift) as u64) << 32) | ((ox >> shift) as u64);
                         assert_eq!(
-                            key == tile_key(layout, other, shift),
-                            expected == other_expected,
+                            key == key_of(tiling, other as u64),
+                            tile(idx) == tile(other),
                             "layout {layout:?} shift {shift} idx {idx} other {other}"
                         );
                     }
+                }
+                for (first, count) in [(0u64, 1u64), (3, 200), (17, 64), (64, 64), (1000, 1)] {
+                    let mut idx = first;
+                    tiling.for_each_tile(first, count, |key, n| {
+                        assert!(n > 0);
+                        for i in idx..idx + n {
+                            assert_eq!(key_of(tiling, i), key, "{layout:?} {shift} {i}");
+                        }
+                        idx += n;
+                    });
+                    assert_eq!(idx, first + count);
                 }
             }
         }
@@ -851,6 +1034,127 @@ mod tests {
         );
     }
 
+    /// Streams for the property test: one tag under all three layouts and
+    /// two element sizes, and a second tag, so that one chunk holds
+    /// streams of one tag that may share a probe and ones that may not.
+    const STREAMS: [FetchStream; 6] = [
+        FetchStream {
+            tag: 1,
+            layout: Layout::ZOrder,
+            bytes: 16,
+        },
+        FetchStream {
+            tag: 1,
+            layout: Layout::Linear,
+            bytes: 16,
+        },
+        FetchStream {
+            tag: 1,
+            layout: Layout::ZOrder,
+            bytes: 4,
+        },
+        FetchStream {
+            tag: 1,
+            layout: Layout::RowMajor { width: 16 },
+            bytes: 16,
+        },
+        FetchStream {
+            tag: 2,
+            layout: Layout::RowMajor { width: 4 },
+            bytes: 4,
+        },
+        FetchStream {
+            tag: 2,
+            layout: Layout::ZOrder,
+            bytes: 16,
+        },
+    ];
+
+    /// `fetches` (stream, first, count) cut into chunks of the given
+    /// lengths (cycled), each with its own stream table.
+    fn chunked(fetches: &[(usize, u32, u32)], lengths: &[usize]) -> Vec<FetchChunk> {
+        let mut chunks = Vec::new();
+        let mut rest = fetches;
+        for &len in lengths.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (now, later) = rest.split_at(len.min(rest.len()));
+            let mut chunk = FetchChunk::default();
+            for &(stream, first, count) in now {
+                let stream = STREAMS[stream];
+                let slot = match chunk.streams.iter().position(|s| *s == stream) {
+                    Some(slot) => slot,
+                    None => {
+                        chunk.streams.push(stream);
+                        chunk.streams.len() - 1
+                    }
+                };
+                chunk.fetches.push(Fetch {
+                    first,
+                    count,
+                    slot: slot as u32,
+                });
+            }
+            chunks.push(chunk);
+            rest = later;
+        }
+        chunks
+    }
+
+    fn fetches() -> impl Strategy<Value = Vec<(usize, u32, u32)>> {
+        // Dense fetches make neighbours of different streams meet in
+        // tiles with equal keys; wide ones cross many tiles.
+        let first = prop_oneof![1 => 0u32..24, 1 => 0u32..600];
+        let count = prop_oneof![4 => 1u32..5, 1 => 1u32..161];
+        proptest::collection::vec((0..STREAMS.len(), first, count), 1..200)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The chunk replay, the direct path and the per-access reference
+        /// charge any log identically: every layout, 1 to 4 ways (the
+        /// 4-way min tree and the loop over fewer ways), tile edges 1 to
+        /// 4, runs split at chunk boundaries and fetches across many tiles.
+        #[test]
+        fn replay_direct_path_and_per_access_reference_agree(
+            ways in 1u32..5,
+            shift in 0u32..3,
+            sets_log in 0u32..4,
+            fetches in fetches(),
+            lengths in proptest::collection::vec(1usize..49, 1..8),
+        ) {
+            let config = CacheConfig {
+                block_edge: 1 << shift,
+                num_blocks: ways << sets_log,
+                ways,
+                element_bytes: 8,
+            };
+            let chunks = chunked(&fetches, &lengths);
+            let replayed = replay_log(config, &chunks);
+
+            let mut direct = CostModel::new(config);
+            for &(stream, first, count) in &fetches {
+                direct.fetch(STREAMS[stream], first, count);
+            }
+            direct.settle();
+
+            let mut reference = PerAccess::new(config);
+            for chunk in &chunks {
+                reference.replay(chunk);
+            }
+            let counters = reference.counters(&crate::Counters::new());
+
+            prop_assert_eq!((direct.stats(), direct.bytes_read()), (counters.cache, counters.bytes_read));
+            prop_assert_eq!((replayed.cache, replayed.bytes_read), (counters.cache, counters.bytes_read));
+            // The replay coalesces as the direct path does, except that it
+            // splits a run at each chunk boundary.
+            prop_assert!(direct.probes <= replayed.probes);
+            prop_assert!(replayed.probes < direct.probes + chunks.len() as u64);
+        }
+    }
+
     /// Record `chunks` full chunks of scattered single-element fetches.
     fn fill(log: &mut FetchLog, stream: FetchStream, chunks: usize) {
         for i in 0..chunks * CHUNK_FETCHES {
@@ -894,7 +1198,7 @@ mod tests {
         let mut reference = CostModel::new(config);
         let scattered = |reference: &mut CostModel, chunks: usize| {
             for i in 0..chunks * CHUNK_FETCHES {
-                reference.fetch(stream, (i * 7919) % (1 << 20), 1);
+                reference.fetch(stream, ((i * 7919) % (1 << 20)) as u32, 1);
             }
         };
         scattered(&mut reference, 1);

@@ -13,6 +13,8 @@
 //! charges a full tile fill to the memory-traffic counter; the resulting
 //! read-bandwidth difference between the row-wise and Z-order layouts is
 //! what separates GPU-ABiSort variants (a) and (b) in Table 2.
+//! Its replacement rule is stated in [`crate::accounting`], the module
+//! that drives it.
 
 use serde::{Deserialize, Serialize};
 
@@ -179,56 +181,33 @@ impl CacheSim {
     /// stamps and clock byte-identical to `count` single-element accesses.
     #[inline]
     pub fn access_tile_run(&mut self, stream_id: u64, bx: u32, by: u32, count: u64) -> bool {
-        // A hard precondition even in release builds: the miss path below
-        // charges `count - 1` hits, which would wrap on an empty run.
+        // A hard precondition even in release builds: the miss path charges
+        // `count - 1` hits, which would wrap on an empty run.
         assert!(count > 0, "a tile run has at least one access");
-        self.clock += count;
-        self.stats.accesses += count;
-        let bx = bx as u64;
-        let by = by as u64;
-        // Tag combines the stream identity and the tile coordinate.
-        let tag = (stream_id << 40) ^ (by << 20) ^ bx;
-        let set_index = (bx ^ by.wrapping_mul(0x9E37_79B9) ^ stream_id.wrapping_mul(0x85EB_CA6B))
-            & self.set_mask;
-        let ways = self.config.ways;
-        let set = &mut self.sets[set_index as usize];
+        self.batch().probe(StreamKey::new(stream_id), bx, by, count)
+    }
 
-        // Masks of the ways holding the tag and of the empty ways, built
-        // without data-dependent branches (which way hits is random).
-        let live = (1u32 << ways) - 1;
-        let mut hits = 0u32;
-        let mut empty = 0u32;
-        for w in 0..MAX_WAYS as usize {
-            hits |= u32::from(set.tags[w] == tag) << w;
-            empty |= u32::from(set.tags[w] == EMPTY_TAG) << w;
+    /// Borrow the cache for a batch of probes ([`CacheBatch::probe`]),
+    /// which keeps the clock and the miss count in its own fields.
+    #[inline]
+    pub(crate) fn batch(&mut self) -> CacheBatch<'_> {
+        let CacheSim {
+            config,
+            set_mask,
+            sets,
+            clock,
+            stats,
+        } = self;
+        CacheBatch {
+            sets,
+            set_mask: *set_mask,
+            ways: config.ways,
+            clock: *clock,
+            misses: 0,
+            start: *clock,
+            fill_bytes: config.block_fill_bytes(),
+            home: (clock, stats),
         }
-        let hits = hits & live;
-        if hits != 0 {
-            set.stamps[hits.trailing_zeros() as usize] = self.clock;
-            self.stats.hits += count;
-            return true;
-        }
-        // Miss on the first access: evict the LRU way (the first empty way,
-        // else the first of the oldest stamps) and fill; the rest of the
-        // run hits the freshly filled tile.
-        self.stats.misses += 1;
-        self.stats.hits += count - 1;
-        self.stats.fill_bytes += self.config.block_fill_bytes();
-        let empty = empty & live;
-        let victim = if empty != 0 {
-            empty.trailing_zeros() as usize
-        } else {
-            let mut victim = 0;
-            for w in 1..ways as usize {
-                if set.stamps[w] < set.stamps[victim] {
-                    victim = w;
-                }
-            }
-            victim
-        };
-        set.tags[victim] = tag;
-        set.stamps[victim] = self.clock;
-        false
     }
 
     /// Statistics accumulated so far.
@@ -247,6 +226,129 @@ impl CacheSim {
         self.clock = 0;
         self.stats = CacheStats::default();
     }
+}
+
+/// The part of a probe that depends only on the stream: the stream's
+/// share of the tile tag and of the set hash. A caller that probes many
+/// tiles of one stream computes it once.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct StreamKey {
+    tag_high: u64,
+    set_hash: u64,
+}
+
+impl StreamKey {
+    /// The probe key of the stream with cache tag `stream_id`.
+    #[inline]
+    pub(crate) fn new(stream_id: u64) -> Self {
+        StreamKey {
+            tag_high: stream_id << 40,
+            set_hash: stream_id.wrapping_mul(0x85EB_CA6B),
+        }
+    }
+}
+
+/// A [`CacheSim`] borrowed for a batch of probes. It counts only the clock
+/// and the misses, which a caller's loop holds in registers: every access
+/// advances the clock by one and is a hit or a miss, and every miss fills
+/// one block, so the dropped batch adds the rest of the statistics up from
+/// those two.
+pub(crate) struct CacheBatch<'a> {
+    sets: &'a mut [Set],
+    set_mask: u64,
+    ways: u32,
+    clock: u64,
+    misses: u64,
+    /// The clock when the batch began.
+    start: u64,
+    fill_bytes: u64,
+    home: (&'a mut u64, &'a mut CacheStats),
+}
+
+impl CacheBatch<'_> {
+    /// Charge `count ≥ 1` consecutive reads of tile `(bx, by)` of `stream`:
+    /// the one probe of [`CacheSim::access_tile_run`]. Returns `true` when
+    /// the first read hits.
+    #[inline(always)]
+    pub(crate) fn probe(&mut self, stream: StreamKey, bx: u32, by: u32, count: u64) -> bool {
+        debug_assert!(count > 0, "a tile run has at least one access");
+        self.clock += count;
+        let bx = u64::from(bx);
+        let by = u64::from(by);
+        // Tag combines the stream identity and the tile coordinate.
+        let tag = stream.tag_high ^ (by << 20) ^ bx;
+        let set_index = (bx ^ by.wrapping_mul(0x9E37_79B9) ^ stream.set_hash) & self.set_mask;
+        let set = &mut self.sets[set_index as usize];
+
+        // The mask of the ways holding the tag, built without
+        // data-dependent branches (which way hits is random).
+        let mut hits = 0u32;
+        for w in 0..MAX_WAYS as usize {
+            hits |= u32::from(set.tags[w] == tag) << w;
+        }
+        let hits = hits & ((1u32 << self.ways) - 1);
+        if hits != 0 {
+            set.stamps[hits.trailing_zeros() as usize] = self.clock;
+            return true;
+        }
+        // Miss on the first access: evict the LRU way and fill; the rest
+        // of the run hits the freshly filled tile.
+        self.misses += 1;
+        let victim = if self.ways == MAX_WAYS {
+            oldest_of_four(&set.stamps)
+        } else {
+            oldest_of(&set.stamps[..self.ways as usize])
+        };
+        set.tags[victim] = tag;
+        set.stamps[victim] = self.clock;
+        false
+    }
+}
+
+impl Drop for CacheBatch<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        let (clock, stats) = &mut self.home;
+        let accesses = self.clock - self.start;
+        **clock = self.clock;
+        stats.accesses += accesses;
+        stats.hits += accesses - self.misses;
+        stats.misses += self.misses;
+        stats.fill_bytes += self.misses * self.fill_bytes;
+    }
+}
+
+/// The first way with the smallest stamp of a 4-way set: a two-level min
+/// tree, with no branch that depends on the stamps.
+#[inline]
+fn oldest_of_four(stamps: &[u64; MAX_WAYS as usize]) -> usize {
+    let (low, low_stamp) = if stamps[1] < stamps[0] {
+        (1, stamps[1])
+    } else {
+        (0, stamps[0])
+    };
+    let (high, high_stamp) = if stamps[3] < stamps[2] {
+        (3, stamps[3])
+    } else {
+        (2, stamps[2])
+    };
+    if high_stamp < low_stamp {
+        high
+    } else {
+        low
+    }
+}
+
+/// The first way with the smallest stamp among `stamps`, the live ways of
+/// a set with fewer than 4.
+fn oldest_of(stamps: &[u64]) -> usize {
+    let mut victim = 0;
+    for w in 1..stamps.len() {
+        if stamps[w] < stamps[victim] {
+            victim = w;
+        }
+    }
+    victim
 }
 
 #[cfg(test)]
@@ -389,6 +491,78 @@ mod tests {
         assert_eq!(single.stats(), batched.stats());
         assert_eq!(single.sets, batched.sets);
         assert_eq!(single.clock, batched.clock);
+    }
+
+    /// A textbook LRU cache with the same tags and set hash: each set a
+    /// list of tags, most recently used first.
+    struct Lru {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+    }
+
+    impl Lru {
+        fn access(&mut self, stream_id: u64, bx: u32, by: u32) -> bool {
+            let (bx, by) = (u64::from(bx), u64::from(by));
+            let tag = (stream_id << 40) ^ (by << 20) ^ bx;
+            let set = (bx ^ by.wrapping_mul(0x9E37_79B9) ^ stream_id.wrapping_mul(0x85EB_CA6B))
+                as usize
+                % self.sets.len();
+            let set = &mut self.sets[set];
+            let hit = match set.iter().position(|&t| t == tag) {
+                Some(way) => {
+                    set.remove(way);
+                    true
+                }
+                None => {
+                    set.truncate(self.ways - 1);
+                    false
+                }
+            };
+            set.insert(0, tag);
+            hit
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The victim rule (first empty way, else the oldest stamp, by the
+        /// min tree for 4 ways and by the loop for fewer) is LRU: every
+        /// run hits or misses as in a textbook LRU cache.
+        #[test]
+        fn tile_runs_hit_and_miss_as_in_a_textbook_lru(
+            ways in 1u32..5,
+            sets_log in 0u32..3,
+            runs in proptest::collection::vec((0u64..3, 0u32..6, 0u32..4, 1u64..4), 1..300),
+        ) {
+            let config = CacheConfig {
+                block_edge: 4,
+                num_blocks: ways << sets_log,
+                ways,
+                element_bytes: 8,
+            };
+            let mut cache = CacheSim::new(config);
+            let mut lru = Lru {
+                sets: vec![Vec::new(); 1 << sets_log],
+                ways: ways as usize,
+            };
+            let mut misses = 0;
+            for &(stream, bx, by, count) in &runs {
+                let hit = cache.access_tile_run(stream, bx, by, count);
+                proptest::prop_assert_eq!(hit, lru.access(stream, bx, by));
+                misses += u64::from(!hit);
+            }
+            let accesses: u64 = runs.iter().map(|run| run.3).sum();
+            proptest::prop_assert_eq!(
+                *cache.stats(),
+                CacheStats {
+                    accesses,
+                    hits: accesses - misses,
+                    misses,
+                    fill_bytes: misses * config.block_fill_bytes(),
+                }
+            );
+        }
     }
 
     #[test]

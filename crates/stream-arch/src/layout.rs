@@ -128,7 +128,7 @@ impl ZOrder2D {
     /// Extract the even-position bits of `v` and compact them into the low
     /// half (inverse of bit interleaving).
     #[inline]
-    fn compact_bits(mut v: u64) -> u32 {
+    pub(crate) fn compact_bits(mut v: u64) -> u32 {
         // Keep even bits, then successively squeeze out the gaps.
         v &= 0x5555_5555_5555_5555;
         v = (v | (v >> 1)) & 0x3333_3333_3333_3333;
