@@ -19,7 +19,7 @@ use sortsvc::metrics::ratio;
 use sortsvc::wal::{fault, AdmittedJob, Wal, WalConfig, WalError};
 use sortsvc::{ServiceConfig, SortJob, SortService};
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 use stream_arch::telemetry::{HistogramSummary, LogHistogram};
 use workloads::RequestMix;
@@ -57,13 +57,14 @@ pub struct CrashSoakRow {
     /// open job was dropped, no torn record was replayed. The soak
     /// asserts this; it is recorded so the JSON artifact carries it.
     pub zero_loss: bool,
-    /// Wall seconds of the E19-style overhead run with durability off.
+    /// Wall seconds of the E19-style overhead run with durability off
+    /// (the median of its trials).
     pub overhead_off_s: f64,
     /// Wall seconds of the same run with every admission and
-    /// acknowledgement logged.
+    /// acknowledgement logged (the median of its trials).
     pub overhead_on_s: f64,
-    /// `overhead_on_s / overhead_off_s` — the durability overhead ratio
-    /// the issue bounds at 1.15.
+    /// The durability overhead ratio the issue bounds at 1.15: the median
+    /// over the trials of on ÷ off.
     pub durability_overhead: f64,
     /// Full distribution of the recovery latencies.
     pub recovery: HistogramSummary,
@@ -239,10 +240,11 @@ pub fn crash_soak(rounds: usize, jobs_per_round: usize, overhead_jobs: usize) ->
     row.recovery_max_ms = recovery_max;
     row.recovery = recovery_hist.summary();
 
-    let (off_s, on_s) = durability_overhead(&service, &dir, overhead_jobs);
-    row.overhead_off_s = off_s;
-    row.overhead_on_s = on_s;
-    row.durability_overhead = ratio(on_s, off_s);
+    (
+        row.overhead_off_s,
+        row.overhead_on_s,
+        row.durability_overhead,
+    ) = durability_overhead(&service, &dir, overhead_jobs);
 
     std::fs::remove_dir_all(&dir).ok();
     row
@@ -254,36 +256,41 @@ pub fn crash_soak(rounds: usize, jobs_per_round: usize, overhead_jobs: usize) ->
 /// steady-state a server lives in: appending and processing under the
 /// default `FsyncPolicy::OnRotate`. Opening the log (a once-per-restart
 /// cost) and the drain fsync (a once-per-shutdown cost) sit outside it —
-/// the issue's 15% bound is on throughput, not on startup. Best of two
-/// sittings each, so a scheduler hiccup does not masquerade as
-/// durability cost.
-fn durability_overhead(service: &SortService, dir: &Path, jobs: usize) -> (f64, f64) {
+/// the issue's 15% bound is on throughput, not on startup.
+///
+/// Returns the median seconds off and on and the median ratio on ÷ off
+/// over [`OVERHEAD_TRIALS`] trials, each an off run followed by an on run.
+/// A ratio of back-to-back runs cancels a slow spell of the host that
+/// spans both, and the median drops a scheduler hiccup in one run; on a
+/// 2-vCPU VM the medians of each side alone still exceeded the bound in 2
+/// of 10 runs.
+fn durability_overhead(service: &SortService, dir: &Path, jobs: usize) -> (f64, f64, f64) {
     // The same two mixes E19 itself runs (small-job-heavy + mixed), with
-    // log-wide unique ids across the combined stream.
-    let generate = |salt: u64| {
-        let mut all = SortJob::from_requests(
-            RequestMix::small_job_heavy(jobs).generate(SCENARIO_SEED ^ salt),
-        );
+    // log-wide unique ids across the combined stream. Every trial runs
+    // these same jobs: mixes of other seeds differ in cost by up to 2×,
+    // which would swamp the log's share.
+    let generate = || {
+        let mut all =
+            SortJob::from_requests(RequestMix::small_job_heavy(jobs).generate(SCENARIO_SEED ^ 11));
         all.extend(SortJob::from_requests(
-            RequestMix::mixed(jobs / 2).generate(SCENARIO_SEED ^ salt ^ 0xA5),
+            RequestMix::mixed(jobs / 2).generate(SCENARIO_SEED ^ 11 ^ 0xA5),
         ));
         for (i, job) in all.iter_mut().enumerate() {
             job.id = i as u64;
         }
         all
     };
-    let run_off = |salt: u64| {
-        let jobs = generate(salt);
+    let run_off = || {
+        let jobs = generate();
         let started = Instant::now();
         service.process(jobs).expect("overhead run (off)");
         started.elapsed().as_secs_f64()
     };
-    let overhead_dir = |salt: u64| -> PathBuf { dir.join(format!("overhead-{salt}")) };
-    let run_on = |salt: u64| {
-        let mut jobs = generate(salt);
-        let subdir = overhead_dir(salt);
-        std::fs::remove_dir_all(&subdir).ok();
-        let mut wal = Wal::open(&subdir, WalConfig::default())
+    let overhead_dir = dir.join("overhead");
+    let run_on = || {
+        let mut jobs = generate();
+        std::fs::remove_dir_all(&overhead_dir).ok();
+        let mut wal = Wal::open(&overhead_dir, WalConfig::default())
             .expect("open overhead log")
             .wal;
         let started = Instant::now();
@@ -301,9 +308,26 @@ fn durability_overhead(service: &SortService, dir: &Path, jobs: usize) -> (f64, 
         wal.sync().expect("overhead fsync");
         elapsed
     };
-    let off = run_off(11).min(run_off(13));
-    let on = run_on(11).min(run_on(13));
-    (off, on)
+    // One untimed round warms both sides up.
+    run_off();
+    run_on();
+    let (mut off, mut on, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..OVERHEAD_TRIALS {
+        let (off_s, on_s) = (run_off(), run_on());
+        ratios.push(ratio(on_s, off_s));
+        off.push(off_s);
+        on.push(on_s);
+    }
+    (median(off), median(on), median(ratios))
+}
+
+/// Timed trials of the durability-overhead comparison; odd, so a median
+/// is one trial's.
+const OVERHEAD_TRIALS: usize = 7;
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 /// Render the crash-soak rows as a report table.
