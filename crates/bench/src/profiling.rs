@@ -6,15 +6,16 @@ use stream_arch::Value;
 use workloads::Distribution;
 
 /// The distributions of perfbench's `engine-large` workload.
-pub const ENGINE_LARGE: [Distribution; 4] = [
+const ENGINE_LARGE: [Distribution; 4] = [
     Distribution::Uniform,
     Distribution::Sorted,
     Distribution::Reverse,
     Distribution::FewDistinct { distinct: 16 },
 ];
 
-/// One input of `n` elements per [`ENGINE_LARGE`] distribution, the `d`-th
-/// generated with seed `d + 1`.
+/// One input of `n` elements per distribution of perfbench's
+/// `engine-large` workload (uniform, sorted, reverse, few-distinct(16)),
+/// the `d`-th generated with seed `d + 1`.
 pub fn engine_large_inputs(n: usize) -> Vec<(Distribution, Vec<Value>)> {
     ENGINE_LARGE
         .iter()

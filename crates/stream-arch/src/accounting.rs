@@ -190,7 +190,7 @@ impl FetchChunk {
 /// How the indices of a stream fall into cache tiles, as comparable tile
 /// keys, and how a key maps back to the tile's coordinates. Two indices of
 /// a stream share a tile iff their keys are equal.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone)]
 enum Tiling {
     /// Linear and Z-order layouts: the tiles are the aligned blocks of
     /// `2^log` consecutive indices, and a block's key is `index >> log`.
@@ -282,7 +282,7 @@ impl Tiling {
 
 /// What the cost model needs of one stream to charge its fetches; the
 /// chunk replay builds one per stream-table slot, once per chunk.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone)]
 struct StreamPlan {
     tiling: Tiling,
     /// The stream's share of every probe.
@@ -378,6 +378,8 @@ impl CostModel {
     /// the miss count and the fill bytes stay in locals until the chunk is
     /// done.
     fn replay(&mut self, chunk: &FetchChunk) {
+        // A run the direct path left open comes first: a processor whose
+        // log is observed from now on has charged directly until now.
         self.settle();
         let shift = self.shift;
         self.plans.clear();
@@ -1153,6 +1155,31 @@ mod tests {
             prop_assert!(direct.probes <= replayed.probes);
             prop_assert!(replayed.probes < direct.probes + chunks.len() as u64);
         }
+    }
+
+    #[test]
+    fn a_log_observed_mid_run_charges_the_open_direct_run_first() {
+        // One 1-way set: every tile evicts every other, so the order of
+        // the probes decides the misses.
+        let config = CacheConfig {
+            block_edge: 4,
+            num_blocks: 1,
+            ways: 1,
+            element_bytes: 16,
+        };
+        let a = FetchStream {
+            tag: 4,
+            layout: Layout::ZOrder,
+            bytes: 16,
+        };
+        let b = FetchStream { tag: 5, ..a };
+        let mut log = FetchLog::new(config);
+        log.record(a, 0, 2); // charged directly, its run still open
+        log.set_observer(Box::new(|_: &FetchChunk| {}));
+        log.record(b, 0, 1);
+        log.record(a, 0, 1);
+        // a misses, b evicts it, a misses again.
+        assert_eq!(log.drain().stats().misses, 3);
     }
 
     /// Record `chunks` full chunks of scattered single-element fetches.

@@ -13,6 +13,7 @@
 //! charges a full tile fill to the memory-traffic counter; the resulting
 //! read-bandwidth difference between the row-wise and Z-order layouts is
 //! what separates GPU-ABiSort variants (a) and (b) in Table 2.
+//!
 //! Its replacement rule is stated in [`crate::accounting`], the module
 //! that drives it.
 
@@ -231,7 +232,7 @@ impl CacheSim {
 /// The part of a probe that depends only on the stream: the stream's
 /// share of the tile tag and of the set hash. A caller that probes many
 /// tiles of one stream computes it once.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone)]
 pub(crate) struct StreamKey {
     tag_high: u64,
     set_hash: u64,
