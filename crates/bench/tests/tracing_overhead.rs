@@ -13,21 +13,25 @@ use stream_arch::{
     GpuProfile, Input, LaunchCtx, LaunchShape, Layout, Stream, StreamProcessor, TraceSink,
 };
 
-/// Launches per timed trial. Small kernels, many launches: the regime
-/// where per-launch overhead (and therefore the telemetry hook) is the
-/// dominant cost.
-const LAUNCHES: usize = 3000;
+/// Launches of the first sizing trial. Small kernels, many launches: the
+/// regime where per-launch overhead (and therefore the telemetry hook) is
+/// the dominant cost.
+const PROBE_LAUNCHES: usize = 3000;
 const INSTANCES: usize = 64;
 const TRIALS: usize = 21;
+/// Host time a timed trial lasts at least. A trial of a few milliseconds
+/// measures how the compiler happened to inline each arm's loop more than
+/// the hook.
+const TRIAL_SECONDS: f64 = 0.025;
 
-/// One timed trial: `LAUNCHES` small kernel launches through
+/// One timed trial: `launches` small kernel launches through
 /// `launch_wide` (`traced = true`) or `launch_wide_untraced`. Each
 /// instance streams one element and writes one.
-fn trial(proc_: &mut StreamProcessor, input: &Stream<u32>, traced: bool) -> f64 {
+fn trial(proc_: &mut StreamProcessor, input: &Stream<u32>, traced: bool, launches: usize) -> f64 {
     let n = INSTANCES;
     let mut output: Stream<u32> = Stream::new("out", n, Layout::Linear);
     let started = Instant::now();
-    for _ in 0..LAUNCHES {
+    for _ in 0..launches {
         let read = Input::new(input, 0, n).unwrap();
         let write = output.block_mut(0, n).unwrap();
         let shape = LaunchShape::new(n).reads::<u32>(1).writes::<u32>(1);
@@ -60,22 +64,40 @@ fn disabled_tracing_costs_less_than_five_percent() {
     let mut proc_ = StreamProcessor::new(GpuProfile::idealized(4));
     let input = Stream::from_vec("in", (0u32..INSTANCES as u32).collect(), Layout::Linear);
 
-    // Warm up both paths, then interleave the trials so slow drift in the
-    // host (frequency scaling, a noisy neighbour) hits both arms equally.
-    trial(&mut proc_, &input, true);
-    trial(&mut proc_, &input, false);
-    let mut traced = Vec::with_capacity(TRIALS);
-    let mut control = Vec::with_capacity(TRIALS);
-    for _ in 0..TRIALS {
-        traced.push(trial(&mut proc_, &input, true));
-        control.push(trial(&mut proc_, &input, false));
+    // Warm up both paths, and double the launches per trial until a trial
+    // lasts TRIAL_SECONDS. Then interleave the arms, alternating which one
+    // runs first, so slow drift in the host (frequency scaling, a noisy
+    // neighbour) hits both equally, and take the median of the trials'
+    // ratios.
+    trial(&mut proc_, &input, true, PROBE_LAUNCHES);
+    let mut launches = PROBE_LAUNCHES;
+    while trial(&mut proc_, &input, false, launches) < TRIAL_SECONDS {
+        launches *= 2;
     }
-    let (traced, control) = (median(traced), median(control));
+    let mut ratios = Vec::with_capacity(TRIALS);
+    let mut control = Vec::with_capacity(TRIALS);
+    for t in 0..TRIALS {
+        let (traced, untraced) = if t % 2 == 0 {
+            let traced = trial(&mut proc_, &input, true, launches);
+            (traced, trial(&mut proc_, &input, false, launches))
+        } else {
+            let untraced = trial(&mut proc_, &input, false, launches);
+            (trial(&mut proc_, &input, true, launches), untraced)
+        };
+        ratios.push(traced / untraced);
+        control.push(untraced);
+    }
+    let (ratio, control) = (median(ratios), median(control));
+    eprintln!(
+        "{launches} launches per trial: control {:.1} ms, disabled tracing {:+.2}%",
+        control * 1e3,
+        100.0 * (ratio - 1.0)
+    );
     assert!(
-        traced <= control * 1.05,
-        "disabled tracing overhead exceeds 5%: traced {traced:.6}s vs control {control:.6}s \
-         ({:.2}%)",
-        100.0 * (traced / control - 1.0)
+        ratio <= 1.05,
+        "disabled tracing overhead exceeds 5%: {:.2}% (median of {TRIALS} trials; \
+         control {control:.6}s)",
+        100.0 * (ratio - 1.0)
     );
 
     // Enabled tracing may pay for real work (timestamping, buffering) but
@@ -83,7 +105,7 @@ fn disabled_tracing_costs_less_than_five_percent() {
     sink.set_enabled(true);
     let mut enabled = Vec::with_capacity(TRIALS);
     for _ in 0..TRIALS {
-        enabled.push(trial(&mut proc_, &input, true));
+        enabled.push(trial(&mut proc_, &input, true, launches));
         // Drain per trial so the MAX_EVENTS cap never mutes the hook.
         sink.take_events();
     }

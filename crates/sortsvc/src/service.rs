@@ -11,11 +11,19 @@
 //!    coalescer. Every closed batch is routed through the policy engine
 //!    and pinned to the device slot with the earliest *estimated* free
 //!    time.
-//! 2. **Execution** — one worker thread per device slot
-//!    (`std::thread::scope`), each owning a pooled [`StreamProcessor`]
-//!    that is take-and-reset between batches. Workers only touch their
-//!    own slot's batches, so the phase is deterministic regardless of
-//!    thread scheduling.
+//! 2. **Execution** — the service keeps one [`StreamProcessor`] per
+//!    device slot for its whole life. Every slot that has batches runs
+//!    them on its own processor: one slot on the calling thread, each
+//!    other one on a scoped thread. Sharded batches then borrow the first
+//!    processors they reserve. Each batch takes its processor's counters
+//!    and resets it, so it charges exactly what it would on a fresh
+//!    processor. Workers only touch their own
+//!    slot's batches, so the phase is deterministic regardless of thread
+//!    scheduling. A processor that has charged enough fetches replays its
+//!    texture-cache model on a helper thread of its own whenever a CPU is
+//!    free (see [`stream_arch::accounting`]): a slot that idles through a
+//!    micro-batch lends its CPU to the busy slot's replay, and the service
+//!    starts at most one helper per slot.
 //! 3. **Timeline** — the measured batch durations are replayed over the
 //!    slot schedule to produce per-job simulated latencies and the
 //!    service metrics.
@@ -32,6 +40,7 @@ use crate::shard::{ShardedConfig, ShardedSorter};
 use crate::wal::{self, Wal, WalConfig, WalError};
 use abisort::{GpuAbiSorter, SortConfig};
 use serde::Serialize;
+use std::sync::{Mutex, MutexGuard};
 use stream_arch::{GpuProfile, Result, StreamProcessor};
 use terasort::TeraSortConfig;
 use workloads::Distribution;
@@ -41,7 +50,8 @@ use workloads::Distribution;
 pub struct ServiceConfig {
     /// Hardware profile of every device slot.
     pub profile: GpuProfile,
-    /// Number of device slots (worker threads, pooled processors).
+    /// Number of device slots. The service keeps one processor per slot
+    /// for its lifetime; the slots with batches run them in parallel.
     pub device_slots: usize,
     /// Coalesce small jobs into shared batched launches. With `false`
     /// every job becomes its own submission (the naive baseline the
@@ -204,6 +214,8 @@ pub struct SortService {
     policy: SortPolicy,
     sorter: GpuAbiSorter,
     sharder: ShardedSorter,
+    /// One processor per device slot, for the service's lifetime.
+    processors: Mutex<Vec<StreamProcessor>>,
 }
 
 impl SortService {
@@ -242,11 +254,29 @@ impl SortService {
             host_bandwidth_gbs: policy.host_bandwidth_gbs(),
         });
         SortService {
+            processors: Mutex::new(Self::fresh_processors(&config)),
             config,
             policy,
             sorter,
             sharder,
         }
+    }
+
+    fn fresh_processors(config: &ServiceConfig) -> Vec<StreamProcessor> {
+        (0..config.device_slots)
+            .map(|_| StreamProcessor::new(config.profile.clone()))
+            .collect()
+    }
+
+    /// The slot processors; rebuilt if a batch panicked while it held them,
+    /// since they may then hold part of that batch.
+    fn processors(&self) -> MutexGuard<'_, Vec<StreamProcessor>> {
+        self.processors.lock().unwrap_or_else(|poisoned| {
+            let mut processors = poisoned.into_inner();
+            *processors = Self::fresh_processors(&self.config);
+            self.processors.clear_poison();
+            processors
+        })
     }
 
     /// The service's calibrated policy.
@@ -299,7 +329,7 @@ impl SortService {
     // --- Phase 2: execution ---------------------------------------------
 
     fn execute(&self, plans: &[BatchPlan]) -> Result<Vec<BatchOutcome>> {
-        // Sharded batches need several pooled processors at once, so they
+        // Sharded batches need several slot processors at once, so they
         // run in their own pass; everything else stays on its slot worker.
         let mut by_slot: Vec<Vec<usize>> = vec![Vec::new(); self.config.device_slots];
         let mut multi_slot: Vec<usize> = Vec::new();
@@ -316,29 +346,38 @@ impl SortService {
             ..TeraSortConfig::default()
         };
 
+        let mut processors = self.processors();
         let mut per_slot: Vec<Result<Vec<BatchOutcome>>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = by_slot
-                .iter()
-                .map(|ids| {
-                    let tera = &tera;
-                    scope.spawn(move || -> Result<Vec<BatchOutcome>> {
-                        let mut proc = StreamProcessor::new(self.config.profile.clone());
-                        ids.iter()
-                            .map(|&id| {
-                                batch::execute(
-                                    &plans[id],
-                                    &mut proc,
-                                    &self.sorter,
-                                    &self.sharder,
-                                    &self.policy,
-                                    tera,
-                                )
-                            })
-                            .collect()
-                    })
+        let run_slot = |proc: &mut StreamProcessor, ids: &[usize]| -> Result<Vec<BatchOutcome>> {
+            ids.iter()
+                .map(|&id| {
+                    batch::execute(
+                        &plans[id],
+                        proc,
+                        &self.sorter,
+                        &self.sharder,
+                        &self.policy,
+                        &tera,
+                    )
                 })
+                .collect()
+        };
+        let mut busy: Vec<_> = processors
+            .iter_mut()
+            .zip(&by_slot)
+            .filter(|(_, ids)| !ids.is_empty())
+            .collect();
+        // The calling thread runs one busy slot itself: a micro-batch whose
+        // work is all on one slot spawns no thread.
+        let last = busy.pop();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = busy
+                .into_iter()
+                .map(|(proc, ids)| scope.spawn(|| run_slot(proc, ids)))
                 .collect();
+            if let Some((proc, ids)) = last {
+                per_slot.push(run_slot(proc, ids));
+            }
             for handle in handles {
                 per_slot.push(handle.join().expect("service worker thread panicked"));
             }
@@ -352,25 +391,15 @@ impl SortService {
             }
         }
 
-        // Multi-slot pass: one pooled processor per reserved slot; each
-        // sharded batch parallelises internally across its shards.
-        if !multi_slot.is_empty() {
-            let pool_size = multi_slot
-                .iter()
-                .map(|&id| plans[id].slot_count())
-                .max()
-                .expect("non-empty multi-slot list");
-            let mut pool: Vec<StreamProcessor> = (0..pool_size)
-                .map(|_| StreamProcessor::new(self.config.profile.clone()))
-                .collect();
-            for &id in &multi_slot {
-                let k = plans[id].slot_count();
-                outcomes[id] = Some(batch::execute_sharded(
-                    &plans[id],
-                    &mut pool[..k],
-                    &self.sharder,
-                )?);
-            }
+        // Multi-slot pass: each sharded batch borrows the processors of
+        // as many slots as it reserved and parallelises across its shards.
+        for &id in &multi_slot {
+            let k = plans[id].slot_count();
+            outcomes[id] = Some(batch::execute_sharded(
+                &plans[id],
+                &mut processors[..k],
+                &self.sharder,
+            )?);
         }
 
         Ok(outcomes

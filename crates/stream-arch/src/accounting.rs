@@ -64,11 +64,20 @@
 //! * on a **helper thread**, which the processor starts the first time it
 //!   hands off a full chunk and keeps for its lifetime: the helper
 //!   replays queued chunks while the engine thread runs the next kernels.
-//!   The queue is bounded: once more than 16 chunks wait,
-//!   the engine thread pauses until the helper has caught up halfway.
-//!   That only happens in bursts of scattered gathers, where replaying a
-//!   fetch costs more than recording it, or when the helper lost its CPU
-//!   after all — and then the pause is what gives the CPU back to it.
+//!   The queue is bounded: once more than 4 chunks (192 KiB) wait, the
+//!   engine thread pauses until the helper has caught up halfway. That
+//!   only happens in bursts of scattered gathers, where replaying a fetch
+//!   costs more than recording it, or when the helper lost its CPU after
+//!   all — and then the pause is what gives the CPU back to it. A
+//!   16-chunk queue measured no faster and held more memory.
+//!
+//! Each logged fetch names its stream by a slot of its chunk's stream
+//! table. A kernel binding ([`crate::Input`], [`crate::GatherView`])
+//! remembers the slot its stream got, together with the id of the table
+//! that gave it. Every table gets a process-unique id whenever it is
+//! cleared, so a remembered slot is used only while its table is the
+//! recorder's current one; otherwise the table is searched, and the
+//! binding remembers the new slot. The log is the same either way.
 //!
 //! Whoever replays takes the model's lock before taking a chunk off the
 //! queue, so chunks are replayed in record order whichever thread runs
@@ -89,22 +98,23 @@ use crate::cache::{CacheBatch, CacheConfig, CacheSim, CacheStats, StreamKey};
 use crate::layout::{Layout, ZOrder2D};
 use crate::stream::Stream;
 use crate::value::StreamElement;
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 /// Fetches per chunk: 4096 entries of 12 bytes, a 48 KiB chunk.
 pub(crate) const CHUNK_FETCHES: usize = 4096;
 
-/// Full chunks that may wait for the helper (768 KiB): enough to ride out
-/// the bursts of the ABiSort merge phases at 2^18 elements.
-pub(crate) const MAX_BACKLOG: usize = 16;
+/// Full chunks that may wait for the helper (192 KiB). A 16-chunk queue
+/// measured no faster and held more memory.
+pub(crate) const MAX_BACKLOG: usize = 4;
 
 /// Cached fetches a processor charges before it first offloads (about one
-/// 2^16-element sort). A short-lived processor — a service slot's, one
-/// micro-batch long — would pay a thread start and its allocator arena
-/// for little overlap.
+/// 2^16-element sort). A short-lived processor — a calibration's scratch
+/// processor, say — would pay a thread start and its allocator arena for
+/// little overlap.
 pub(crate) const OFFLOAD_AFTER: u64 = 1 << 22;
 
 /// A stream as the texture-cache model sees it.
@@ -141,6 +151,32 @@ impl FetchStream {
             bytes: T::BYTES as u32,
         }
     }
+}
+
+/// A kernel binding's stream, with its memo of the stream's slot in the
+/// recorder's current stream table (see the module doc).
+pub(crate) struct BoundStream {
+    pub(crate) stream: FetchStream,
+    /// The id of the table that gave `stream` a slot, and the slot; table
+    /// id 0 names no table.
+    slot: Cell<(u64, u32)>,
+}
+
+impl BoundStream {
+    pub(crate) fn new(stream: FetchStream) -> Self {
+        BoundStream {
+            stream,
+            slot: Cell::new((0, 0)),
+        }
+    }
+}
+
+/// The next stream-table id, process-wide: ids are never reused, so no
+/// binding's memo can name a table that was cleared since.
+static NEXT_TABLE: AtomicU64 = AtomicU64::new(1);
+
+fn new_table_id() -> u64 {
+    NEXT_TABLE.fetch_add(1, Ordering::Relaxed)
 }
 
 impl Fetch {
@@ -671,9 +707,8 @@ pub(crate) struct FetchLog {
     /// The live model sits in `shared.model`.
     model_shared: bool,
     chunk: FetchChunk,
-    /// Slots of the streams of the last two logged fetches, the last
-    /// first.
-    last_slots: [u32; 2],
+    /// The id of `chunk`'s stream table, new whenever the table is cleared.
+    table: u64,
     /// Created at the first hand-off to the helper.
     shared: Option<Arc<Shared>>,
     helper: Option<JoinHandle<()>>,
@@ -695,7 +730,7 @@ impl FetchLog {
             // Grown on first use: a processor that never logs never
             // allocates one.
             chunk: FetchChunk::default(),
-            last_slots: [0; 2],
+            table: new_table_id(),
             shared: None,
             helper: None,
             charged_before_reset: 0,
@@ -712,24 +747,24 @@ impl FetchLog {
         self.direct = false;
     }
 
-    /// Record `count` consecutive cached fetches of `stream` from element
-    /// `first`.
+    /// Record `count` consecutive cached fetches of `bound`'s stream from
+    /// element `first`.
     #[inline]
-    pub(crate) fn record(&mut self, stream: FetchStream, first: usize, count: usize) {
+    pub(crate) fn record(&mut self, bound: &BoundStream, first: usize, count: usize) {
         let first = u32::try_from(first).expect("stream index exceeds the fetch log's u32 range");
         let count = u32::try_from(count).expect("fetch count exceeds the fetch log's u32 range");
         if self.direct {
-            self.model.fetch(stream, first, count);
+            self.model.fetch(bound.stream, first, count);
         } else if count > 0 {
-            self.log(stream, first, count);
+            self.log(bound, first, count);
         }
     }
 
     /// Append a fetch to the current chunk, merging it into the last entry
     /// when it continues it.
     #[inline]
-    fn log(&mut self, stream: FetchStream, first: u32, count: u32) {
-        let slot = self.slot(stream);
+    fn log(&mut self, bound: &BoundStream, first: u32, count: u32) {
+        let slot = self.slot(bound);
         if let Some(last) = self.chunk.fetches.last_mut() {
             if last.slot == slot
                 && u64::from(last.first) + u64::from(last.count) == u64::from(first)
@@ -742,36 +777,31 @@ impl FetchLog {
         }
         if self.chunk.fetches.len() == CHUNK_FETCHES {
             self.hand_off();
-            let slot = self.slot(stream);
+            let slot = self.slot(bound);
             self.chunk.fetches.push(Fetch { first, count, slot });
             return;
         }
         self.chunk.fetches.push(Fetch { first, count, slot });
     }
 
-    /// The slot of `stream` in the current chunk's table, added if new.
-    /// The slots of the last two streams are tried first: a launch that
-    /// alternates a streaming read with a gather (`phaseI` reads its `pq`
-    /// pair and gathers tree nodes) finds both there.
+    /// The slot of `bound`'s stream in the current chunk's table: the one
+    /// its memo holds if the memo is of this table, else found or added
+    /// by a search of the table, and memoised.
     #[inline]
-    fn slot(&mut self, stream: FetchStream) -> u32 {
-        let streams = &mut self.chunk.streams;
-        let [last, before] = self.last_slots;
-        if streams.get(last as usize) == Some(&stream) {
-            return last;
+    fn slot(&mut self, bound: &BoundStream) -> u32 {
+        let (table, slot) = bound.slot.get();
+        if table == self.table {
+            return slot;
         }
-        let slot = if streams.get(before as usize) == Some(&stream) {
-            before
-        } else {
-            match streams.iter().position(|s| *s == stream) {
-                Some(slot) => slot as u32,
-                None => {
-                    streams.push(stream);
-                    streams.len() as u32 - 1
-                }
+        let streams = &mut self.chunk.streams;
+        let slot = match streams.iter().position(|s| *s == bound.stream) {
+            Some(slot) => slot as u32,
+            None => {
+                streams.push(bound.stream);
+                streams.len() as u32 - 1
             }
         };
-        self.last_slots = [slot, last];
+        bound.slot.set((self.table, slot));
         slot
     }
 
@@ -784,7 +814,8 @@ impl FetchLog {
         if let Some(observer) = &mut self.observer {
             observer(&self.chunk);
         }
-        self.last_slots = [0; 2];
+        // Both ways below leave an empty table.
+        self.table = new_table_id();
         if !self.offload {
             self.model.replay(&self.chunk);
             self.chunk.clear();
@@ -988,10 +1019,10 @@ mod tests {
         log.set_observer(Box::new(move |c: &FetchChunk| {
             seen.lock().unwrap().push(c.clone())
         }));
-        log.record(stream, 10, 2);
-        log.record(stream, 12, 3); // continues the previous fetch
-        log.record(other, 15, 1); // another stream: a new entry
-        log.record(stream, 15, 1); // continues, but not the last entry
+        log.record(&BoundStream::new(stream), 10, 2);
+        log.record(&BoundStream::new(stream), 12, 3); // continues the previous fetch
+        log.record(&BoundStream::new(other), 15, 1); // another stream: a new entry
+        log.record(&BoundStream::new(stream), 15, 1); // continues, but not the last entry
         assert_eq!(
             log.chunk.fetches,
             [
@@ -1015,10 +1046,10 @@ mod tests {
         // Fill the chunk with non-continuing fetches: the next one hands
         // it off whole.
         for i in 3..CHUNK_FETCHES {
-            log.record(stream, 100 + 2 * i, 1);
+            log.record(&BoundStream::new(stream), 100 + 2 * i, 1);
         }
         assert!(chunks.lock().unwrap().is_empty());
-        log.record(stream, 1, 1);
+        log.record(&BoundStream::new(stream), 1, 1);
         {
             let chunks = chunks.lock().unwrap();
             assert_eq!(chunks.len(), 1);
@@ -1174,10 +1205,10 @@ mod tests {
         };
         let b = FetchStream { tag: 5, ..a };
         let mut log = FetchLog::new(config);
-        log.record(a, 0, 2); // charged directly, its run still open
+        log.record(&BoundStream::new(a), 0, 2); // charged directly, its run still open
         log.set_observer(Box::new(|_: &FetchChunk| {}));
-        log.record(b, 0, 1);
-        log.record(a, 0, 1);
+        log.record(&BoundStream::new(b), 0, 1);
+        log.record(&BoundStream::new(a), 0, 1);
         // a misses, b evicts it, a misses again.
         assert_eq!(log.drain().stats().misses, 3);
     }
@@ -1185,7 +1216,7 @@ mod tests {
     /// Record `chunks` full chunks of scattered single-element fetches.
     fn fill(log: &mut FetchLog, stream: FetchStream, chunks: usize) {
         for i in 0..chunks * CHUNK_FETCHES {
-            log.record(stream, (i * 7919) % (1 << 20), 1);
+            log.record(&BoundStream::new(stream), (i * 7919) % (1 << 20), 1);
         }
     }
 
@@ -1201,7 +1232,7 @@ mod tests {
         log.forced = Some(true);
         log.drain();
         fill(&mut log, stream, 1);
-        log.record(stream, 1, 1); // hands the first chunk to the helper
+        log.record(&BoundStream::new(stream), 1, 1); // hands the first chunk to the helper
         assert!(log.model_shared && log.has_helper());
 
         // Stall the helper: hold the live model until the engine thread,

@@ -33,9 +33,10 @@
 //! through the fetch log a helper thread replays. The texture-cache
 //! statistics are therefore complete only at a drain point
 //! ([`crate::StreamProcessor::counters`] and its siblings), not inside a
-//! launch.
+//! launch. A binding remembers its stream's slot in the log's current
+//! stream table (a `Cell`, so bindings are not `Sync`).
 
-use crate::accounting::{FetchLog, FetchStream};
+use crate::accounting::{BoundStream, FetchLog, FetchStream};
 use crate::error::{Result, StreamError};
 use crate::metrics::Counters;
 use crate::stream::Stream;
@@ -66,7 +67,7 @@ fn words(bytes: usize) -> u64 {
 /// ```
 pub struct GatherView<'a, T> {
     data: &'a [T],
-    stream: FetchStream,
+    stream: BoundStream,
 }
 
 impl<'a, T: StreamElement> GatherView<'a, T> {
@@ -74,7 +75,7 @@ impl<'a, T: StreamElement> GatherView<'a, T> {
     pub fn new(stream: &'a Stream<T>) -> Self {
         GatherView {
             data: stream.as_slice(),
-            stream: FetchStream::of(stream),
+            stream: BoundStream::new(FetchStream::of(stream)),
         }
     }
 }
@@ -162,7 +163,7 @@ impl LaunchShape {
 pub struct Input<'a, T> {
     data: &'a [T],
     start: usize,
-    stream: FetchStream,
+    stream: BoundStream,
 }
 
 impl<'a, T: StreamElement> Input<'a, T> {
@@ -172,7 +173,7 @@ impl<'a, T: StreamElement> Input<'a, T> {
         Ok(Input {
             data: &stream.as_slice()[start..start + len],
             start,
-            stream: FetchStream::of(stream),
+            stream: BoundStream::new(FetchStream::of(stream)),
         })
     }
 }
@@ -230,7 +231,7 @@ impl<'a> LaunchCtx<'a> {
         count: usize,
     ) -> &'s [T] {
         let elements = &input.data[pos..pos + count];
-        self.log.record(input.stream, input.start + pos, count);
+        self.log.record(&input.stream, input.start + pos, count);
         elements
     }
 
@@ -249,7 +250,7 @@ impl<'a> LaunchCtx<'a> {
             }
             return T::default();
         };
-        self.charge_gathers(view.stream, index, 1);
+        self.charge_gathers(&view.stream, index, 1);
         v
     }
 
@@ -264,7 +265,7 @@ impl<'a> LaunchCtx<'a> {
         out: &mut [T],
     ) {
         if let Some(src) = view.data.get(start..start.saturating_add(out.len())) {
-            self.charge_gathers(view.stream, start, out.len());
+            self.charge_gathers(&view.stream, start, out.len());
             out.copy_from_slice(src);
             return;
         }
@@ -275,8 +276,8 @@ impl<'a> LaunchCtx<'a> {
 
     /// Charge `count` gathers of the consecutive elements from `first`.
     #[inline]
-    fn charge_gathers(&mut self, stream: FetchStream, first: usize, count: usize) {
-        self.counters.gathers += count as u64 * words(stream.bytes as usize);
+    fn charge_gathers(&mut self, stream: &BoundStream, first: usize, count: usize) {
+        self.counters.gathers += count as u64 * words(stream.stream.bytes as usize);
         self.log.record(stream, first, count);
     }
 
